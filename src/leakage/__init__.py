@@ -27,7 +27,6 @@ from .bloch_solver import (
     ProblemInstance,
     BlochSolution,
     solve_block_sylvester,
-    bloch_recursion_step,
     solve_bloch_series,
     assemble_h_bloch,
 )
@@ -72,7 +71,7 @@ __all__ = [
     "SpectralPartition", "partition_by_threshold", "partition_by_intervals",
     "projection", "complement", "truncate_spectrum",
     "ProblemInstance", "BlochSolution", "solve_block_sylvester",
-    "bloch_recursion_step", "solve_bloch_series", "assemble_h_bloch",
+    "solve_bloch_series", "assemble_h_bloch",
     "SWSolution", "sw_transform", "perturbed_projection",
     "BoundReport", "bound_report", "delta_of", "epsilon_of", "catalan",
     "catalan_tail", "sw_distance_bound", "leakage_bound",

@@ -82,32 +82,21 @@ class BlochSolution:
         }
 
 
-def _sylvester_eig(lam, group_mask, eta, y_eig):
-    """Solve [H0, X] = Q_k Y P_k in the H0 eigenbasis.
-
-    ``X[a, b] = Y[a, b] / (lam[a] - lam[b])`` on the off-block
-    (a outside the group, b inside), zero elsewhere.  Divisors below
-    eta/2 indicate inconsistent partition data.
-    """
-    out = ~group_mask
-    diffs = lam[out, None] - lam[None, group_mask]
+def _gap_divisors(lam, g, out, eta, operation):
+    """Eigenvalue differences ``lam[out, None] - lam[None, g]`` dividing the
+    Sylvester solution on the off-block; any below eta/2 means the
+    partition data are inconsistent."""
+    diffs = lam[out, None] - lam[None, g]
     if diffs.size and np.abs(diffs).min() < eta / 2.0:
         raise ZeroGap(
             f"eigenvalue difference {np.abs(diffs).min():.3e} below eta/2 = {eta / 2:.3e}",
-            operation="solve_block_sylvester",
+            operation=operation,
         )
-    x = np.zeros_like(y_eig)
-    x[np.ix_(out, group_mask)] = y_eig[np.ix_(out, group_mask)] / diffs
-    return x
+    return diffs
 
 
-def _group_masks(part: SpectralPartition):
-    masks = []
-    for g in part.groups:
-        m = np.zeros(part.dim, dtype=bool)
-        m[g] = True
-        masks.append(m)
-    return masks
+def _complement_indices(part: SpectralPartition, k: int) -> np.ndarray:
+    return np.setdiff1d(np.arange(part.dim), part.groups[k])
 
 
 def solve_block_sylvester(part: SpectralPartition, k: int, y: OperatorMatrix) -> OperatorMatrix:
@@ -117,43 +106,39 @@ def solve_block_sylvester(part: SpectralPartition, k: int, y: OperatorMatrix) ->
     entrywise division by eigenvalue differences.
     """
     u = part.eig.eigenvectors
+    g, out = part.groups[k], _complement_indices(part, k)
+    diffs = _gap_divisors(part.eig.eigenvalues, g, out, part.gap, "solve_block_sylvester")
     y_eig = u.conj().T @ y.entries @ u
-    mask = _group_masks(part)[k]
-    x_eig = _sylvester_eig(part.eig.eigenvalues, mask, part.gap, y_eig)
+    x_eig = np.zeros_like(y_eig)
+    x_eig[np.ix_(out, g)] = y_eig[np.ix_(out, g)] / diffs
     return OperatorMatrix(u @ x_eig @ u.conj().T)
 
 
-def bloch_recursion_step(inst: ProblemInstance, prior) -> OperatorMatrix:
-    """Next series term Omega^(j) from the terms of order < j.
+def _fill_block_series(terms_eig, lam, v_eig, g, out, eta):
+    """Write the off-block columns ``Omega^(j)[out, g]``, j = 1..J, of
+    ``terms_eig`` (shape (J+1, dim, dim), H0 eigenbasis).
 
-    ``prior`` lists Omega^(0)..Omega^(j-1) in the original basis, with
-    Omega^(0) = 1.
+    With ``Z_l = V[g, :] Omega^(l)[:, g]``, order j solves
+    ``[H0, Omega_k^(j)] = Q_k (-V Omega_k^(j-1) + sum_{i=1}^{j-1} Omega_k^(i) Z_{j-1-i})``.
+    The columns of all orders sit side by side in one buffer and each
+    Z_l is formed once, when Omega^(l) is, so the sum over i is a single
+    GEMM against the stacked Z_{j-2}..Z_0.
     """
-    u = inst.partition.eig.eigenvectors
-    v_eig = u.conj().T @ inst.v.entries @ u
-    prior_eig = [u.conj().T @ p.entries @ u for p in prior]
-    masks = _group_masks(inst.partition)
-    x_eig = _recursion_step_eig(
-        inst.partition.eig.eigenvalues, v_eig, masks, inst.partition.gap, prior_eig
-    )
-    return OperatorMatrix(u @ x_eig @ u.conj().T)
-
-
-def _recursion_step_eig(lam, v_eig, masks, eta, prior_eig):
-    """One recursion order, everything expressed in the H0 eigenbasis."""
-    j = len(prior_eig)
-    if j < 1:
-        raise ValueError("prior must contain at least Omega^(0) = identity")
-    total = np.zeros_like(v_eig)
-    for mask in masks:
-        # Omega_k^(i) = Omega^(i) P_k: keep only the group's columns
-        y_k = -(v_eig @ prior_eig[j - 1][:, mask])
-        for i in range(1, j):
-            y_k += prior_eig[i][:, mask] @ (v_eig[mask, :] @ prior_eig[j - 1 - i][:, mask])
-        y_full = np.zeros_like(v_eig)
-        y_full[:, mask] = y_k
-        total += _sylvester_eig(lam, mask, eta, y_full)
-    return total
+    order, b = terms_eig.shape[0] - 1, len(g)
+    diffs = _gap_divisors(lam, g, out, eta, "solve_bloch_series")
+    off_block = np.ix_(out, g)
+    v_oo, v_go = v_eig[np.ix_(out, out)], v_eig[np.ix_(g, out)]
+    cols = np.empty((len(out), order * b), dtype=complex)
+    z = np.empty((order + 1, b, b), dtype=complex)
+    z[0] = v_eig[np.ix_(g, g)]
+    y = -v_eig[off_block]
+    for j in range(1, order + 1):
+        if j > 1:
+            prev = cols[:, (j - 2) * b : (j - 1) * b]
+            y = cols[:, : (j - 1) * b] @ z[j - 2 :: -1].reshape(-1, b) - v_oo @ prev
+        cols[:, (j - 1) * b : j * b] = y / diffs
+        terms_eig[j][off_block] = cols[:, (j - 1) * b : j * b]
+        z[j] = v_go @ cols[:, (j - 1) * b : j * b]
 
 
 def solve_bloch_series(
@@ -179,25 +164,23 @@ def solve_bloch_series(
         )
     x = inst.x
 
-    order = None
-    for j in range(j_max + 1):
-        if bounds.catalan_tail(x, j) < tol:
-            order = j
-            break
+    tails = bounds.catalan_tails(x, j_max)
+    order = next((j for j, t in enumerate(tails) if t < tol), None)
     if order is None:
         raise NotConverged(
             f"Catalan tail still above tol = {tol:.1e} at order {j_max}",
             operation="solve_bloch_series",
         )
 
-    u = inst.partition.eig.eigenvectors
-    lam = inst.partition.eig.eigenvalues
+    part = inst.partition
+    u = part.eig.eigenvectors
+    lam = part.eig.eigenvalues
     v_eig = u.conj().T @ inst.v.entries @ u
-    masks = _group_masks(inst.partition)
 
-    terms_eig = [np.eye(inst.dim, dtype=complex)]
-    for _ in range(order):
-        terms_eig.append(_recursion_step_eig(lam, v_eig, masks, eta, terms_eig))
+    terms_eig = np.zeros((order + 1, inst.dim, inst.dim), dtype=complex)
+    terms_eig[0] = np.eye(inst.dim)
+    for k, g in enumerate(part.groups):
+        _fill_block_series(terms_eig, lam, v_eig, g, _complement_indices(part, k), eta)
 
     omega_eig = sum(
         t / inst.gamma**j for j, t in enumerate(terms_eig)
@@ -214,7 +197,7 @@ def solve_bloch_series(
         omega_blocks=omega_blocks,
         h_bloch=_assemble(inst, omega_blocks),
         order=order,
-        tail_bound=bounds.catalan_tail(x, order),
+        tail_bound=tails[order],
         delta_bound=bounds.delta_of(x),
     )
 

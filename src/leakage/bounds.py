@@ -80,13 +80,44 @@ def catalan_generating(y: float) -> float:
     return (1.0 - math.sqrt(1.0 - 4.0 * y)) / (2.0 * y)
 
 
-def catalan_tail(x: float, j_trunc: int) -> float:
-    """Analytic remainder sum_{j > J} (pi x)^j C_j via the generating function."""
+#: terms summed past the last requested order before the rest is bounded
+#: in closed form; only reached when 4 pi x is within ~1e-3 of 1
+_TAIL_TERMS_MAX = 4096
+
+
+def catalan_tails(x: float, j_max: int) -> list:
+    """Remainders ``sum_{j > J} C_j (pi x)^j`` for J = 0..j_max.
+
+    The terms are generated with ``C_{j+1} / C_j = 2(2j+1)/(j+2)`` and
+    summed directly, smallest first, so small tails keep full relative
+    precision.  The terms past the last one summed are bounded through
+    ``C_{j+1} / C_j < 4`` by ``t_n 4y / (1 - 4y)``: every tail is an
+    upper bound on the true remainder, up to rounding.
+    """
     if 4.0 * math.pi * x >= 1.0:
-        raise OutOfDomain(f"4 pi x = {4 * math.pi * x:.6g} >= 1", operation="catalan_tail")
+        raise OutOfDomain(f"4 pi x = {4 * math.pi * x:.6g} >= 1", operation="catalan_tails")
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
     y = math.pi * x
-    partial = sum(catalan(j) * y**j for j in range(j_trunc + 1))
-    return max(catalan_generating(y) - partial, 0.0)
+    q = 4.0 * y
+    terms = [1.0]
+    while True:
+        n = len(terms) - 1
+        rest = terms[n] * q / (1.0 - q)
+        if n > j_max and (rest <= 1e-17 * terms[j_max + 1] or n >= j_max + _TAIL_TERMS_MAX):
+            break
+        terms.append(terms[n] * y * 2.0 * (2 * n + 1) / (n + 2))
+    tails = [0.0] * (j_max + 1)
+    for j in range(n - 1, -1, -1):
+        rest += terms[j + 1]
+        if j <= j_max:
+            tails[j] = rest
+    return tails
+
+
+def catalan_tail(x: float, j_trunc: int) -> float:
+    """Remainder ``sum_{j > J} (pi x)^j C_j`` of the Catalan majorant series."""
+    return catalan_tails(x, j_trunc)[j_trunc]
 
 
 def sw_distance_bound(x: float) -> float:

@@ -6,8 +6,8 @@ experiment), ``verify`` (invariant suite), ``bounds`` (scalar formulas),
 flows from the config seed through labeled sub-streams, so outputs are
 deterministic functions of (config, seed).
 
-Exit codes: 0 success, 2 config error, 3 convergence failure,
-4 bound violation or failed invariant.
+Exit codes: 0 success, 2 invalid input (config, matrices or partition),
+3 convergence failure, 4 bound violation or failed invariant.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     ConfigInvalid,
     GammaBelowThreshold,
     GammaBelowSWThreshold,
+    InvalidInput,
     LeakageError,
     NotConverged,
 )
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigInvalid as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (GammaBelowThreshold, GammaBelowSWThreshold, NotConverged) as exc:

@@ -35,7 +35,7 @@ class LeakageReport:
     d_sw_series: np.ndarray | None
     bounds: bounds.BoundReport
     max_leakage: float
-    violations: tuple
+    violations: tuple                  # (kind, block or None, t); kind: leakage, d_bloch, d_sw
 
     def to_json(self) -> dict:
         return {
@@ -131,8 +131,9 @@ def run_leakage_experiment(
     Bloch/Schrieffer-Wolff distance series, checked against the bounds.
 
     Distance series require gamma above the respective thresholds and
-    are skipped (None) otherwise; the sharp-bound violation scan runs
-    whenever the sharp bound exists.
+    are skipped (None) otherwise.  ``violations`` lists every point where
+    leakage or ``d_Bloch`` exceeds ``epsilon``, or ``d_SW`` exceeds the SW
+    distance bound, labelled by kind.
     """
     times = np.asarray(t_grid, dtype=float)
     evo = _Evolution(inst)
@@ -169,7 +170,12 @@ def run_leakage_experiment(
     violations = []
     if report.epsilon is not None:
         bad = np.argwhere(leak > report.epsilon + VIOLATION_SLACK)
-        violations = [(int(k), float(times[j])) for k, j in bad]
+        violations = [("leakage", int(k), float(times[j])) for k, j in bad]
+    for kind, series, allowed in (("d_bloch", d_bloch, report.epsilon),
+                                  ("d_sw", d_sw, report.d_sw_bound)):
+        if series is not None and allowed is not None:
+            bad = np.flatnonzero(series > allowed + VIOLATION_SLACK)
+            violations += [(kind, None, float(times[j])) for j in bad]
 
     return LeakageReport(
         times=times,

@@ -19,9 +19,14 @@ class LeakageError(Exception):
         super().__init__(message)
 
 
+class InvalidInput(LeakageError):
+    """Base class for errors caused by the caller's data: a malformed
+    config, a non-Hermitian matrix, a partition the spectrum does not admit."""
+
+
 # operator_core -------------------------------------------------------------
 
-class NonHermitianInput(LeakageError):
+class NonHermitianInput(InvalidInput):
     module = "operator_core"
 
 
@@ -35,27 +40,27 @@ class SingularMatrix(LeakageError):
 
 # spectral_partition --------------------------------------------------------
 
-class NoGapFound(LeakageError):
+class NoGapFound(InvalidInput):
     module = "spectral_partition"
 
 
-class UncoveredEigenvalue(LeakageError):
+class UncoveredEigenvalue(InvalidInput):
     module = "spectral_partition"
 
 
-class OverlappingIntervals(LeakageError):
+class OverlappingIntervals(InvalidInput):
     module = "spectral_partition"
 
 
-class IndexOutOfRange(LeakageError):
+class IndexOutOfRange(InvalidInput):
     module = "spectral_partition"
 
 
-class AnchorOutsideWindow(LeakageError):
+class AnchorOutsideWindow(InvalidInput):
     module = "spectral_partition"
 
 
-class EmptyWindow(LeakageError):
+class EmptyWindow(InvalidInput):
     module = "spectral_partition"
 
 
@@ -89,7 +94,7 @@ class OutOfDomain(LeakageError):
     module = "bounds"
 
 
-class NonpositiveBandgap(LeakageError):
+class NonpositiveBandgap(InvalidInput):
     module = "models"
 
 
@@ -105,5 +110,5 @@ class GroupNotPreserved(LeakageError):
 
 # cli -----------------------------------------------------------------------
 
-class ConfigInvalid(LeakageError):
+class ConfigInvalid(InvalidInput):
     module = "cli"

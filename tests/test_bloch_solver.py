@@ -5,17 +5,18 @@ from leakage import (
     OperatorMatrix,
     ProblemInstance,
     assemble_h_bloch,
-    bloch_recursion_step,
     catalan,
     delta_of,
     herm_eig,
     operator_norm,
+    partition_by_intervals,
     partition_by_threshold,
     solve_bloch_series,
     solve_block_sylvester,
 )
 from leakage.bounds import catalan_tail
 from leakage.errors import GammaBelowThreshold, NotConverged, ZeroGap
+from leakage.models import HarmonicChainSpec, build_harmonic_chain
 from leakage.spectral_partition import SpectralPartition, complement, projection
 
 from conftest import make_instance, random_hermitian
@@ -48,6 +49,28 @@ def test_two_level_series_matches_exact_wave_operator(rabi_instance):
     assert abs(hb[0, 1]) < 1e-12 and abs(hb[1, 0]) < 1e-12
 
 
+@pytest.mark.parametrize("n_sites, fock_cutoff", [(4, 7), (3, 9)])
+def test_deep_series_matches_eigenprojection_wave_operator(n_sites, fock_cutoff):
+    # harmonic chains with 8 and 10 bands, summed to orders above 30;
+    # oracle: Omega P_k = Pt_k P_k (P_k Pt_k P_k)^-1 on ran P_k, with Pt_k
+    # the spectral projection of H continuing group k
+    h0, v, intervals = build_harmonic_chain(HarmonicChainSpec(
+        n_sites=n_sites, omega=10.0, g=1.0, fock_cutoff=fock_cutoff, v0=0.3))
+    part = partition_by_intervals(herm_eig(h0), intervals)
+    inst = ProblemInstance(h0, v, 1.0, part)
+    sol = solve_bloch_series(inst)
+    assert part.n_groups == fock_cutoff + 1 and sol.order > 30
+    u = part.eig.eigenvectors
+    _, s = np.linalg.eigh(u.conj().T @ inst.h.entries @ u)
+    exact = np.zeros((inst.dim, inst.dim), dtype=complex)
+    for g in part.groups:
+        # Weyl: H's eigenvalues keep H0's order across gaps wider than 2||V||
+        pt = s[:, g] @ s[:, g].conj().T
+        exact[:, g] = pt[:, g] @ np.linalg.inv(pt[np.ix_(g, g)])
+    exact = u @ exact @ u.conj().T
+    assert operator_norm(sol.omega.entries - exact) <= sol.tail_bound + 1e-13
+
+
 def test_sylvester_solution_residual():
     inst = make_instance(21, 9, 3, x=0.01)
     part = inst.partition
@@ -68,7 +91,7 @@ def test_first_order_term_entrywise():
     part = inst.partition
     u = part.eig.eigenvectors
     lam = part.eig.eigenvalues
-    term1 = bloch_recursion_step(inst, [OperatorMatrix.identity(7)])
+    term1 = solve_bloch_series(inst).omega_terms[1]
     t_eig = u.conj().T @ term1.entries @ u
     v_eig = u.conj().T @ inst.v.entries @ u
     # independent formula: -V_ab / (lam_a - lam_b) across groups, 0 inside
@@ -121,6 +144,13 @@ def test_catalan_majorant_and_delta():
     assert sol.tail_bound < 1e-12
 
 
+def test_order_is_the_first_whose_tail_is_below_tol():
+    inst = make_instance(26, 10, 3, x=0.0087)
+    for tol in (1e-12, 1e-16):
+        order = solve_bloch_series(inst, tol=tol).order
+        assert catalan_tail(inst.x, order) < tol <= catalan_tail(inst.x, order - 1)
+
+
 def test_h_bloch_block_diagonal_and_isospectral():
     inst = make_instance(27, 11, 2, x=0.012)
     sol = solve_bloch_series(inst)
@@ -154,7 +184,8 @@ def test_not_converged_when_order_capped():
 
 
 def test_misdeclared_gap_raises_zero_gap():
-    eig = herm_eig(OperatorMatrix(np.diag([0.0, 0.4, 1.0]), hermitian_hint=True))
+    h0 = OperatorMatrix(np.diag([0.0, 0.4, 1.0]), hermitian_hint=True)
+    eig = herm_eig(h0)
     honest = partition_by_threshold(eig, 0.3)
     # overstate the gap: actual cross-group distance 0.4 < claimed 2.0 / 2
     lied = SpectralPartition(
@@ -163,6 +194,9 @@ def test_misdeclared_gap_raises_zero_gap():
     y = OperatorMatrix(np.ones((3, 3)))
     with pytest.raises(ZeroGap):
         solve_block_sylvester(lied, 0, y)
+    v = OperatorMatrix(1e-3 * np.ones((3, 3)), hermitian_hint=True)
+    with pytest.raises(ZeroGap):
+        solve_bloch_series(ProblemInstance(h0, v, 1.0, lied))
 
 
 def test_instance_validation():

@@ -123,6 +123,30 @@ def test_catalan_tail_properties():
     )
 
 
+def mp_catalan_tail(x, j_trunc):
+    with mpmath.workdps(60):
+        y = mpmath.pi * mpmath.mpf(x)
+        full = (1 - mpmath.sqrt(1 - 4 * y)) / (2 * y)
+        return float(full - sum(mpmath.binomial(2 * j, j) / (j + 1) * y**j
+                                for j in range(j_trunc + 1)))
+
+
+@pytest.mark.parametrize("x, j_trunc", [(0.0087, 12), (0.0087, 14), (0.0087, 18),
+                                         (0.02, 5), (0.05, 40), (1e-9, 2)])
+def test_catalan_tail_matches_extended_precision(x, j_trunc):
+    # small tails keep their relative precision instead of rounding to 0
+    expected = mp_catalan_tail(x, j_trunc)
+    assert catalan_tail(x, j_trunc) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_catalan_tail_bounds_the_remainder_near_the_edge():
+    # 4 pi x close to 1: the summed terms stop early and the rest is bounded
+    x = 0.999 * X_MAX
+    for j_trunc in (3, 60):
+        exact = mp_catalan_tail(x, j_trunc)
+        assert exact <= catalan_tail(x, j_trunc) <= 1.001 * exact
+
+
 def test_thresholds_and_delta_equivalence():
     # gamma above the sw threshold if and only if delta < sqrt(2) - 1,
     # checked on a 1000-triple grid

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from leakage import OperatorMatrix
+from leakage import OperatorMatrix, bounds
 from leakage.cli import main
 
 CHAIN_CFG = {
@@ -57,6 +58,17 @@ def test_run_chain(tmp_path, capsys):
     assert (tmp_path / "series.csv").read_text().startswith("t,k,leakage")
     series = json.loads((tmp_path / "series.json").read_text())
     assert len(series["times"]) == 41
+
+
+def test_run_distance_violation_exit_code(tmp_path, monkeypatch):
+    # a d_SW above its bound alone makes the run fail with exit 4
+    real = bounds.bound_report
+    monkeypatch.setattr(bounds, "bound_report", lambda *a: dataclasses.replace(
+        real(*a), d_sw_bound=1e-6))
+    code = main(["run", "--config", write_cfg(tmp_path, CHAIN_CFG), "--out", str(tmp_path)])
+    assert code == 4
+    violations = json.loads((tmp_path / "summary.json").read_text())["violations"]
+    assert violations and all(kind == "d_sw" and k is None for kind, k, _ in violations)
 
 
 def test_run_seed_override(tmp_path):
@@ -119,7 +131,17 @@ def test_run_non_hermitian_custom_exit_code(tmp_path):
         "params": {"h0": bad, "v": v.to_json()},
         "partition": {"threshold": 0.5},
     }
-    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 4
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("cfg", [
+    {**CHAIN_CFG, "partition": {"threshold": 50.0}},                       # NoGapFound
+    {**CHAIN_CFG, "partition": {"intervals": [[-5, 1], [0, 5]]}},          # OverlappingIntervals
+    {**CHAIN_CFG, "partition": {"intervals": [[-100, -99], [99, 100]]}},   # UncoveredEigenvalue
+    {"model": "transmon", "params": {"ej_over_ec": 1.0, "transparency_d": 1e-3}},  # NonpositiveBandgap
+])
+def test_run_input_error_exit_code(tmp_path, cfg):
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
 
 
 def test_model_emit(tmp_path, capsys):

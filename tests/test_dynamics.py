@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from leakage import (
     sw_transform,
     truncation_convergence_study,
 )
+from leakage import bounds
 from leakage.errors import DegenerateSweep, GroupNotPreserved
 
 from conftest import make_instance
@@ -59,6 +61,31 @@ def test_experiment_report(rabi_instance):
     assert rep.d_sw_series[0] < 1e-12
     assert rep.d_bloch_series.max() <= rep.bounds.epsilon + 1e-9
     assert rep.d_sw_series.max() <= rep.bounds.d_sw_bound + 1e-9
+
+
+def test_distance_bound_violations_are_labelled(rabi_instance, monkeypatch):
+    # shrink epsilon and the SW bound below the measured series: every point
+    # above a bound is reported, labelled by the series that crossed it
+    real = bounds.bound_report
+
+    def shrunk(*args):
+        rep = real(*args)
+        return dataclasses.replace(rep, epsilon=1e-3 * rep.epsilon,
+                                   d_sw_bound=1e-3 * rep.d_sw_bound)
+
+    monkeypatch.setattr(bounds, "bound_report", shrunk)
+    times = np.linspace(0.0, 20.0, 41)
+    rep = run_leakage_experiment(rabi_instance, times)
+    eps, d_sw_bound = rep.bounds.epsilon, rep.bounds.d_sw_bound
+    by_kind = {kind: [(k, t) for kk, k, t in rep.violations if kk == kind]
+               for kind in ("leakage", "d_bloch", "d_sw")}
+    assert len(rep.violations) == sum(map(len, by_kind.values()))
+    assert by_kind["leakage"] == [(k, float(times[j])) for k, j in
+                                  np.argwhere(rep.per_block_leakage > eps + 1e-9)]
+    for kind, series, allowed in (("d_bloch", rep.d_bloch_series, eps),
+                                  ("d_sw", rep.d_sw_series, d_sw_bound)):
+        expected = [(None, float(t)) for t in times[series > allowed + 1e-9]]
+        assert by_kind[kind] == expected and expected
 
 
 def test_distances_skipped_below_threshold():
