@@ -11,9 +11,7 @@ from .operator_core import (
     HermitianEigenSystem,
     operator_norm,
     herm_eig,
-    unitary_propagator,
     inv_sqrt_psd,
-    invert,
 )
 from .spectral_partition import (
     SpectralPartition,
@@ -21,14 +19,11 @@ from .spectral_partition import (
     partition_by_intervals,
     projection,
     complement,
-    truncate_spectrum,
 )
 from .bloch_solver import (
     ProblemInstance,
     BlochSolution,
-    solve_block_sylvester,
     solve_bloch_series,
-    assemble_h_bloch,
 )
 from .schrieffer_wolff import SWSolution, sw_transform, perturbed_projection
 from .bounds import (
@@ -46,8 +41,6 @@ from .bounds import (
 from .dynamics import (
     LeakageReport,
     SweepResult,
-    leakage_at,
-    evolution_distance,
     run_leakage_experiment,
     gamma_scaling_sweep,
     truncation_convergence_study,
@@ -67,18 +60,15 @@ from .verification import run_suite, check_instance, random_instance
 
 __all__ = [
     "OperatorMatrix", "HermitianEigenSystem", "operator_norm", "herm_eig",
-    "unitary_propagator", "inv_sqrt_psd", "invert",
-    "SpectralPartition", "partition_by_threshold", "partition_by_intervals",
-    "projection", "complement", "truncate_spectrum",
-    "ProblemInstance", "BlochSolution", "solve_block_sylvester",
-    "solve_bloch_series", "assemble_h_bloch",
+    "inv_sqrt_psd", "SpectralPartition", "partition_by_threshold",
+    "partition_by_intervals", "projection", "complement",
+    "ProblemInstance", "BlochSolution", "solve_bloch_series",
     "SWSolution", "sw_transform", "perturbed_projection",
     "BoundReport", "bound_report", "delta_of", "epsilon_of", "catalan",
     "catalan_tail", "sw_distance_bound", "leakage_bound",
     "harmonic_chain_bound", "transmon_leakage_bound",
-    "LeakageReport", "SweepResult", "leakage_at", "evolution_distance",
-    "run_leakage_experiment", "gamma_scaling_sweep",
-    "truncation_convergence_study",
+    "LeakageReport", "SweepResult", "run_leakage_experiment",
+    "gamma_scaling_sweep", "truncation_convergence_study",
     "ChainSpec", "HarmonicChainSpec", "TransmonSpec", "build_chain",
     "chain_dispersion", "build_harmonic_chain", "harmonic_chain_v_norm",
     "transmon_bandgap", "transmon_perturbation_norm",

@@ -71,18 +71,8 @@ class BlochSolution:
     tail_bound: float
     delta_bound: float
 
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "tail_bound": self.tail_bound,
-            "delta_bound": self.delta_bound,
-            "term_norms": [operator_norm(t) for t in self.omega_terms],
-            "omega": self.omega.to_json(),
-            "h_bloch": self.h_bloch.to_json(),
-        }
 
-
-def _gap_divisors(lam, g, out, eta, operation):
+def _gap_divisors(lam, g, out, eta):
     """Eigenvalue differences ``lam[out, None] - lam[None, g]`` dividing the
     Sylvester solution on the off-block; any below eta/2 means the
     partition data are inconsistent."""
@@ -90,28 +80,13 @@ def _gap_divisors(lam, g, out, eta, operation):
     if diffs.size and np.abs(diffs).min() < eta / 2.0:
         raise ZeroGap(
             f"eigenvalue difference {np.abs(diffs).min():.3e} below eta/2 = {eta / 2:.3e}",
-            operation=operation,
+            operation="solve_bloch_series",
         )
     return diffs
 
 
 def _complement_indices(part: SpectralPartition, k: int) -> np.ndarray:
     return np.setdiff1d(np.arange(part.dim), part.groups[k])
-
-
-def solve_block_sylvester(part: SpectralPartition, k: int, y: OperatorMatrix) -> OperatorMatrix:
-    """Solve [H0, X] = Q_k Y P_k for X = Q_k X P_k.
-
-    Works in the eigenbasis of H0 where the commutator equation is an
-    entrywise division by eigenvalue differences.
-    """
-    u = part.eig.eigenvectors
-    g, out = part.groups[k], _complement_indices(part, k)
-    diffs = _gap_divisors(part.eig.eigenvalues, g, out, part.gap, "solve_block_sylvester")
-    y_eig = u.conj().T @ y.entries @ u
-    x_eig = np.zeros_like(y_eig)
-    x_eig[np.ix_(out, g)] = y_eig[np.ix_(out, g)] / diffs
-    return OperatorMatrix(u @ x_eig @ u.conj().T)
 
 
 def _fill_block_series(terms_eig, lam, v_eig, g, out, eta):
@@ -125,7 +100,7 @@ def _fill_block_series(terms_eig, lam, v_eig, g, out, eta):
     GEMM against the stacked Z_{j-2}..Z_0.
     """
     order, b = terms_eig.shape[0] - 1, len(g)
-    diffs = _gap_divisors(lam, g, out, eta, "solve_bloch_series")
+    diffs = _gap_divisors(lam, g, out, eta)
     off_block = np.ix_(out, g)
     v_oo, v_go = v_eig[np.ix_(out, out)], v_eig[np.ix_(g, out)]
     cols = np.empty((len(out), order * b), dtype=complex)
@@ -203,18 +178,12 @@ def solve_bloch_series(
 
 
 def _assemble(inst: ProblemInstance, omega_blocks) -> OperatorMatrix:
+    """Block-diagonal effective generator ``sum_k P_k H Omega_k``: similar
+    to H through the wave operator, hence isospectral; generally
+    non-Hermitian."""
     h = inst.h.entries
     total = np.zeros((inst.dim, inst.dim), dtype=complex)
     for k in range(inst.partition.n_groups):
         p = projection(inst.partition, k).entries
         total += p @ h @ omega_blocks[k].entries
     return OperatorMatrix(total)
-
-
-def assemble_h_bloch(inst: ProblemInstance, sol: BlochSolution) -> OperatorMatrix:
-    """Block-diagonal effective generator sum_k P_k H Omega_k.
-
-    Similar to H through the wave operator, hence isospectral; generally
-    non-Hermitian.
-    """
-    return _assemble(inst, sol.omega_blocks)

@@ -69,17 +69,6 @@ def catalan(j: int) -> int:
     return math.comb(2 * j, j) // (j + 1)
 
 
-def catalan_generating(y: float) -> float:
-    """G(y) = sum_j C_j y^j = (1 - sqrt(1 - 4y)) / (2y) for 4y < 1."""
-    if 4.0 * y >= 1.0:
-        raise OutOfDomain(f"4 y = {4 * y:.6g} >= 1", operation="catalan_generating")
-    if y == 0.0:
-        return 1.0
-    if y < 1e-8:
-        return 1.0 + y + 2.0 * y * y
-    return (1.0 - math.sqrt(1.0 - 4.0 * y)) / (2.0 * y)
-
-
 #: terms summed past the last requested order before the rest is bounded
 #: in closed form; only reached when 4 pi x is within ~1e-3 of 1
 _TAIL_TERMS_MAX = 4096
@@ -220,6 +209,8 @@ def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:
     """Evaluate every bound for one instance, flagging out-of-domain ones."""
     if eta <= 0 or gamma <= 0:
         raise ValueError("eta and gamma must be positive")
+    if v_norm < 0:
+        raise ValueError("v_norm must be nonnegative")
     x = v_norm / (gamma * eta)
     in_bloch = 4.0 * math.pi * x < 1.0
     delta = delta_of(x) if in_bloch else None

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .bloch_solver import BlochSolution, ProblemInstance, solve_bloch_series
+from .bloch_solver import ProblemInstance, solve_bloch_series
 from .errors import DegenerateSweep, GroupNotPreserved
-from .operator_core import OperatorMatrix, operator_norm
-from .schrieffer_wolff import SWSolution, sw_transform
+from .operator_core import operator_norm
+from .schrieffer_wolff import sw_transform
 
 VIOLATION_SLACK = 1e-9
 
@@ -84,41 +84,6 @@ class _Evolution:
         if block.size == 0:
             return 0.0
         return float(np.linalg.svd(block, compute_uv=False)[0])
-
-
-def leakage_at(inst: ProblemInstance, k: int, t: float) -> float:
-    """Leakage out of the k-th spectral component at time t,
-    ``||Q_k exp(-i t H) P_k||``."""
-    if not 0 <= k < inst.partition.n_groups:
-        raise IndexError(f"group index {k} out of range")
-    return _Evolution(inst).leakage(k, t)
-
-
-def evolution_distance(
-    inst: ProblemInstance,
-    generator: OperatorMatrix,
-    t: float,
-    similarity: OperatorMatrix | None = None,
-) -> float:
-    """Operator-norm distance between the true and effective evolutions.
-
-    For a Hermitian generator both sides use spectral propagators.  For
-    the non-Hermitian Bloch generator, pass the wave operator as
-    ``similarity`` so the effective evolution is computed exactly as
-    ``Omega^-1 exp(-i t H) Omega``.
-    """
-    from .operator_core import herm_eig, invert, unitary_propagator
-
-    e_true = _Evolution(inst)
-    u0 = inst.partition.eig.eigenvectors
-    true_prop = u0 @ e_true.propagator(t) @ u0.conj().T
-    if similarity is not None:
-        om = similarity.entries
-        om_inv = invert(similarity).entries
-        eff = om_inv @ true_prop @ om
-    else:
-        eff = unitary_propagator(herm_eig(generator), t).entries
-    return operator_norm(true_prop - eff)
 
 
 def run_leakage_experiment(
@@ -204,27 +169,17 @@ class SweepResult:
         }
 
 
-def gamma_scaling_sweep(template: ProblemInstance, gammas, t_grid, max_workers: int = 1) -> SweepResult:
+def gamma_scaling_sweep(template: ProblemInstance, gammas, t_grid) -> SweepResult:
     """Max leakage versus gamma and the least-squares slope of the
-    log-log relation (expected close to -1).
-
-    Sweep points are independent; ``max_workers`` > 1 runs them on a
-    thread pool (the heavy lifting is in BLAS, which releases the GIL).
-    """
+    log-log relation (expected close to -1)."""
     gam = np.sort(np.asarray(gammas, dtype=float))
-
-    def point(g):
-        inst = ProblemInstance(template.h0, template.v, float(g), template.partition)
-        return run_leakage_experiment(inst, t_grid, with_distances=False).max_leakage
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            maxima = list(pool.map(point, gam))
-    else:
-        maxima = [point(g) for g in gam]
-    maxima = np.asarray(maxima)
+    maxima = np.array([
+        run_leakage_experiment(
+            ProblemInstance(template.h0, template.v, float(g), template.partition),
+            t_grid, with_distances=False,
+        ).max_leakage
+        for g in gam
+    ])
     usable = maxima > 0
     if usable.sum() < 4:
         raise DegenerateSweep(
@@ -266,5 +221,5 @@ def truncation_convergence_study(builder, cutoffs, t_probe: float, k: int):
                     f"group {k} interval moved by {drift:.3g} at cutoff {c}",
                     operation="truncation_convergence_study",
                 )
-        values.append(leakage_at(inst, k, t_probe))
+        values.append(_Evolution(inst).leakage(k, t_probe))
     return values

@@ -34,10 +34,6 @@ class NotPositiveDefinite(LeakageError):
     module = "operator_core"
 
 
-class SingularMatrix(LeakageError):
-    module = "operator_core"
-
-
 # spectral_partition --------------------------------------------------------
 
 class NoGapFound(InvalidInput):
@@ -53,14 +49,6 @@ class OverlappingIntervals(InvalidInput):
 
 
 class IndexOutOfRange(InvalidInput):
-    module = "spectral_partition"
-
-
-class AnchorOutsideWindow(InvalidInput):
-    module = "spectral_partition"
-
-
-class EmptyWindow(InvalidInput):
     module = "spectral_partition"
 
 
@@ -100,7 +88,7 @@ class NonpositiveBandgap(InvalidInput):
 
 # dynamics ------------------------------------------------------------------
 
-class DegenerateSweep(LeakageError):
+class DegenerateSweep(InvalidInput):
     module = "dynamics"
 
 

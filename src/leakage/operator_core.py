@@ -1,7 +1,7 @@
 """Dense complex matrix engine.
 
-Hermitian eigendecomposition, operator norms, matrix functions and the
-residual utilities every other module builds on.  All matrices are dense
+Hermitian eigendecomposition, operator norms and the inverse square
+root every other module builds on.  All matrices are dense
 complex arrays wrapped in :class:`OperatorMatrix`; dimensions at desk
 scale (up to a few thousand) so exact factorizations (SVD, eigh) are
 always affordable.
@@ -9,15 +9,14 @@ always affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianInput, NotPositiveDefinite, SingularMatrix
+from .errors import NonHermitianInput, NotPositiveDefinite
 
 HERMITICITY_RTOL = 1e-12
 PSD_FLOOR = 1e-12
-COND_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @staticmethod
-    def identity(dim: int) -> "OperatorMatrix":
-        return OperatorMatrix(np.eye(dim, dtype=complex), hermitian_hint=True)
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, hermitian_hint=self.hermitian_hint)
-
     def to_json(self) -> dict:
         """Repo-wide matrix encoding: row-major ``[re, im]`` pairs."""
         n = self.dim
@@ -79,7 +71,6 @@ class HermitianEigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source_dim: int = field(default=0)
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float).copy()
@@ -88,8 +79,6 @@ class HermitianEigenSystem:
         u.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", u)
-        if self.source_dim == 0:
-            object.__setattr__(self, "source_dim", lam.size)
 
 
 def operator_norm(m) -> float:
@@ -103,28 +92,14 @@ def operator_norm(m) -> float:
 def herm_eig(m: OperatorMatrix) -> HermitianEigenSystem:
     """Spectral decomposition of a Hermitian matrix.
 
-    Requires ``hermitian_hint`` (the hint was verified at construction).
+    A matrix without ``hermitian_hint`` is rebuilt with it, so it passes
+    the same Hermiticity check as at construction or raises
+    :class:`NonHermitianInput`.
     """
     if not m.hermitian_hint:
-        # re-run the check so callers holding a plain matrix get a clear error
-        dev = np.abs(m.entries - m.entries.conj().T).max()
-        scale = max(np.abs(m.entries).max(), 1e-300)
-        if dev > HERMITICITY_RTOL * scale:
-            raise NonHermitianInput(
-                f"max|M - M^dag| = {dev:.3e} too large for a Hermitian input",
-                operation="herm_eig",
-            )
+        m = OperatorMatrix(m.entries, hermitian_hint=True)
     lam, u = np.linalg.eigh(m.entries)
-    return HermitianEigenSystem(lam, u, m.dim)
-
-
-def unitary_propagator(eig: HermitianEigenSystem, t: float) -> OperatorMatrix:
-    """Evolution operator ``U exp(-i t Lambda) U^dag``."""
-    if not np.isfinite(t):
-        raise ValueError("propagation time must be finite")
-    u = eig.eigenvectors
-    phases = np.exp(-1j * t * eig.eigenvalues)
-    return OperatorMatrix((u * phases) @ u.conj().T)
+    return HermitianEigenSystem(lam, u)
 
 
 def inv_sqrt_psd(m: OperatorMatrix, psd_floor: float = PSD_FLOOR) -> OperatorMatrix:
@@ -141,14 +116,3 @@ def inv_sqrt_psd(m: OperatorMatrix, psd_floor: float = PSD_FLOOR) -> OperatorMat
     # symmetrize away roundoff so the result carries the Hermitian promise
     r = 0.5 * (r + r.conj().T)
     return OperatorMatrix(r, hermitian_hint=True)
-
-
-def invert(m: OperatorMatrix, cond_max: float = COND_MAX) -> OperatorMatrix:
-    """Inverse via SVD with an explicit condition-number guard."""
-    u, s, vh = np.linalg.svd(m.entries)
-    if s[-1] == 0.0 or s[0] / s[-1] > cond_max:
-        raise SingularMatrix(
-            f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds {cond_max:.0e}",
-            operation="invert",
-        )
-    return OperatorMatrix((vh.conj().T / s) @ u.conj().T)

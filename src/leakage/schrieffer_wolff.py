@@ -27,24 +27,6 @@ class SWSolution:
     h_sw: OperatorMatrix
     perturbed_projections: tuple
 
-    def to_json(self, partition=None) -> dict:
-        from .operator_core import operator_norm
-        from .spectral_partition import projection
-
-        out = {
-            "w": self.w.to_json(),
-            "h_sw": self.h_sw.to_json(),
-            "w_minus_identity_norm": operator_norm(
-                self.w.entries - np.eye(self.w.dim)
-            ),
-        }
-        if partition is not None:
-            out["projection_shifts"] = [
-                operator_norm(pt.entries - projection(partition, k).entries)
-                for k, pt in enumerate(self.perturbed_projections)
-            ]
-        return out
-
 
 def sw_transform(inst: ProblemInstance, bloch: BlochSolution) -> SWSolution:
     """Polar-unitarize the wave operator and conjugate the Hamiltonian.

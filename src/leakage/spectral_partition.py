@@ -1,8 +1,8 @@
 """Coarse-graining of the spectrum of the drift Hamiltonian.
 
 Groups the eigenvalues of H0 into disjoint components, builds the
-corresponding projections P_k and their complements Q_k, computes the
-spectral gap eta, and produces spectrally truncated copies of H0.
+corresponding projections P_k and their complements Q_k, and computes
+the spectral gap eta.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AnchorOutsideWindow,
-    EmptyWindow,
     IndexOutOfRange,
     NoGapFound,
     OverlappingIntervals,
@@ -43,7 +41,7 @@ class SpectralPartition:
 
     @property
     def dim(self) -> int:
-        return self.eig.source_dim
+        return self.eig.eigenvalues.size
 
     def to_json(self) -> dict:
         return {
@@ -145,28 +143,3 @@ def complement(part: SpectralPartition, k: int) -> OperatorMatrix:
     """Complementary projection Q_k = 1 - P_k."""
     p = projection(part, k)
     return OperatorMatrix(np.eye(part.dim) - p.entries, hermitian_hint=True)
-
-
-def truncate_spectrum(eig: HermitianEigenSystem, window, anchor: float) -> OperatorMatrix:
-    """Replace all eigenvalues outside ``window`` by the anchor energy.
-
-    Returns ``H0 P(window) + anchor * P(outside)`` as a matrix.  The
-    anchor must itself be an eigenvalue inside the window, so truncation
-    never enlarges the spectrum.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    lam = eig.eigenvalues
-    inside = (lam >= lo) & (lam <= hi)
-    if not inside.any():
-        raise EmptyWindow(f"window [{lo}, {hi}] contains no eigenvalue",
-                          operation="truncate_spectrum")
-    scale = max(np.abs(lam).max(), 1.0)
-    if not (lo <= anchor <= hi) or np.abs(lam[inside] - anchor).min() > 1e-10 * scale:
-        raise AnchorOutsideWindow(
-            f"anchor {anchor} is not an eigenvalue inside [{lo}, {hi}]",
-            operation="truncate_spectrum",
-        )
-    lam_trunc = np.where(inside, lam, anchor)
-    u = eig.eigenvectors
-    h = (u * lam_trunc) @ u.conj().T
-    return OperatorMatrix(0.5 * (h + h.conj().T), hermitian_hint=True)

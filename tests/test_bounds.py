@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from leakage import bound_report, catalan, catalan_tail, delta_of, epsilon_of, leakage_bound
 from leakage.bounds import (
     SQRT2_M1,
-    catalan_generating,
     gamma_threshold_bloch,
     gamma_threshold_sw,
     harmonic_chain_bound,
@@ -100,15 +99,6 @@ def test_catalan_values_and_recurrence():
 def test_catalan_recurrence(j):
     # C_{j+1} = C_j * 2(2j+1)/(j+2), exact in integers
     assert catalan(j + 1) * (j + 2) == catalan(j) * 2 * (2 * j + 1)
-
-
-def test_catalan_generating_sums_the_series():
-    y = 0.1
-    partial = sum(catalan(j) * y**j for j in range(200))
-    assert catalan_generating(y) == pytest.approx(partial, rel=1e-13)
-    assert catalan_generating(0.0) == 1.0
-    with pytest.raises(OutOfDomain):
-        catalan_generating(0.25)
 
 
 def test_catalan_tail_properties():

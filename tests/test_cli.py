@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from leakage import OperatorMatrix, bounds
+from leakage import OperatorMatrix, bounds, dynamics
 from leakage.cli import main
+from leakage.errors import SingularBlockGram
 
 CHAIN_CFG = {
     "model": "chain",
@@ -144,6 +145,25 @@ def test_run_input_error_exit_code(tmp_path, cfg):
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
 
 
+def _singular_block_gram(*args):
+    raise SingularBlockGram("fabricated", operation="perturbed_projection")
+
+
+@pytest.mark.parametrize("argv, sw_transform, code", [
+    (["bounds", "--v-norm", "-0.01", "--gamma", "1", "--eta", "1"], None, 2),
+    (["bounds", "--x", "-1"], None, 2),
+    (["sweep", "--config", "{cfg}", "--gamma-list", "10,30,100"], None, 2),  # DegenerateSweep
+    (["run", "--config", "{cfg}", "--out", "{out}"], _singular_block_gram, 3),
+], ids=["negative-v-norm", "negative-x", "three-gammas", "singular-block-gram"])
+def test_exit_codes_by_failure_kind(
+        tmp_path, monkeypatch, argv, sw_transform, code):
+    # 4 is left for a bound violation or a failed invariant
+    if sw_transform is not None:
+        monkeypatch.setattr(dynamics, "sw_transform", sw_transform)
+    cfg = write_cfg(tmp_path, CHAIN_CFG)
+    assert main([arg.format(cfg=cfg, out=tmp_path) for arg in argv]) == code
+
+
 def test_model_emit(tmp_path, capsys):
     code = main(["model", "--config", write_cfg(tmp_path, CHAIN_CFG),
                  "--emit", "h0,v,partition"])
@@ -167,8 +187,13 @@ def test_verify(tmp_path, capsys):
     assert "FAIL" not in out
 
 
-def test_sweep(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LEAKAGE_THREADS", "2")
+def test_verify_reads_series_tol(tmp_path):
+    # no Bloch series reaches a Catalan tail below 1e-300 within the order cap
+    cfg = {**CHAIN_CFG, "verify_instances": 1, "tolerances": {"series_tol": 1e-300}}
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 3
+
+
+def test_sweep(tmp_path, capsys):
     code = main(["sweep", "--config", write_cfg(tmp_path, CHAIN_CFG),
                  "--gamma-list", "10,30,100,300"])
     assert code == 0

@@ -3,15 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from leakage import (
-    OperatorMatrix,
-    herm_eig,
-    inv_sqrt_psd,
-    invert,
-    operator_norm,
-    unitary_propagator,
-)
-from leakage.errors import NonHermitianInput, NotPositiveDefinite, SingularMatrix
+from leakage import OperatorMatrix, herm_eig, inv_sqrt_psd, operator_norm
+from leakage.errors import NonHermitianInput, NotPositiveDefinite
 
 from conftest import random_hermitian
 
@@ -78,21 +71,6 @@ def test_herm_eig_rejects_non_hermitian_without_hint():
         herm_eig(m)
 
 
-def test_unitary_propagator_properties():
-    rng = np.random.default_rng(2)
-    eig = herm_eig(OperatorMatrix(random_hermitian(rng, 5), hermitian_hint=True))
-    u0 = unitary_propagator(eig, 0.0)
-    assert operator_norm(u0.entries - np.eye(5)) < 1e-14
-    ut = unitary_propagator(eig, 1.3).entries
-    us = unitary_propagator(eig, 0.9).entries
-    assert operator_norm(ut @ ut.conj().T - np.eye(5)) < 1e-12
-    # group property exp(-i(t+s)H) = exp(-itH) exp(-isH)
-    both = unitary_propagator(eig, 2.2).entries
-    assert operator_norm(both - ut @ us) < 1e-12
-    with pytest.raises(ValueError):
-        unitary_propagator(eig, np.inf)
-
-
 def test_inv_sqrt_psd():
     rng = np.random.default_rng(4)
     a = random_hermitian(rng, 6)
@@ -101,23 +79,3 @@ def test_inv_sqrt_psd():
     assert operator_norm(r @ m.entries @ r - np.eye(6)) < 1e-11
     with pytest.raises(NotPositiveDefinite):
         inv_sqrt_psd(OperatorMatrix(np.diag([1.0, 0.0]), hermitian_hint=True))
-
-
-def test_invert():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) + 3 * np.eye(5)
-    m = OperatorMatrix(a)
-    assert operator_norm(invert(m).entries - np.linalg.inv(a)) < 1e-11
-    sing = np.eye(3)
-    sing[2, 2] = 0.0
-    with pytest.raises(SingularMatrix):
-        invert(OperatorMatrix(sing))
-    with pytest.raises(SingularMatrix):
-        invert(OperatorMatrix(np.diag([1.0, 1e-15])))
-
-
-def test_identity_and_dagger():
-    eye = OperatorMatrix.identity(3)
-    assert np.array_equal(eye.entries, np.eye(3))
-    m = OperatorMatrix(np.array([[0.0, 1j], [0.0, 0.0]]))
-    assert np.array_equal(m.dagger().entries, m.entries.conj().T)

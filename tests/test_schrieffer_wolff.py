@@ -115,12 +115,3 @@ def test_singular_block_gram_detected():
     )
     with pytest.raises(SingularBlockGram):
         perturbed_projection(inst, fake, 0)
-
-
-def test_solution_json():
-    inst = make_instance(47, 6, 2, x=0.01)
-    sol = solve_bloch_series(inst)
-    sw = sw_transform(inst, sol)
-    blob = sw.to_json(partition=inst.partition)
-    assert blob["w_minus_identity_norm"] > 0.0
-    assert len(blob["projection_shifts"]) == 2

@@ -9,11 +9,8 @@ from leakage import (
     partition_by_intervals,
     partition_by_threshold,
     projection,
-    truncate_spectrum,
 )
 from leakage.errors import (
-    AnchorOutsideWindow,
-    EmptyWindow,
     IndexOutOfRange,
     NoGapFound,
     OverlappingIntervals,
@@ -108,18 +105,6 @@ def test_projection_index_range():
         projection(part, 2)
     with pytest.raises(IndexOutOfRange):
         projection(part, -1)
-
-
-def test_truncate_spectrum():
-    eig = diag_eig([0.0, 1.0, 2.0, 5.0])
-    h = truncate_spectrum(eig, (-0.5, 2.5), anchor=1.0)
-    assert np.allclose(np.linalg.eigvalsh(h.entries), [0.0, 1.0, 1.0, 2.0])
-    with pytest.raises(AnchorOutsideWindow):
-        truncate_spectrum(eig, (-0.5, 2.5), anchor=0.5)
-    with pytest.raises(AnchorOutsideWindow):
-        truncate_spectrum(eig, (-0.5, 2.5), anchor=5.0)
-    with pytest.raises(EmptyWindow):
-        truncate_spectrum(eig, (10.0, 11.0), anchor=10.5)
 
 
 def test_partition_json():
