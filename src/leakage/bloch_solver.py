@@ -16,7 +16,7 @@ import numpy as np
 from . import bounds
 from .errors import GammaBelowThreshold, NotConverged, ZeroGap
 from .operator_core import OperatorMatrix, operator_norm
-from .spectral_partition import SpectralPartition, projection
+from .spectral_partition import SpectralPartition
 
 J_MAX_DEFAULT = 64
 SERIES_TOL_DEFAULT = 1e-12
@@ -103,8 +103,8 @@ def _fill_block_series(terms_eig, lam, v_eig, g, out, eta):
     diffs = _gap_divisors(lam, g, out, eta)
     off_block = np.ix_(out, g)
     v_oo, v_go = v_eig[np.ix_(out, out)], v_eig[np.ix_(g, out)]
-    cols = np.empty((len(out), order * b), dtype=complex)
-    z = np.empty((order + 1, b, b), dtype=complex)
+    cols = np.empty((len(out), order * b), dtype=v_eig.dtype)
+    z = np.empty((order + 1, b, b), dtype=v_eig.dtype)
     z[0] = v_eig[np.ix_(g, g)]
     y = -v_eig[off_block]
     for j in range(1, order + 1):
@@ -152,7 +152,7 @@ def solve_bloch_series(
     lam = part.eig.eigenvalues
     v_eig = u.conj().T @ inst.v.entries @ u
 
-    terms_eig = np.zeros((order + 1, inst.dim, inst.dim), dtype=complex)
+    terms_eig = np.zeros((order + 1, inst.dim, inst.dim), dtype=v_eig.dtype)
     terms_eig[0] = np.eye(inst.dim)
     for k, g in enumerate(part.groups):
         _fill_block_series(terms_eig, lam, v_eig, g, _complement_indices(part, k), eta)
@@ -160,30 +160,31 @@ def solve_bloch_series(
     omega_eig = sum(
         t / inst.gamma**j for j, t in enumerate(terms_eig)
     )
-    omega = OperatorMatrix(u @ omega_eig @ u.conj().T)
+    omega_u = u @ omega_eig
+    omega = OperatorMatrix(omega_u @ u.conj().T)
+    u_groups = [u[:, g] for g in part.groups]
+    omega_cols = [omega_u[:, g] for g in part.groups]
     omega_terms = tuple(OperatorMatrix(u @ t @ u.conj().T) for t in terms_eig)
     omega_blocks = tuple(
-        OperatorMatrix(omega.entries @ projection(inst.partition, k).entries)
-        for k in range(inst.partition.n_groups)
+        OperatorMatrix(c @ u_k.conj().T) for u_k, c in zip(u_groups, omega_cols)
     )
     return BlochSolution(
         omega_terms=omega_terms,
         omega=omega,
         omega_blocks=omega_blocks,
-        h_bloch=_assemble(inst, omega_blocks),
+        h_bloch=_assemble(inst, u_groups, omega_cols),
         order=order,
         tail_bound=tails[order],
         delta_bound=bounds.delta_of(x),
     )
 
 
-def _assemble(inst: ProblemInstance, omega_blocks) -> OperatorMatrix:
+def _assemble(inst: ProblemInstance, u_groups, omega_cols) -> OperatorMatrix:
     """Block-diagonal effective generator ``sum_k P_k H Omega_k``: similar
     to H through the wave operator, hence isospectral; generally
-    non-Hermitian."""
+    non-Hermitian.  With the group's H0 eigenvectors ``u_k`` and
+    ``c_k = Omega u_k``, each term is ``u_k (u_k^dag H c_k) u_k^dag``."""
     h = inst.h.entries
-    total = np.zeros((inst.dim, inst.dim), dtype=complex)
-    for k in range(inst.partition.n_groups):
-        p = projection(inst.partition, k).entries
-        total += p @ h @ omega_blocks[k].entries
-    return OperatorMatrix(total)
+    return OperatorMatrix(sum(
+        u_k @ (u_k.conj().T @ h @ c) @ u_k.conj().T for u_k, c in zip(u_groups, omega_cols)
+    ))

@@ -6,9 +6,9 @@ experiment), ``verify`` (invariant suite), ``bounds`` (scalar formulas),
 flows from the config seed through labeled sub-streams, so outputs are
 deterministic functions of (config, seed).
 
-Exit codes: 0 success, 2 invalid input (config, matrices, partition or
-bound arguments), 3 convergence or numerical failure, 4 bound violation
-or failed invariant.
+Exit codes: 0 success, 2 invalid input (config, time grid, matrices,
+partition or bound arguments), 3 convergence or numerical failure
+(LAPACK's included), 4 bound violation or failed invariant.
 """
 
 from __future__ import annotations
@@ -118,6 +118,9 @@ def _time_grid(cfg: dict) -> np.ndarray:
     tg = cfg.get("t_grid", {})
     t_max = float(tg.get("t_max", 200.0))
     n_points = int(tg.get("n_points", 2001))
+    if not np.isfinite(t_max) or n_points < 1:
+        raise ConfigInvalid(f"t_grid needs a finite t_max and n_points >= 1, got "
+                            f"t_max={t_max}, n_points={n_points}", operation="run")
     return np.linspace(0.0, t_max, n_points)
 
 
@@ -288,7 +291,8 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except LeakageError as exc:
+    except (LeakageError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, but LAPACK not converging is no input error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except ValueError as exc:

@@ -1,10 +1,11 @@
-"""Dense complex matrix engine.
+"""Dense matrix engine.
 
 Hermitian eigendecomposition, operator norms and the inverse square
-root every other module builds on.  All matrices are dense
-complex arrays wrapped in :class:`OperatorMatrix`; dimensions at desk
-scale (up to a few thousand) so exact factorizations (SVD, eigh) are
-always affordable.
+root every other module builds on.  All matrices are dense arrays
+wrapped in :class:`OperatorMatrix`: float64 when the input is real,
+complex128 when it is complex, so real Hamiltonians stay in real
+arithmetic end to end.  Dimensions are at desk scale (up to a few
+thousand), so exact factorizations (SVD, eigh) are always affordable.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ HERMITICITY_RTOL = 1e-12
 PSD_FLOOR = 1e-12
 
 
+def _real_or_complex_copy(a) -> np.ndarray:
+    """One copy of ``a``: float64 if real, complex128 if complex."""
+    return np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Square complex matrix with an optional Hermiticity promise.
+    """Square real or complex matrix with an optional Hermiticity promise.
 
     The ``hermitian_hint`` flag is verified at construction time:
     ``max |M - M^dag|`` entrywise must not exceed ``1e-12 * max|M|``.
@@ -31,10 +37,9 @@ class OperatorMatrix:
     hermitian_hint: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = _real_or_complex_copy(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"entries must be a square matrix, got shape {m.shape}")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         if self.hermitian_hint:
@@ -62,6 +67,8 @@ class OperatorMatrix:
         flat = np.array([complex(re, im) for re, im in obj["entries"]])
         if flat.size != n * n:
             raise ValueError(f"expected {n * n} entries, got {flat.size}")
+        if not flat.imag.any():
+            flat = flat.real
         return OperatorMatrix(flat.reshape(n, n), hermitian_hint=hermitian_hint)
 
 
@@ -74,7 +81,7 @@ class HermitianEigenSystem:
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float).copy()
-        u = np.asarray(self.eigenvectors, dtype=complex).copy()
+        u = _real_or_complex_copy(self.eigenvectors)
         lam.setflags(write=False)
         u.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
@@ -83,7 +90,7 @@ class HermitianEigenSystem:
 
 def operator_norm(m) -> float:
     """Largest singular value of ``m`` (OperatorMatrix or array)."""
-    a = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m, dtype=complex)
+    a = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)
     if not np.any(a):
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])

@@ -12,14 +12,17 @@ from leakage import (
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def random_hermitian(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_hermitian(rng, dim, real=False):
+    m = rng.normal(size=(dim, dim))
+    if not real:
+        m = m + 1j * rng.normal(size=(dim, dim))
     m = 0.5 * (m + m.conj().T)
     return m
 
 
-def clustered_h0(rng, dim, n_groups, spread=0.15, min_sep=1.3, max_sep=2.5):
-    """Random Hermitian with eigenvalues in well-separated clusters."""
+def clustered_h0(rng, dim, n_groups, spread=0.15, min_sep=1.3, max_sep=2.5, real=False):
+    """Random Hermitian (real symmetric if ``real``) with eigenvalues in
+    well-separated clusters."""
     cuts = np.sort(rng.choice(np.arange(1, dim), size=n_groups - 1, replace=False))
     sizes = np.diff(np.concatenate([[0], cuts, [dim]]))
     centers = np.cumsum(rng.uniform(min_sep, max_sep, size=n_groups))
@@ -27,19 +30,22 @@ def clustered_h0(rng, dim, n_groups, spread=0.15, min_sep=1.3, max_sep=2.5):
         [c + rng.uniform(-spread, spread, size=s) for c, s in zip(centers, sizes)]
     )
     lam.sort()
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    z = rng.normal(size=(dim, dim))
+    if not real:
+        z = z + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     h = (q * lam) @ q.conj().T
     return OperatorMatrix(0.5 * (h + h.conj().T), hermitian_hint=True)
 
 
-def make_instance(seed, dim, n_groups, x=0.01, gamma=1.0):
-    """Seeded gapped instance with bound argument exactly x."""
+def make_instance(seed, dim, n_groups, x=0.01, gamma=1.0, real=False):
+    """Seeded gapped instance with bound argument exactly x; real symmetric
+    H0 and V if ``real``."""
     rng = np.random.default_rng(seed)
-    h0 = clustered_h0(rng, dim, n_groups)
+    h0 = clustered_h0(rng, dim, n_groups, real=real)
     part = partition_by_threshold(herm_eig(h0), 0.5)
-    v = random_hermitian(rng, dim)
+    v = random_hermitian(rng, dim, real)
     v *= x * gamma * part.gap / operator_norm(v)
     return ProblemInstance(h0, OperatorMatrix(v, hermitian_hint=True), gamma, part)
 

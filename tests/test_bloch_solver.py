@@ -166,6 +166,25 @@ def test_h_bloch_block_diagonal_and_isospectral():
     assert operator_norm(inst.h.entries @ om - om @ hb) < 1e-10 * scale
 
 
+def harmonic_instance():
+    h0, v, intervals = build_harmonic_chain(HarmonicChainSpec(n_sites=3, fock_cutoff=5, v0=0.3))
+    return ProblemInstance(h0, v, 1.0, partition_by_intervals(herm_eig(h0), intervals))
+
+
+@pytest.mark.parametrize("inst", [make_instance(27, 11, 3, x=0.012), harmonic_instance()],
+                         ids=["random", "harmonic"])
+def test_blocks_and_h_bloch_match_projection_formula(inst):
+    # Omega_k = Omega P_k and H_Bloch = sum_k P_k H Omega_k with dense P_k
+    sol = solve_bloch_series(inst)
+    om, h = sol.omega.entries, inst.h.entries
+    h_bloch = 0.0
+    for k, om_k in enumerate(sol.omega_blocks):
+        p = projection(inst.partition, k).entries
+        assert np.abs(om_k.entries - om @ p).max() < 1e-13
+        h_bloch = h_bloch + p @ h @ (om @ p)
+    assert np.abs(sol.h_bloch.entries - h_bloch).max() < 1e-13
+
+
 def test_gamma_below_threshold_raises():
     inst = make_instance(28, 6, 2, x=0.3)  # 4 pi x > 1 at gamma = 1
     with pytest.raises(GammaBelowThreshold):

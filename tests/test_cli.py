@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from leakage import OperatorMatrix, bounds, dynamics
-from leakage.cli import main
-from leakage.errors import SingularBlockGram
+from leakage.cli import _time_grid, main
+from leakage.errors import ConfigInvalid, SingularBlockGram
 
 CHAIN_CFG = {
     "model": "chain",
@@ -143,6 +143,31 @@ def test_run_non_hermitian_custom_exit_code(tmp_path):
 ])
 def test_run_input_error_exit_code(tmp_path, cfg):
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("t_grid", [
+    {"t_max": 20.0, "n_points": 0},
+    {"t_max": 20.0, "n_points": -3},
+    {"t_max": float("nan"), "n_points": 41},
+    {"t_max": float("inf"), "n_points": 41},
+], ids=["no-points", "negative-points", "nan-t-max", "inf-t-max"])
+def test_bad_time_grid_is_config_invalid(tmp_path, capsys, t_grid, command):
+    with pytest.raises(ConfigInvalid, match="t_grid"):
+        _time_grid({"t_grid": t_grid})
+    argv = {"run": ["--out", str(tmp_path)], "sweep": ["--gamma-list", "10,30,100,300"]}
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "t_grid": t_grid})
+    assert main([command, "--config", cfg, *argv[command]]) == 2
+    assert "t_grid" in capsys.readouterr().err
+
+
+def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError subclasses ValueError, yet it is no input error
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(["run", "--config", write_cfg(tmp_path, CHAIN_CFG), "--out", str(tmp_path)]) == 3
+    assert "SVD did not converge" in capsys.readouterr().err
 
 
 def _singular_block_gram(*args):

@@ -7,15 +7,21 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakage import (
+    ChainSpec,
     HarmonicChainSpec,
+    OperatorMatrix,
     ProblemInstance,
+    build_chain,
     build_harmonic_chain,
     epsilon_of,
     gamma_scaling_sweep,
     herm_eig,
     partition_by_intervals,
+    partition_by_threshold,
     run_leakage_experiment,
     solve_bloch_series,
     sw_transform,
@@ -107,23 +113,72 @@ def test_report_serialization(rabi_instance):
     assert float(db0) == rep.d_bloch_series[j]
 
 
+def expm_distances(inst, t):
+    """Oracle ``(d_Bloch, d_SW)`` at time t: ``||expm(-itH) - expm(-it H_eff)||``
+    with scipy's Pade expm, which exponentiates the non-Hermitian H_Bloch
+    directly."""
+    sol = solve_bloch_series(inst)
+    true_prop = scipy.linalg.expm(-1j * t * inst.h.entries)
+    return tuple(
+        np.linalg.norm(true_prop - scipy.linalg.expm(-1j * t * gen.entries), 2)
+        for gen in (sol.h_bloch, sw_transform(inst, sol).h_sw)
+    )
+
+
 def test_evolution_distance_matches_series(rabi_instance):
-    # oracle: ||expm(-itH) - expm(-it H_eff)|| with scipy's Pade expm, which
-    # exponentiates the non-Hermitian H_Bloch directly
     times = np.linspace(0.0, 10.0, 21)
     for inst in (rabi_instance, make_instance(43, 9, 3, x=0.015)):
-        sol = solve_bloch_series(inst)
-        sw = sw_transform(inst, sol)
         rep = run_leakage_experiment(inst, times)
         assert rep.d_bloch_series is not None and rep.d_sw_series is not None
         for j in [3, 11, 20]:
-            t = float(times[j])
-            true_prop = scipy.linalg.expm(-1j * t * inst.h.entries)
-            for series, generator in ((rep.d_bloch_series, sol.h_bloch),
-                                      (rep.d_sw_series, sw.h_sw)):
-                eff_prop = scipy.linalg.expm(-1j * t * generator.entries)
-                dist = np.linalg.norm(true_prop - eff_prop, 2)
-                assert series[j] == pytest.approx(dist, abs=1e-11)
+            d_bloch, d_sw = expm_distances(inst, float(times[j]))
+            assert rep.d_bloch_series[j] == pytest.approx(d_bloch, abs=1e-11)
+            assert rep.d_sw_series[j] == pytest.approx(d_sw, abs=1e-11)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 8), n_groups=st.integers(2, 3),
+       x=st.floats(1e-3, 0.03), real=st.booleans(), t=st.floats(0.0, 20.0))
+@settings(deadline=None, max_examples=40)
+def test_distance_series_match_expm_on_random_instances(seed, dim, n_groups, x, real, t):
+    inst = make_instance(seed, dim, n_groups, x=x, real=real)
+    assert inst.h.entries.dtype == (np.float64 if real else np.complex128)
+    rep = run_leakage_experiment(inst, [t])
+    d_bloch, d_sw = expm_distances(inst, t)
+    assert rep.d_bloch_series[0] == pytest.approx(d_bloch, abs=1e-11)
+    assert rep.d_sw_series[0] == pytest.approx(d_sw, abs=1e-11)
+
+
+def chain_pair():
+    h0, v = build_chain(ChainSpec(n_cells=4, seed=0))
+    return h0, v, lambda eig: partition_by_threshold(eig, 0.5)
+
+
+def harmonic_pair():
+    h0, v, intervals = build_harmonic_chain(HarmonicChainSpec(n_sites=3, fock_cutoff=5, v0=0.3))
+    return h0, v, lambda eig: partition_by_intervals(eig, intervals)
+
+
+@pytest.mark.parametrize("model", [chain_pair, harmonic_pair], ids=["chain", "harmonic"])
+def test_real_and_complex_copies_agree(model):
+    # the input dtype alone picks real or complex arithmetic; both give one answer
+    h0, v, partition = model()
+    times = np.linspace(0.0, 30.0, 31)
+    runs = []
+    for dtype in (np.float64, np.complex128):
+        h0_d = OperatorMatrix(h0.entries.astype(dtype), hermitian_hint=True)
+        v_d = OperatorMatrix(v.entries.astype(dtype), hermitian_hint=True)
+        eig = herm_eig(h0_d)
+        inst = ProblemInstance(h0_d, v_d, 1.0, partition(eig))
+        sol = solve_bloch_series(inst)
+        w = sw_transform(inst, sol).w.entries
+        assert eig.eigenvectors.dtype == w.dtype == dtype
+        assert all(term.entries.dtype == dtype for term in sol.omega_terms)
+        runs.append((run_leakage_experiment(inst, times), sol.order))
+    (real, real_order), (cplx, cplx_order) = runs
+    assert real_order == cplx_order
+    for attr in ("per_block_leakage", "d_bloch_series", "d_sw_series"):
+        assert np.abs(getattr(real, attr) - getattr(cplx, attr)).max() < 1e-12
+    assert real.bounds.to_json() == pytest.approx(cplx.bounds.to_json(), abs=1e-12)
 
 
 def test_leakage_decreases_with_gamma():

@@ -42,6 +42,19 @@ def test_json_round_trip_exact():
     assert np.array_equal(back.entries, m.entries)
 
 
+def test_dtype_is_float64_when_real_complex128_when_complex():
+    assert OperatorMatrix(np.eye(2, dtype=int)).entries.dtype == np.float64
+    assert OperatorMatrix(np.eye(2, dtype=np.float32)).entries.dtype == np.float64
+    assert OperatorMatrix(np.eye(2, dtype=np.complex64)).entries.dtype == np.complex128
+    real = OperatorMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]), hermitian_hint=True)
+    assert herm_eig(real).eigenvectors.dtype == np.float64
+    assert inv_sqrt_psd(real).entries.dtype == np.float64
+    back = OperatorMatrix.from_json(json.loads(json.dumps(real.to_json())))
+    assert back.entries.dtype == np.float64 and np.array_equal(back.entries, real.entries)
+    one_imag = {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 1e-300], [1.0, 0.0]]}
+    assert OperatorMatrix.from_json(one_imag).entries.dtype == np.complex128
+
+
 def test_from_json_size_mismatch():
     with pytest.raises(ValueError):
         OperatorMatrix.from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})
