@@ -34,7 +34,6 @@ from .bounds import (
     catalan,
     catalan_tail,
     sw_distance_bound,
-    leakage_bound,
     harmonic_chain_bound,
     transmon_leakage_bound,
 )
@@ -65,7 +64,7 @@ __all__ = [
     "ProblemInstance", "BlochSolution", "solve_bloch_series",
     "SWSolution", "sw_transform", "perturbed_projection",
     "BoundReport", "bound_report", "delta_of", "epsilon_of", "catalan",
-    "catalan_tail", "sw_distance_bound", "leakage_bound",
+    "catalan_tail", "sw_distance_bound",
     "harmonic_chain_bound", "transmon_leakage_bound",
     "LeakageReport", "SweepResult", "run_leakage_experiment",
     "gamma_scaling_sweep", "truncation_convergence_study",

@@ -85,10 +85,6 @@ def _gap_divisors(lam, g, out, eta):
     return diffs
 
 
-def _complement_indices(part: SpectralPartition, k: int) -> np.ndarray:
-    return np.setdiff1d(np.arange(part.dim), part.groups[k])
-
-
 def _fill_block_series(terms_eig, lam, v_eig, g, out, eta):
     """Write the off-block columns ``Omega^(j)[out, g]``, j = 1..J, of
     ``terms_eig`` (shape (J+1, dim, dim), H0 eigenbasis).
@@ -154,8 +150,8 @@ def solve_bloch_series(
 
     terms_eig = np.zeros((order + 1, inst.dim, inst.dim), dtype=v_eig.dtype)
     terms_eig[0] = np.eye(inst.dim)
-    for k, g in enumerate(part.groups):
-        _fill_block_series(terms_eig, lam, v_eig, g, _complement_indices(part, k), eta)
+    for g, out in part.blocks:
+        _fill_block_series(terms_eig, lam, v_eig, g, out, eta)
 
     omega_eig = sum(
         t / inst.gamma**j for j, t in enumerate(terms_eig)

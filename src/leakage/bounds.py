@@ -126,21 +126,6 @@ def sw_distance_bound(x: float) -> float:
     return 2.0 * (1.0 / math.sqrt(inner) - 1.0)
 
 
-def leakage_bound(v_norm: float, gamma: float, eta: float):
-    """Eternal leakage bound in sharp and linear form.
-
-    Returns ``(sharp, linear)``: the sharp bound epsilon(x) when
-    4 pi x < 1 (otherwise ``None``), and the linear envelope 9 pi x which
-    holds for every gamma > 0.
-    """
-    if eta <= 0 or gamma <= 0:
-        raise ValueError("eta and gamma must be positive")
-    x = v_norm / (gamma * eta)
-    linear = 9.0 * math.pi * x
-    sharp = epsilon_of(x) if 4.0 * math.pi * x < 1.0 else None
-    return sharp, linear
-
-
 def harmonic_chain_bound(v0: float, omega: float, g: float) -> float:
     """Leakage bound for the coupled-band oscillator chain.
 

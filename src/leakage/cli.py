@@ -189,8 +189,12 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     inst, transmon = build_instance(cfg)
     extras = [] if inst is None else [inst]
+    n_instances = int(cfg.get("verify_instances", 100))
+    if n_instances < 0 or n_instances + len(extras) == 0:
+        raise ConfigInvalid(f"'verify_instances' = {n_instances} with {len(extras)} model "
+                            "instance(s) gives no suite to run", operation="verify")
     suite = run_suite(
-        n_instances=int(cfg.get("verify_instances", 100)),
+        n_instances=n_instances,
         seed=int(cfg.get("seed", 0)),
         extra_instances=extras,
         series_tol=_series_tol(cfg),

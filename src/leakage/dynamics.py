@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds
 from .bloch_solver import ProblemInstance, solve_bloch_series
-from .errors import DegenerateSweep, GroupNotPreserved
+from .errors import DegenerateSweep, GroupNotPreserved, IndexOutOfRange
 from .operator_core import operator_norm
 from .schrieffer_wolff import sw_transform
 
@@ -77,14 +77,11 @@ class _Evolution:
         h_eig = u0.conj().T @ inst.h.entries @ u0
         h_eig = 0.5 * (h_eig + h_eig.conj().T)
         self.lam, self.s = np.linalg.eigh(h_eig)
-        self.dim = inst.dim
-        self.groups = [np.asarray(g) for g in inst.partition.groups]
-        self.outs = [np.setdiff1d(np.arange(self.dim), g) for g in self.groups]
+        self.blocks = inst.partition.blocks
 
     def leakage(self, k: int, t: float) -> float:
-        block = (self.s[self.outs[k]] * np.exp(-1j * t * self.lam)) @ self.s[
-            self.groups[k]
-        ].conj().T
+        g, out = self.blocks[k]
+        block = (self.s[out] * np.exp(-1j * t * self.lam)) @ self.s[g].conj().T
         if block.size == 0:
             return 0.0
         return float(np.linalg.svd(block, compute_uv=False)[0])
@@ -197,6 +194,9 @@ def truncation_convergence_study(builder, cutoffs, t_probe: float, k: int):
     spectral interval; otherwise the truncation has destroyed the band
     under study.
     """
+    if k < 0:
+        raise IndexOutOfRange(f"group index {k} is negative",
+                              operation="truncation_convergence_study")
     cut = list(cutoffs)
     if any(b >= a for a, b in zip(cut[1:], cut)):
         raise ValueError("cutoffs must be strictly increasing")

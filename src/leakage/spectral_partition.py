@@ -1,13 +1,15 @@
 """Coarse-graining of the spectrum of the drift Hamiltonian.
 
-Groups the eigenvalues of H0 into disjoint components, builds the
-corresponding projections P_k and their complements Q_k, and computes
-the spectral gap eta.
+Groups the eigenvalues of H0 into disjoint components and computes the
+spectral gap eta.  In the eigenbasis of H0 the projection P_k and its
+complement Q_k are the coordinate blocks ``(g, out)`` of group k, which
+the partition holds once; the dense matrices ``projection`` and
+``complement`` are the same operators in the original basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,13 +29,21 @@ class SpectralPartition:
     ``groups`` partitions the eigenvalue indices of ``eig`` (ascending
     order); ``gap`` is the minimum distance between eigenvalues in
     distinct groups, computed from the actual eigenvalues rather than
-    from any user-supplied intervals.
+    from any user-supplied intervals.  ``blocks`` holds, per group, the
+    index pair ``(g, out)`` of the group and its complement: P_k and Q_k
+    as coordinate blocks of the H0 eigenbasis, computed once here.
     """
 
     eig: HermitianEigenSystem
     groups: tuple
     gap: float
     component_intervals: tuple
+    blocks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # np.delete, not np.setdiff1d: the latter imports numpy.ma (~10 ms) on first use
+        blocks = tuple((g, np.delete(np.arange(self.dim), g)) for g in self.groups)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n_groups(self) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakage import bound_report, catalan, catalan_tail, delta_of, epsilon_of, leakage_bound
+from leakage import bound_report, catalan, catalan_tail, delta_of, epsilon_of
 from leakage.bounds import (
     SQRT2_M1,
     gamma_threshold_bloch,
@@ -161,16 +161,17 @@ def test_thresholds_and_delta_equivalence():
 
 
 def test_leakage_bound():
-    sharp, linear = leakage_bound(0.01, 1.0, 1.15)
-    assert sharp == pytest.approx(EPSILON_CHAIN, rel=1e-13)
-    assert linear == pytest.approx(9.0 * math.pi * 0.01 / 1.15, rel=1e-14)
-    sharp, linear = leakage_bound(1.0, 1.0, 1.0)  # 4 pi x >= 1
-    assert sharp is None
-    assert linear == pytest.approx(9.0 * math.pi)
+    # the sharp (epsilon) and linear (9 pi x) eternal leakage bounds
+    report = bound_report(0.01, 1.0, 1.15)
+    assert report.epsilon == pytest.approx(EPSILON_CHAIN, rel=1e-13)
+    assert report.leakage_linear == pytest.approx(9.0 * math.pi * 0.01 / 1.15, rel=1e-14)
+    report = bound_report(1.0, 1.0, 1.0)  # 4 pi x >= 1
+    assert report.epsilon is None
+    assert report.leakage_linear == pytest.approx(9.0 * math.pi)
     with pytest.raises(ValueError):
-        leakage_bound(0.01, 0.0, 1.0)
+        bound_report(0.01, 0.0, 1.0)
     with pytest.raises(ValueError):
-        leakage_bound(0.01, 1.0, -1.0)
+        bound_report(0.01, 1.0, -1.0)
 
 
 def test_sharp_below_linear_where_informative():

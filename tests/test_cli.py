@@ -212,6 +212,18 @@ def test_verify(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("cfg", [
+    {**CHAIN_CFG, "verify_instances": -5},
+    {"model": "transmon", "params": {"ej_over_ec": 90, "transparency_d": 1e-3},
+     "verify_instances": 0},
+], ids=["negative", "empty"])
+def test_verify_rejects_meaningless_instance_count(tmp_path, capsys, cfg):
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "verify_instances" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_verify_reads_series_tol(tmp_path):
     # no Bloch series reaches a Catalan tail below 1e-300 within the order cap
     cfg = {**CHAIN_CFG, "verify_instances": 1, "tolerances": {"series_tol": 1e-300}}

@@ -28,7 +28,7 @@ from leakage import (
     truncation_convergence_study,
 )
 from leakage import bounds
-from leakage.errors import DegenerateSweep, GroupNotPreserved
+from leakage.errors import DegenerateSweep, GroupNotPreserved, IndexOutOfRange
 
 from conftest import make_instance
 
@@ -215,3 +215,16 @@ def test_truncation_study_guards():
     with pytest.raises(GroupNotPreserved):
         # probing a band that only exists at the larger cutoff
         truncation_convergence_study(harmonic_builder, [3, 5], 10.0, 5)
+
+
+@pytest.mark.parametrize("cutoffs", [[4], [4, 6]])
+def test_truncation_study_rejects_negative_group(cutoffs):
+    built = []
+
+    def builder(cutoff):
+        built.append(cutoff)
+        return harmonic_builder(cutoff)
+
+    with pytest.raises(IndexOutOfRange):
+        truncation_convergence_study(builder, cutoffs, 10.0, -1)
+    assert built == []

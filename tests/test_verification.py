@@ -1,11 +1,23 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leakage import check_instance, operator_norm, random_instance, run_suite
+from leakage import (
+    OperatorMatrix,
+    check_instance,
+    operator_norm,
+    random_instance,
+    run_suite,
+    verification,
+)
 from leakage.rng import substream
 from leakage.verification import haar_unitary
+
+from conftest import make_instance
 
 
 def test_haar_unitary_is_unitary():
@@ -65,6 +77,62 @@ def test_suite_counts_extras():
     extra = random_instance(rng, dim=6, n_groups=2, x_target=0.01)
     rep = run_suite(n_instances=2, seed=0, extra_instances=[extra])
     assert rep.n_instances == 3
+
+
+def test_suite_rejects_negative_count():
+    with pytest.raises(ValueError):
+        run_suite(n_instances=-1)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 8), n_groups=st.integers(2, 3),
+       x=st.floats(1e-3, 0.03), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_every_invariant_passes_on_random_instances(seed, dim, n_groups, x, real):
+    results = check_instance(make_instance(seed, dim, n_groups, x=x, real=real))
+    assert [r.name for r in results if not r.passed] == []
+    assert len(results) == 19
+
+
+def _off_block(inst, m, scale=1e-6):
+    """``m`` plus ``Q_0 A P_0`` with one entry of size ``scale`` in the H0
+    eigenbasis: row in the complement of group 0, column in group 0."""
+    u = inst.partition.eig.eigenvectors
+    g, out = inst.partition.blocks[0]
+    return m + scale * np.outer(u[:, out[0]], u[:, g[0]].conj())
+
+
+def _tamper_bloch(inst, sol):
+    return dataclasses.replace(sol, h_bloch=OperatorMatrix(_off_block(inst, sol.h_bloch.entries)))
+
+
+def _tamper_omega_block(inst, sol):
+    # a column of Omega_0 outside group 0: Omega_0 != Omega_0 P_0
+    u = inst.partition.eig.eigenvectors
+    out = inst.partition.blocks[0][1]
+    om_0 = sol.omega_blocks[0].entries + 1e-6 * np.outer(u[:, 0], u[:, out[0]].conj())
+    return dataclasses.replace(sol, omega_blocks=(OperatorMatrix(om_0), *sol.omega_blocks[1:]))
+
+
+def _tamper_sw(inst, sw):
+    a = _off_block(inst, np.zeros_like(sw.h_sw.entries))
+    h_sw = OperatorMatrix(sw.h_sw.entries + a + a.conj().T, hermitian_hint=True)
+    return dataclasses.replace(sw, h_sw=h_sw)
+
+
+@pytest.mark.parametrize("target, tamper, broken", [
+    ("solve_bloch_series", _tamper_bloch, "h_bloch_off_block"),
+    ("solve_bloch_series", _tamper_omega_block, "bloch_equation_residuals"),
+    ("sw_transform", _tamper_sw, "h_sw_off_block"),
+])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_check_instance_fails_exactly_the_broken_invariant(monkeypatch, target, tamper, broken,
+                                                           real):
+    inst = make_instance(64, 9, 3, x=0.01, real=real)
+    assert all(r.passed for r in check_instance(inst))
+    original = getattr(verification, target)
+    monkeypatch.setattr(verification, target,
+                        lambda inst, *args, **kw: tamper(inst, original(inst, *args, **kw)))
+    assert [r.name for r in check_instance(inst) if not r.passed] == [broken]
 
 
 def test_substream_independence():
