@@ -5,11 +5,17 @@ each order solves a Sylvester equation ``[H0, X] = Q_k Y P_k`` which, in
 the eigenbasis of H0, reduces to entrywise division by eigenvalue
 differences.  Truncation is controlled analytically through the Catalan
 tail of the majorant series, never by observed term size alone.
+
+The terms ``Omega^(j)`` do not depend on gamma.  They stay in the H0
+eigenbasis and are computed once per instance and truncation order:
+the instance caches them, as it caches ``||V||``, so a repeat solve
+only redoes the gamma-dependent sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,16 +30,21 @@ SERIES_TOL_DEFAULT = 1e-12
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A perturbed Hamiltonian H = gamma * H0 + V with its partition."""
+    """A perturbed Hamiltonian H = gamma * H0 + V with its partition.
+
+    ``||V||`` and the Bloch terms are computed on first use and cached
+    on the instance, which is immutable, so each is computed once.
+    """
 
     h0: OperatorMatrix
     v: OperatorMatrix
     gamma: float
     partition: SpectralPartition
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.h0.dim != self.v.dim:
             raise ValueError("H0 and V dimensions differ")
         if self.partition.dim != self.h0.dim:
@@ -43,9 +54,14 @@ class ProblemInstance:
     def dim(self) -> int:
         return self.h0.dim
 
+    def _cached(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     @property
     def v_norm(self) -> float:
-        return operator_norm(self.v)
+        return self._cached("v_norm", lambda: operator_norm(self.v))
 
     @property
     def x(self) -> float:
@@ -61,9 +77,16 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class BlochSolution:
-    """Summed wave operator and per-order data of the Bloch series."""
+    """Summed wave operator and per-order data of the Bloch series.
 
-    omega_terms: tuple          # Omega^(j), j = 0..J, gamma-independent
+    ``omega_terms`` stacks the gamma-independent ``Omega^(j)``, j = 0..J,
+    in the H0 eigenbasis, shape (J+1, dim, dim): ``u^dag Omega^(j) u``
+    with ``u`` the partition's eigenvectors.  The array is read-only and
+    shared by every solution of the instance at order J.  The other
+    operators are in the original basis.
+    """
+
+    omega_terms: np.ndarray     # Omega^(j), j = 0..J, H0 eigenbasis
     omega: OperatorMatrix
     omega_blocks: tuple         # Omega_k = Omega P_k
     h_bloch: OperatorMatrix
@@ -112,6 +135,24 @@ def _fill_block_series(terms_eig, lam, v_eig, g, out, eta):
         z[j] = v_go @ cols[:, (j - 1) * b : j * b]
 
 
+def _series_terms(inst: ProblemInstance, order: int) -> np.ndarray:
+    """The read-only stack ``Omega^(j)``, j = 0..order, in the H0
+    eigenbasis, solved on the instance's first request for this order."""
+
+    def solve():
+        part = inst.partition
+        u = part.eig.eigenvectors
+        v_eig = u.conj().T @ inst.v.entries @ u
+        terms = np.zeros((order + 1, inst.dim, inst.dim), dtype=v_eig.dtype)
+        terms[0] = np.eye(inst.dim)
+        for g, out in part.blocks:
+            _fill_block_series(terms, part.eig.eigenvalues, v_eig, g, out, part.gap)
+        terms.setflags(write=False)
+        return terms
+
+    return inst._cached(("bloch_terms", order), solve)
+
+
 def solve_bloch_series(
     inst: ProblemInstance,
     tol: float = SERIES_TOL_DEFAULT,
@@ -145,14 +186,7 @@ def solve_bloch_series(
 
     part = inst.partition
     u = part.eig.eigenvectors
-    lam = part.eig.eigenvalues
-    v_eig = u.conj().T @ inst.v.entries @ u
-
-    terms_eig = np.zeros((order + 1, inst.dim, inst.dim), dtype=v_eig.dtype)
-    terms_eig[0] = np.eye(inst.dim)
-    for g, out in part.blocks:
-        _fill_block_series(terms_eig, lam, v_eig, g, out, eta)
-
+    terms_eig = _series_terms(inst, order)
     omega_eig = sum(
         t / inst.gamma**j for j, t in enumerate(terms_eig)
     )
@@ -160,12 +194,11 @@ def solve_bloch_series(
     omega = OperatorMatrix(omega_u @ u.conj().T)
     u_groups = [u[:, g] for g in part.groups]
     omega_cols = [omega_u[:, g] for g in part.groups]
-    omega_terms = tuple(OperatorMatrix(u @ t @ u.conj().T) for t in terms_eig)
     omega_blocks = tuple(
         OperatorMatrix(c @ u_k.conj().T) for u_k, c in zip(u_groups, omega_cols)
     )
     return BlochSolution(
-        omega_terms=omega_terms,
+        omega_terms=terms_eig,
         omega=omega,
         omega_blocks=omega_blocks,
         h_bloch=_assemble(inst, u_groups, omega_cols),

@@ -192,6 +192,8 @@ class BoundReport:
 
 def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:
     """Evaluate every bound for one instance, flagging out-of-domain ones."""
+    if not all(map(math.isfinite, (v_norm, gamma, eta))):
+        raise ValueError(f"v_norm, gamma and eta must be finite, got {v_norm}, {gamma}, {eta}")
     if eta <= 0 or gamma <= 0:
         raise ValueError("eta and gamma must be positive")
     if v_norm < 0:

@@ -53,30 +53,37 @@ def _load_config(path: str) -> dict:
 
 
 def _require(cfg: dict, key: str, kind, where: str):
+    """``cfg[key]`` as a ``kind``: an int field takes only a JSON integer, a
+    float field an integer or a float, and neither takes a boolean."""
     if key not in cfg:
         raise ConfigInvalid(f"missing '{key}' in {where}", operation="run")
     val = cfg[key]
-    if kind is float and isinstance(val, int):
+    if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, kind):
-        raise ConfigInvalid(f"'{key}' in {where} must be {kind.__name__}", operation="run")
+    if isinstance(val, bool) or not isinstance(val, kind):
+        raise ConfigInvalid(f"'{key}' in {where} must be {kind.__name__}, got {val!r}",
+                            operation="run")
     return val
+
+
+def _optional(cfg: dict, key: str, kind, where: str, default):
+    return _require(cfg, key, kind, where) if key in cfg else default
 
 
 def build_instance(cfg: dict):
     """Model matrices + partition from a config; None for formula-only models."""
     model = cfg["model"]
     params = cfg.get("params", {})
-    seed = int(cfg.get("seed", 0))
+    seed = _optional(cfg, "seed", int, "config", 0)
     gamma = float(cfg.get("gamma", 1.0))
     if model == "transmon":
         return None, TransmonSpec(
-            ej_over_ec=float(_require(params, "ej_over_ec", (int, float), "params")),
-            transparency_d=float(_require(params, "transparency_d", (int, float), "params")),
+            ej_over_ec=_require(params, "ej_over_ec", float, "params"),
+            transparency_d=_require(params, "transparency_d", float, "params"),
         )
     if model == "chain":
         spec = ChainSpec(
-            n_cells=int(_require(params, "n_cells", int, "params")),
+            n_cells=_require(params, "n_cells", int, "params"),
             g1=float(params.get("g1", 1.0)),
             g2=float(params.get("g2", 1.5)),
             g3=float(params.get("g3", 2.0)),
@@ -87,10 +94,10 @@ def build_instance(cfg: dict):
         hint_intervals = None
     elif model == "harmonic":
         spec = HarmonicChainSpec(
-            n_sites=int(_require(params, "n_sites", int, "params")),
+            n_sites=_require(params, "n_sites", int, "params"),
             omega=float(params.get("omega", 10.0)),
             g=float(params.get("g", 1.0)),
-            fock_cutoff=int(params.get("fock_cutoff", 3)),
+            fock_cutoff=_optional(params, "fock_cutoff", int, "params", 3),
             v0=float(params.get("v0", 0.0)),
         )
         h0, v, hint_intervals = build_harmonic_chain(spec)
@@ -117,7 +124,7 @@ def build_instance(cfg: dict):
 def _time_grid(cfg: dict) -> np.ndarray:
     tg = cfg.get("t_grid", {})
     t_max = float(tg.get("t_max", 200.0))
-    n_points = int(tg.get("n_points", 2001))
+    n_points = _optional(tg, "n_points", int, "t_grid", 2001)
     if not np.isfinite(t_max) or n_points < 1:
         raise ConfigInvalid(f"t_grid needs a finite t_max and n_points >= 1, got "
                             f"t_max={t_max}, n_points={n_points}", operation="run")
@@ -189,13 +196,13 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     inst, transmon = build_instance(cfg)
     extras = [] if inst is None else [inst]
-    n_instances = int(cfg.get("verify_instances", 100))
+    n_instances = _optional(cfg, "verify_instances", int, "config", 100)
     if n_instances < 0 or n_instances + len(extras) == 0:
         raise ConfigInvalid(f"'verify_instances' = {n_instances} with {len(extras)} model "
                             "instance(s) gives no suite to run", operation="verify")
     suite = run_suite(
         n_instances=n_instances,
-        seed=int(cfg.get("seed", 0)),
+        seed=_optional(cfg, "seed", int, "config", 0),
         extra_instances=extras,
         series_tol=_series_tol(cfg),
     )

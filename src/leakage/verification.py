@@ -93,8 +93,9 @@ def check_instance(inst: ProblemInstance, series_tol: float = 1e-12):
     Returns a list of :class:`InvariantResult`, one per inequality, each
     reporting the worst measured value across blocks / orders / times.
     Block conditions (``Q_k H_eff P_k = 0``, ``Omega_k Q_k = 0``,
-    ``P_k Omega_k = P_k``) read index blocks in the H0 eigenbasis; the
-    spectrum of H comes from the diagonalization behind the leakage scan.
+    ``P_k Omega_k = P_k``, ``H Omega_k = Omega_k H Omega_k``) and the
+    Catalan term bounds read the H0 eigenbasis; the spectrum of H comes
+    from the diagonalization behind the leakage scan.
     """
     results = []
 
@@ -121,15 +122,18 @@ def check_instance(inst: ProblemInstance, series_tol: float = 1e-12):
     omega = sol.omega.entries
     delta = sol.delta_bound
 
-    # Bloch equation residuals
+    # Bloch equation residuals; on the columns g of Omega_k in the H0
+    # eigenbasis, H Omega_k = Omega_k H Omega_k reads h_eig c = c h_eig[g] c
     res_tol = 10.0 * series_tol * max(1.0, h_norm)
+    h_eig = u.conj().T @ h @ u
     worst = 0.0
     for (g, out), om_k in zip(part.blocks, sol.omega_blocks):
         om_k = om_k.entries
         om_k_eig = u.conj().T @ om_k @ u
+        c = om_k_eig[:, g]
         worst = max(
             worst,
-            operator_norm(h @ om_k - om_k @ h @ om_k),
+            operator_norm(h_eig @ c - c @ (h_eig[g] @ c)),
             operator_norm(om_k_eig[:, out]),
             operator_norm(om_k_eig[g] - eye[g]),
         )

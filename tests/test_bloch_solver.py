@@ -12,6 +12,7 @@ from leakage import (
     partition_by_threshold,
     solve_bloch_series,
 )
+from leakage import bloch_solver
 from leakage.bounds import catalan_tail
 from leakage.errors import GammaBelowThreshold, NotConverged, ZeroGap
 from leakage.models import HarmonicChainSpec, build_harmonic_chain
@@ -74,7 +75,8 @@ def test_sylvester_solution_residual():
     # with Omega^(1) P_k = Q_k Omega^(1) P_k
     inst = make_instance(21, 9, 3, x=0.01)
     part = inst.partition
-    term1 = solve_bloch_series(inst).omega_terms[1].entries
+    u = part.eig.eigenvectors
+    term1 = u @ solve_bloch_series(inst).omega_terms[1] @ u.conj().T
     h0, v = inst.h0.entries, inst.v.entries
     for k in range(part.n_groups):
         p = projection(part, k).entries
@@ -89,8 +91,7 @@ def test_first_order_term_entrywise():
     part = inst.partition
     u = part.eig.eigenvectors
     lam = part.eig.eigenvalues
-    term1 = solve_bloch_series(inst).omega_terms[1]
-    t_eig = u.conj().T @ term1.entries @ u
+    t_eig = solve_bloch_series(inst).omega_terms[1]
     v_eig = u.conj().T @ inst.v.entries @ u
     # independent formula: -V_ab / (lam_a - lam_b) across groups, 0 inside
     group_of = np.empty(7, dtype=int)
@@ -126,8 +127,8 @@ def test_series_terms_are_gamma_independent():
     sol_b = solve_bloch_series(b)
     n = min(len(sol_a.omega_terms), len(sol_b.omega_terms))
     for ta, tb in zip(sol_a.omega_terms[:n], sol_b.omega_terms[:n]):
-        assert operator_norm(ta.entries - tb.entries) < 1e-12
-    assert operator_norm(sol_a.omega_terms[0].entries - np.eye(8)) < 1e-13
+        assert operator_norm(ta - tb) < 1e-12
+    assert operator_norm(sol_a.omega_terms[0] - np.eye(8)) < 1e-13
 
 
 def test_catalan_majorant_and_delta():
@@ -185,6 +186,57 @@ def test_blocks_and_h_bloch_match_projection_formula(inst):
     assert np.abs(sol.h_bloch.entries - h_bloch).max() < 1e-13
 
 
+def fresh_copy(inst):
+    return ProblemInstance(inst.h0, inst.v, inst.gamma, inst.partition)
+
+
+def test_repeat_solves_reuse_the_cached_terms(monkeypatch):
+    inst = make_instance(31, 12, 3, x=0.012)
+    fills = []
+    real = bloch_solver._fill_block_series
+    monkeypatch.setattr(bloch_solver, "_fill_block_series",
+                        lambda *args: fills.append(args[3]) or real(*args))
+    sols = [solve_bloch_series(inst) for _ in range(3)]
+    assert len(fills) == inst.partition.n_groups
+    fresh = solve_bloch_series(fresh_copy(inst))
+    assert len(fills) == 2 * inst.partition.n_groups
+    for sol in sols:
+        assert sol.omega_terms is sols[0].omega_terms
+        assert sol.order == fresh.order
+        assert np.array_equal(sol.omega_terms, fresh.omega_terms)
+        for attr in ("omega", "h_bloch"):
+            assert np.array_equal(getattr(sol, attr).entries, getattr(fresh, attr).entries)
+        for a, b in zip(sol.omega_blocks, fresh.omega_blocks, strict=True):
+            assert np.array_equal(a.entries, b.entries)
+
+
+def test_cached_terms_are_per_order_and_read_only():
+    inst = make_instance(32, 10, 2, x=0.01)
+    coarse = solve_bloch_series(inst, tol=1e-6)
+    fine = solve_bloch_series(inst, tol=1e-14)
+    assert coarse.order < fine.order
+    for sol, tol in ((coarse, 1e-6), (fine, 1e-14)):
+        fresh = solve_bloch_series(fresh_copy(inst), tol=tol)
+        assert sol.omega_terms.shape == (sol.order + 1, 10, 10)
+        assert np.array_equal(sol.omega_terms, fresh.omega_terms)
+        assert np.array_equal(sol.omega.entries, fresh.omega.entries)
+        assert not sol.omega_terms.flags.writeable
+        with pytest.raises(ValueError):
+            sol.omega_terms[1, 0, 0] = 1.0
+
+
+def test_v_norm_computed_once(monkeypatch):
+    inst = make_instance(33, 6, 2, x=0.01)
+    norms = []
+    real = bloch_solver.operator_norm
+    monkeypatch.setattr(bloch_solver, "operator_norm",
+                        lambda m: norms.append(m) or real(m))
+    values = [inst.v_norm for _ in range(3)]
+    assert inst.x == values[0] / (inst.gamma * inst.partition.gap)
+    assert len(norms) == 1 and norms[0] is inst.v
+    assert values == [operator_norm(inst.v)] * 3
+
+
 def test_gamma_below_threshold_raises():
     inst = make_instance(28, 6, 2, x=0.3)  # 4 pi x > 1 at gamma = 1
     with pytest.raises(GammaBelowThreshold):
@@ -219,3 +271,6 @@ def test_instance_validation():
     other = OperatorMatrix(np.zeros((4, 4)), hermitian_hint=True)
     with pytest.raises(ValueError):
         ProblemInstance(inst.h0, other, 1.0, inst.partition)
+    for gamma in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance(inst.h0, inst.v, gamma, inst.partition)

@@ -240,3 +240,73 @@ def test_sweep(tmp_path, capsys):
     transmon = {"model": "transmon", "params": {"ej_over_ec": 90, "transparency_d": 1e-3}}
     assert main(["sweep", "--config", write_cfg(tmp_path, transmon),
                  "--gamma-list", "10,30,100,300"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--x", "nan"],
+    ["bounds", "--v-norm", "1", "--gamma", "nan", "--eta", "1"],
+    ["bounds", "--v-norm", "1", "--gamma", "inf", "--eta", "1"],
+    ["bounds", "--v-norm", "nan", "--gamma", "1", "--eta", "1"],
+    ["bounds", "--v-norm", "1", "--gamma", "1", "--eta", "inf"],
+    ["sweep", "--config", "{cfg}", "--gamma-list", "nan,10,30,100,300"],
+    ["sweep", "--config", "{cfg}", "--gamma-list", "10,30,100,300,inf"],
+], ids=["x-nan", "gamma-nan", "gamma-inf", "v-norm-nan", "eta-inf", "sweep-nan", "sweep-inf"])
+def test_non_finite_bound_argument_is_input_error(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, CHAIN_CFG)
+    assert main([arg.format(cfg=cfg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_config_gamma_is_input_error(tmp_path, capsys, gamma):
+    # json writes and reads these as the non-standard NaN and Infinity
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "gamma": gamma})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+HARMONIC_CFG = {
+    "model": "harmonic",
+    "params": {"n_sites": 2, "fock_cutoff": 3, "v0": 0.1},
+    "gamma": 1.0,
+    "partition": {},
+    "t_grid": {"t_max": 5.0, "n_points": 6},
+}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("verify", {**CHAIN_CFG, "verify_instances": 2.7}, "verify_instances"),
+    ("verify", {**CHAIN_CFG, "verify_instances": True}, "verify_instances"),
+    ("verify", {**CHAIN_CFG, "verify_instances": 1, "seed": 1.5}, "seed"),
+    ("run", {**CHAIN_CFG, "t_grid": {"t_max": 20.0, "n_points": 41.9}}, "n_points"),
+    ("run", {**CHAIN_CFG, "t_grid": {"t_max": 20.0, "n_points": True}}, "n_points"),
+    ("run", {**CHAIN_CFG, "seed": 1.5}, "seed"),
+    ("run", {**CHAIN_CFG, "seed": True}, "seed"),
+    ("run", {**CHAIN_CFG, "params": {"n_cells": 4.0}}, "n_cells"),
+    ("run", {**CHAIN_CFG, "params": {"n_cells": True}}, "n_cells"),
+    ("run", {**HARMONIC_CFG, "params": {"n_sites": 2, "fock_cutoff": 3.0}}, "fock_cutoff"),
+    ("run", {**HARMONIC_CFG, "params": {"n_sites": 2, "fock_cutoff": True}}, "fock_cutoff"),
+    ("run", {"model": "transmon", "params": {"ej_over_ec": "90", "transparency_d": 1e-3}},
+     "ej_over_ec"),
+    ("run", {"model": "transmon", "params": {"ej_over_ec": 90, "transparency_d": False}},
+     "transparency_d"),
+])
+def test_mistyped_config_field_is_config_invalid(tmp_path, capsys, command, cfg, key):
+    argv = [command, "--config", write_cfg(tmp_path, cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and "PASS" not in captured.out
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_integer_config_fields_run(tmp_path):
+    # the same fields given as JSON integers
+    assert main(["run", "--config", write_cfg(tmp_path, HARMONIC_CFG),
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["series_order"] >= 1
+    cfg = {**CHAIN_CFG, "verify_instances": 1, "seed": 2}
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg, "verify.json")]) == 0

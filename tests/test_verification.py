@@ -113,6 +113,13 @@ def _tamper_omega_block(inst, sol):
     return dataclasses.replace(sol, omega_blocks=(OperatorMatrix(om_0), *sol.omega_blocks[1:]))
 
 
+def _tamper_omega_rows(inst, sol):
+    # Q_0 Omega_0 P_0 off its solution: the columns stay in group 0 and
+    # P_0 Omega_0 = P_0 holds, only H Omega_0 = Omega_0 H Omega_0 breaks
+    om_0 = OperatorMatrix(_off_block(inst, sol.omega_blocks[0].entries))
+    return dataclasses.replace(sol, omega_blocks=(om_0, *sol.omega_blocks[1:]))
+
+
 def _tamper_sw(inst, sw):
     a = _off_block(inst, np.zeros_like(sw.h_sw.entries))
     h_sw = OperatorMatrix(sw.h_sw.entries + a + a.conj().T, hermitian_hint=True)
@@ -122,6 +129,7 @@ def _tamper_sw(inst, sw):
 @pytest.mark.parametrize("target, tamper, broken", [
     ("solve_bloch_series", _tamper_bloch, "h_bloch_off_block"),
     ("solve_bloch_series", _tamper_omega_block, "bloch_equation_residuals"),
+    ("solve_bloch_series", _tamper_omega_rows, "bloch_equation_residuals"),
     ("sw_transform", _tamper_sw, "h_sw_off_block"),
 ])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
