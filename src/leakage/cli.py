@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_VIOLATION = 4
+OUTPUT_FORMATS = ("json", "csv")
 
 
 def _load_config(path: str) -> dict:
@@ -73,9 +74,9 @@ def _optional(cfg: dict, key: str, kind, where: str, default):
 def build_instance(cfg: dict):
     """Model matrices + partition from a config; None for formula-only models."""
     model = cfg["model"]
-    params = cfg.get("params", {})
+    params = _optional(cfg, "params", dict, "config", {})
     seed = _optional(cfg, "seed", int, "config", 0)
-    gamma = float(cfg.get("gamma", 1.0))
+    gamma = _optional(cfg, "gamma", float, "config", 1.0)
     if model == "transmon":
         return None, TransmonSpec(
             ej_over_ec=_require(params, "ej_over_ec", float, "params"),
@@ -84,10 +85,10 @@ def build_instance(cfg: dict):
     if model == "chain":
         spec = ChainSpec(
             n_cells=_require(params, "n_cells", int, "params"),
-            g1=float(params.get("g1", 1.0)),
-            g2=float(params.get("g2", 1.5)),
-            g3=float(params.get("g3", 2.0)),
-            disorder_strength=float(params.get("disorder_strength", 0.01)),
+            g1=_optional(params, "g1", float, "params", 1.0),
+            g2=_optional(params, "g2", float, "params", 1.5),
+            g3=_optional(params, "g3", float, "params", 2.0),
+            disorder_strength=_optional(params, "disorder_strength", float, "params", 0.01),
             seed=seed,
         )
         h0, v = build_chain(spec)
@@ -95,10 +96,10 @@ def build_instance(cfg: dict):
     elif model == "harmonic":
         spec = HarmonicChainSpec(
             n_sites=_require(params, "n_sites", int, "params"),
-            omega=float(params.get("omega", 10.0)),
-            g=float(params.get("g", 1.0)),
+            omega=_optional(params, "omega", float, "params", 10.0),
+            g=_optional(params, "g", float, "params", 1.0),
             fock_cutoff=_optional(params, "fock_cutoff", int, "params", 3),
-            v0=float(params.get("v0", 0.0)),
+            v0=_optional(params, "v0", float, "params", 0.0),
         )
         h0, v, hint_intervals = build_harmonic_chain(spec)
     elif model == "custom":
@@ -108,10 +109,10 @@ def build_instance(cfg: dict):
     else:
         raise ConfigInvalid(f"unknown model '{model}'", operation="run")
 
-    part_cfg = cfg.get("partition", {"threshold": 0.5})
+    part_cfg = _optional(cfg, "partition", dict, "config", {"threshold": 0.5})
     eig = herm_eig(h0)
     if "threshold" in part_cfg:
-        part = partition_by_threshold(eig, float(part_cfg["threshold"]))
+        part = partition_by_threshold(eig, _require(part_cfg, "threshold", float, "partition"))
     elif "intervals" in part_cfg:
         part = partition_by_intervals(eig, part_cfg["intervals"])
     elif hint_intervals is not None:
@@ -122,8 +123,8 @@ def build_instance(cfg: dict):
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
-    tg = cfg.get("t_grid", {})
-    t_max = float(tg.get("t_max", 200.0))
+    tg = _optional(cfg, "t_grid", dict, "config", {})
+    t_max = _optional(tg, "t_max", float, "t_grid", 200.0)
     n_points = _optional(tg, "n_points", int, "t_grid", 2001)
     if not np.isfinite(t_max) or n_points < 1:
         raise ConfigInvalid(f"t_grid needs a finite t_max and n_points >= 1, got "
@@ -132,13 +133,31 @@ def _time_grid(cfg: dict) -> np.ndarray:
 
 
 def _series_tol(cfg: dict) -> float:
-    return float(cfg.get("tolerances", {}).get("series_tol", 1e-12))
+    tolerances = _optional(cfg, "tolerances", dict, "config", {})
+    return _optional(tolerances, "series_tol", float, "tolerances", 1e-12)
 
 
-def _write_outputs(cfg: dict, out_dir: Path, report):
-    for spec in cfg.get("outputs", []):
-        path = out_dir / spec["path"]
-        fmt = spec.get("format", "json")
+def _output_specs(cfg: dict) -> list:
+    """``(path, format)`` of each ``outputs`` entry, checked before any
+    computation: a non-empty string ``path`` and a ``format`` (default
+    ``"json"``) from ``OUTPUT_FORMATS``."""
+    checked = []
+    for i, spec in enumerate(_optional(cfg, "outputs", list, "config", [])):
+        where = f"outputs[{i}]"
+        if not isinstance(spec, dict):
+            raise ConfigInvalid(f"{where} must be an object, got {spec!r}", operation="run")
+        path = _require(spec, "path", str, where)
+        fmt = _optional(spec, "format", str, where, "json")
+        if not path or fmt not in OUTPUT_FORMATS:
+            raise ConfigInvalid(f"{where} needs a non-empty 'path' and a 'format' in "
+                                f"{OUTPUT_FORMATS}, got {spec!r}", operation="run")
+        checked.append((path, fmt))
+    return checked
+
+
+def _write_outputs(specs: list, out_dir: Path, report):
+    for name, fmt in specs:
+        path = out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
             path.write_text(report.to_csv())
@@ -154,6 +173,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     inst, transmon = build_instance(cfg)
     series_tol = _series_tol(cfg)
+    outputs = _output_specs(cfg)
 
     summary: dict = {"config": cfg}
     exit_code = EXIT_OK
@@ -187,7 +207,7 @@ def cmd_run(args) -> int:
         )
         if report.violations:
             exit_code = EXIT_VIOLATION
-        _write_outputs(cfg, out_dir, report)
+        _write_outputs(outputs, out_dir, report)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
     return exit_code
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from leakage import OperatorMatrix, bounds, dynamics
+from leakage import OperatorMatrix, bounds, cli, dynamics
 from leakage.cli import _time_grid, main
 from leakage.errors import ConfigInvalid, SingularBlockGram
 
@@ -292,6 +292,25 @@ HARMONIC_CFG = {
      "ej_over_ec"),
     ("run", {"model": "transmon", "params": {"ej_over_ec": 90, "transparency_d": False}},
      "transparency_d"),
+    ("run", {**CHAIN_CFG, "gamma": True}, "gamma"),
+    ("run", {**CHAIN_CFG, "gamma": "1.0"}, "gamma"),
+    ("run", {**CHAIN_CFG, "partition": {"threshold": True}}, "threshold"),
+    ("run", {**CHAIN_CFG, "t_grid": {"t_max": "20", "n_points": 41}}, "t_max"),
+    ("run", {**CHAIN_CFG, "params": {"n_cells": 4, "g1": "1.0"}}, "g1"),
+    ("run", {**CHAIN_CFG, "params": {"n_cells": 4, "g2": True}}, "g2"),
+    ("run", {**CHAIN_CFG, "params": {"n_cells": 4, "g3": [2.0]}}, "g3"),
+    ("run", {**CHAIN_CFG, "params": {"n_cells": 4, "disorder_strength": "0"}},
+     "disorder_strength"),
+    ("run", {**CHAIN_CFG, "tolerances": {"series_tol": "1e-12"}}, "series_tol"),
+    ("verify", {**CHAIN_CFG, "verify_instances": 1, "tolerances": {"series_tol": True}},
+     "series_tol"),
+    ("run", {**HARMONIC_CFG, "params": {"n_sites": 2, "omega": "10"}}, "omega"),
+    ("run", {**HARMONIC_CFG, "params": {"n_sites": 2, "g": None}}, "g"),
+    ("run", {**HARMONIC_CFG, "params": {"n_sites": 2, "v0": False}}, "v0"),
+    ("run", {**CHAIN_CFG, "tolerances": [1e-12]}, "tolerances"),
+    ("run", {**CHAIN_CFG, "t_grid": 41}, "t_grid"),
+    ("run", {**CHAIN_CFG, "partition": 0.5}, "partition"),
+    ("run", {**CHAIN_CFG, "params": [4]}, "params"),
 ])
 def test_mistyped_config_field_is_config_invalid(tmp_path, capsys, command, cfg, key):
     argv = [command, "--config", write_cfg(tmp_path, cfg)]
@@ -304,9 +323,47 @@ def test_mistyped_config_field_is_config_invalid(tmp_path, capsys, command, cfg,
 
 
 def test_integer_config_fields_run(tmp_path):
-    # the same fields given as JSON integers
+    # the same fields given as JSON integers, float fields included
     assert main(["run", "--config", write_cfg(tmp_path, HARMONIC_CFG),
                  "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "summary.json").read_text())["series_order"] >= 1
+    as_ints = {**CHAIN_CFG, "gamma": 1, "t_grid": {"t_max": 20, "n_points": 41},
+               "params": {"n_cells": 4, "g1": 1, "g2": 2, "g3": 2}}
+    as_floats = {**as_ints, "gamma": 1.0, "t_grid": {"t_max": 20.0, "n_points": 41},
+                 "params": {"n_cells": 4, "g1": 1.0, "g2": 2.0, "g3": 2.0}}
+    summaries = []
+    for name, cfg in (("ints", as_ints), ("floats", as_floats)):
+        assert main(["run", "--config", write_cfg(tmp_path, cfg, f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+        summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+    assert summaries[0]["max_leakage"] == summaries[1]["max_leakage"] > 0
     cfg = {**CHAIN_CFG, "verify_instances": 1, "seed": 2}
     assert main(["verify", "--config", write_cfg(tmp_path, cfg, "verify.json")]) == 0
+
+
+@pytest.mark.parametrize("outputs", [
+    [{"kind": "leakage", "format": "json"}],
+    [{"path": 5}],
+    [{"path": ""}],
+    [{"path": "series.yaml", "format": "yaml"}],
+    [{"path": "series.csv", "format": "CSV"}],
+    [{"path": "series.json", "format": None}],
+    [{"path": "series.json"}, "series.csv"],
+    {"path": "series.json"},
+], ids=["no-path", "int-path", "empty-path", "yaml", "upper-csv", "null-format",
+        "bare-string", "not-a-list"])
+def test_bad_outputs_rejected_before_computation(tmp_path, monkeypatch, capsys, outputs):
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_leakage_experiment", never)
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "outputs": outputs})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "outputs" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_outputs_default_to_json(tmp_path):
+    cfg = {**CHAIN_CFG, "outputs": [{"path": "nested/series"}]}
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    assert len(json.loads((tmp_path / "nested" / "series").read_text())["times"]) == 41

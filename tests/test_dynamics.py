@@ -48,6 +48,49 @@ def test_leakage_two_level_closed_form(rabi_instance):
             assert leak[k, j] == pytest.approx(ref, abs=1e-12)
 
 
+def dense_leakage(inst, t):
+    """Oracle: ``||Q_k expm(-itH) P_k||_2`` per block, with dense projectors
+    built from the H0 eigenvectors."""
+    u0 = inst.partition.eig.eigenvectors
+    prop = scipy.linalg.expm(-1j * t * inst.h.entries)
+    eye = np.eye(inst.partition.dim)
+    values = []
+    for g in inst.partition.groups:
+        p = u0[:, g] @ u0[:, g].conj().T
+        values.append(np.linalg.norm((eye - p) @ prop @ p, 2))
+    return np.array(values)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 10), n_groups=st.integers(2, 3),
+       x=st.floats(1e-3, 0.05), real=st.booleans(), t=st.floats(0.0, 50.0))
+@settings(deadline=None, max_examples=60)
+def test_leakage_matches_dense_expm_on_random_instances(seed, dim, n_groups, x, real, t):
+    inst = make_instance(seed, dim, min(n_groups, dim), x=x, real=real)
+    leak = run_leakage_experiment(inst, [t], with_distances=False).per_block_leakage[:, 0]
+    assert np.abs(leak - dense_leakage(inst, t)).max() < 1e-12
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_leakage_reads_both_gram_sides(real):
+    # groups of 6, 2 and 1 levels in dim 9: the first is larger than its
+    # complement, the others smaller, so both Gram orientations are read
+    inst = make_instance(0, 9, 3, x=0.03, real=real)
+    assert [len(g) for g, _ in inst.partition.blocks] == [6, 2, 1]
+    times = [0.7, 3.1, 12.0]
+    leak = run_leakage_experiment(inst, times, with_distances=False).per_block_leakage
+    for j, t in enumerate(times):
+        assert np.abs(leak[:, j] - dense_leakage(inst, t)).max() < 1e-12
+    assert leak.min() > 1e-4
+
+
+@pytest.mark.parametrize("seed, dim, n_groups", [(0, 9, 3), (3, 9, 3), (5, 6, 2), (11, 9, 3)])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_leakage_vanishes_at_time_zero(seed, dim, n_groups, real):
+    inst = make_instance(seed, dim, n_groups, x=0.03, real=real)
+    leak = run_leakage_experiment(inst, [0.0], with_distances=False).per_block_leakage
+    assert leak.max() <= 1e-15
+
+
 def test_experiment_report(rabi_instance):
     times = np.linspace(0.0, 20.0, 201)
     rep = run_leakage_experiment(rabi_instance, times)
