@@ -17,8 +17,6 @@ from .spectral_partition import (
     SpectralPartition,
     partition_by_threshold,
     partition_by_intervals,
-    projection,
-    complement,
 )
 from .bloch_solver import (
     ProblemInstance,
@@ -32,7 +30,6 @@ from .bounds import (
     delta_of,
     epsilon_of,
     catalan,
-    catalan_tail,
     sw_distance_bound,
     harmonic_chain_bound,
     transmon_leakage_bound,
@@ -60,11 +57,11 @@ from .verification import run_suite, check_instance, random_instance
 __all__ = [
     "OperatorMatrix", "HermitianEigenSystem", "operator_norm", "herm_eig",
     "inv_sqrt_psd", "SpectralPartition", "partition_by_threshold",
-    "partition_by_intervals", "projection", "complement",
+    "partition_by_intervals",
     "ProblemInstance", "BlochSolution", "solve_bloch_series",
     "SWSolution", "sw_transform", "perturbed_projection",
     "BoundReport", "bound_report", "delta_of", "epsilon_of", "catalan",
-    "catalan_tail", "sw_distance_bound",
+    "sw_distance_bound",
     "harmonic_chain_bound", "transmon_leakage_bound",
     "LeakageReport", "SweepResult", "run_leakage_experiment",
     "gamma_scaling_sweep", "truncation_convergence_study",

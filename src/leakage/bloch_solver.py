@@ -6,10 +6,15 @@ the eigenbasis of H0, reduces to entrywise division by eigenvalue
 differences.  Truncation is controlled analytically through the Catalan
 tail of the majorant series, never by observed term size alone.
 
-The terms ``Omega^(j)`` do not depend on gamma.  They stay in the H0
-eigenbasis and are computed once per instance and truncation order:
-the instance caches them, as it caches ``||V||``, so a repeat solve
-only redoes the gamma-dependent sum.
+Every operator derived from an instance lives in the H0 eigenbasis,
+where the projections P_k and Q_k are the index blocks ``(g, out)`` of
+the partition: ``Omega_k = Omega P_k`` is the column slice
+``omega[:, g]``.  This module is the only one that converts from the
+original basis, once for V and once per read of ``ProblemInstance.h_eig``.
+
+The terms ``Omega^(j)`` do not depend on gamma.  They are computed once
+per instance and truncation order: the instance caches them, as it
+caches ``||V||``, so a repeat solve only redoes the gamma-dependent sum.
 """
 
 from __future__ import annotations
@@ -74,21 +79,30 @@ class ProblemInstance:
             self.gamma * self.h0.entries + self.v.entries, hermitian_hint=True
         )
 
+    @property
+    def h_eig(self) -> np.ndarray:
+        """H in the H0 eigenbasis, ``u^dag H u``, symmetrized; like ``h``,
+        rebuilt on each read."""
+        u = self.partition.eig.eigenvectors
+        h_eig = u.conj().T @ self.h.entries @ u
+        return 0.5 * (h_eig + h_eig.conj().T)
+
 
 @dataclass(frozen=True)
 class BlochSolution:
     """Summed wave operator and per-order data of the Bloch series.
 
-    ``omega_terms`` stacks the gamma-independent ``Omega^(j)``, j = 0..J,
-    in the H0 eigenbasis, shape (J+1, dim, dim): ``u^dag Omega^(j) u``
-    with ``u`` the partition's eigenvectors.  The array is read-only and
-    shared by every solution of the instance at order J.  The other
-    operators are in the original basis.
+    Every operator is in the H0 eigenbasis: ``u^dag M u`` with ``u`` the
+    partition's eigenvectors.  ``omega_terms`` stacks the gamma-independent
+    ``Omega^(j)``, j = 0..J, shape (J+1, dim, dim); the array is read-only
+    and shared by every solution of the instance at order J.  The block
+    wave operator ``Omega_k = Omega P_k`` is the column slice
+    ``omega.entries[:, g]`` of group k, and ``h_bloch`` is exactly zero
+    off the diagonal blocks.
     """
 
-    omega_terms: np.ndarray     # Omega^(j), j = 0..J, H0 eigenbasis
+    omega_terms: np.ndarray     # Omega^(j), j = 0..J
     omega: OperatorMatrix
-    omega_blocks: tuple         # Omega_k = Omega P_k
     h_bloch: OperatorMatrix
     order: int                  # truncation order J
     tail_bound: float
@@ -184,36 +198,25 @@ def solve_bloch_series(
             operation="solve_bloch_series",
         )
 
-    part = inst.partition
-    u = part.eig.eigenvectors
-    terms_eig = _series_terms(inst, order)
-    omega_eig = sum(
-        t / inst.gamma**j for j, t in enumerate(terms_eig)
-    )
-    omega_u = u @ omega_eig
-    omega = OperatorMatrix(omega_u @ u.conj().T)
-    u_groups = [u[:, g] for g in part.groups]
-    omega_cols = [omega_u[:, g] for g in part.groups]
-    omega_blocks = tuple(
-        OperatorMatrix(c @ u_k.conj().T) for u_k, c in zip(u_groups, omega_cols)
-    )
+    terms = _series_terms(inst, order)
+    omega = sum(t / inst.gamma**j for j, t in enumerate(terms))
     return BlochSolution(
-        omega_terms=terms_eig,
-        omega=omega,
-        omega_blocks=omega_blocks,
-        h_bloch=_assemble(inst, u_groups, omega_cols),
+        omega_terms=terms,
+        omega=OperatorMatrix(omega),
+        h_bloch=_assemble(inst, omega),
         order=order,
         tail_bound=tails[order],
         delta_bound=bounds.delta_of(x),
     )
 
 
-def _assemble(inst: ProblemInstance, u_groups, omega_cols) -> OperatorMatrix:
+def _assemble(inst: ProblemInstance, omega: np.ndarray) -> OperatorMatrix:
     """Block-diagonal effective generator ``sum_k P_k H Omega_k``: similar
     to H through the wave operator, hence isospectral; generally
-    non-Hermitian.  With the group's H0 eigenvectors ``u_k`` and
-    ``c_k = Omega u_k``, each term is ``u_k (u_k^dag H c_k) u_k^dag``."""
-    h = inst.h.entries
-    return OperatorMatrix(sum(
-        u_k @ (u_k.conj().T @ h @ c) @ u_k.conj().T for u_k, c in zip(u_groups, omega_cols)
-    ))
+    non-Hermitian.  Block k is ``h_eig[g] @ omega[:, g]``; the off-blocks
+    are exactly zero."""
+    h_eig = inst.h_eig
+    hb = np.zeros_like(h_eig, dtype=np.result_type(h_eig, omega))
+    for g in inst.partition.groups:
+        hb[np.ix_(g, g)] = h_eig[g] @ omega[:, g]
+    return OperatorMatrix(hb)

@@ -104,11 +104,6 @@ def catalan_tails(x: float, j_max: int) -> list:
     return tails
 
 
-def catalan_tail(x: float, j_trunc: int) -> float:
-    """Remainder ``sum_{j > J} (pi x)^j C_j`` of the Catalan majorant series."""
-    return catalan_tails(x, j_trunc)[j_trunc]
-
-
 def sw_distance_bound(x: float) -> float:
     """Eternal bound on the Schrieffer-Wolff evolution distance.
 

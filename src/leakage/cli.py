@@ -71,6 +71,29 @@ def _optional(cfg: dict, key: str, kind, where: str, default):
     return _require(cfg, key, kind, where) if key in cfg else default
 
 
+def _number_pairs(cfg: dict, key: str, where: str, shape: str) -> list:
+    """``cfg[key]`` as a list of two-element lists of JSON numbers."""
+    pairs = _require(cfg, key, list, where)
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+            raise ConfigInvalid(f"'{key}' in {where} must be a list of {shape} number "
+                                f"pairs, got {pair!r}", operation="run")
+    return pairs
+
+
+def _matrix(params: dict, key: str) -> OperatorMatrix:
+    """``params[key]`` in the matrix encoding of ``OperatorMatrix.to_json``:
+    a positive integer ``dim`` and ``entries`` as ``[re, im]`` pairs."""
+    where = f"params.{key}"
+    obj = _require(params, key, dict, "params")
+    dim = _require(obj, "dim", int, where)
+    if dim < 1:
+        raise ConfigInvalid(f"'dim' in {where} must be positive, got {dim}", operation="run")
+    _number_pairs(obj, "entries", where, "[re, im]")
+    return OperatorMatrix.from_json(obj, hermitian_hint=True)
+
+
 def build_instance(cfg: dict):
     """Model matrices + partition from a config; None for formula-only models."""
     model = cfg["model"]
@@ -103,8 +126,7 @@ def build_instance(cfg: dict):
         )
         h0, v, hint_intervals = build_harmonic_chain(spec)
     elif model == "custom":
-        h0 = OperatorMatrix.from_json(_require(params, "h0", dict, "params"), hermitian_hint=True)
-        v = OperatorMatrix.from_json(_require(params, "v", dict, "params"), hermitian_hint=True)
+        h0, v = _matrix(params, "h0"), _matrix(params, "v")
         hint_intervals = None
     else:
         raise ConfigInvalid(f"unknown model '{model}'", operation="run")
@@ -114,7 +136,8 @@ def build_instance(cfg: dict):
     if "threshold" in part_cfg:
         part = partition_by_threshold(eig, _require(part_cfg, "threshold", float, "partition"))
     elif "intervals" in part_cfg:
-        part = partition_by_intervals(eig, part_cfg["intervals"])
+        part = partition_by_intervals(
+            eig, _number_pairs(part_cfg, "intervals", "partition", "[lo, hi]"))
     elif hint_intervals is not None:
         part = partition_by_intervals(eig, hint_intervals)
     else:
@@ -137,10 +160,12 @@ def _series_tol(cfg: dict) -> float:
     return _optional(tolerances, "series_tol", float, "tolerances", 1e-12)
 
 
-def _output_specs(cfg: dict) -> list:
+def _output_specs(cfg: dict, out_dir: Path) -> list:
     """``(path, format)`` of each ``outputs`` entry, checked before any
-    computation: a non-empty string ``path`` and a ``format`` (default
-    ``"json"``) from ``OUTPUT_FORMATS``."""
+    computation: a non-empty relative string ``path`` that resolves to a
+    file under ``out_dir``, and a ``format`` (default ``"json"``) from
+    ``OUTPUT_FORMATS``."""
+    root = out_dir.resolve()
     checked = []
     for i, spec in enumerate(_optional(cfg, "outputs", list, "config", [])):
         where = f"outputs[{i}]"
@@ -151,6 +176,9 @@ def _output_specs(cfg: dict) -> list:
         if not path or fmt not in OUTPUT_FORMATS:
             raise ConfigInvalid(f"{where} needs a non-empty 'path' and a 'format' in "
                                 f"{OUTPUT_FORMATS}, got {spec!r}", operation="run")
+        if Path(path).is_absolute() or root not in (root / path).resolve().parents:
+            raise ConfigInvalid(f"{where} 'path' {path!r} must name a file under --out",
+                                operation="run")
         checked.append((path, fmt))
     return checked
 
@@ -171,9 +199,9 @@ def cmd_run(args) -> int:
         cfg["seed"] = args.seed
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = _output_specs(cfg, out_dir)
     inst, transmon = build_instance(cfg)
     series_tol = _series_tol(cfg)
-    outputs = _output_specs(cfg)
 
     summary: dict = {"config": cfg}
     exit_code = EXIT_OK

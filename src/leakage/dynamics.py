@@ -1,12 +1,13 @@
 """Simulated dynamics: leakage time series, evolution distances, sweeps.
 
 All propagators come from one Hermitian eigendecomposition of H carried
-out in the eigenbasis of H0, where the partition projections are
-coordinate masks.  With ``H = S diag(lam) S^dag`` there, the leakage
-``||Q_k e^{-itH} P_k||`` is the top singular value of the off-block
-``B = S_out D S_g^dag``, ``D = diag(e^{-i lam t})``.  It is read from the
-Gram matrix of B on its smaller side, and for a real S the product is
-one real GEMM on the interleaved real and imaginary parts of ``D S_out^T``.
+out in the eigenbasis of H0, the basis every derived operator is kept
+in, where the partition projections are coordinate masks.  With
+``H = S diag(lam) S^dag`` there, the leakage ``||Q_k e^{-itH} P_k||``
+is the top singular value of the off-block ``B = S_out D S_g^dag``,
+``D = diag(e^{-i lam t})``.  It is read from the Gram matrix of B on its
+smaller side, and for a real S the product is one real GEMM on the
+interleaved real and imaginary parts of ``D S_out^T``.
 The non-Hermitian Bloch generator is never exponentiated directly; its
 evolution is obtained through the similarity with H.
 
@@ -15,7 +16,8 @@ e^{-itH} is ``D = diag(e^{-i lam t})`` and ``[A, D] = -2i E (A o K) E``
 with ``E = D^(1/2)``, ``K[m, n] = sin((lam_n - lam_m) t / 2)``.  With W
 and Omega in that basis as X and Y, ``d_SW = ||[X, D]|| = 2 ||X o K||``
 and ``d_Bloch = ||Y^-1 [Y, D]|| = 2 ||(Y^-1 E) (Y o K)||``: one GEMM at
-most per time, and real ``X o K`` for a real H.
+most per time, and real ``X o K`` for a real H.  As W and Omega are kept
+in the H0 eigenbasis, ``X = S^dag W S`` and ``Y = S^dag Omega S``.
 """
 
 from __future__ import annotations
@@ -77,10 +79,7 @@ class _Evolution:
     """Eigendecomposition of H expressed in the H0 eigenbasis."""
 
     def __init__(self, inst: ProblemInstance):
-        u0 = inst.partition.eig.eigenvectors
-        h_eig = u0.conj().T @ inst.h.entries @ u0
-        h_eig = 0.5 * (h_eig + h_eig.conj().T)
-        self.lam, self.s = np.linalg.eigh(h_eig)
+        self.lam, self.s = np.linalg.eigh(inst.h_eig)
         # per block, conj(S_g) and a C-contiguous S_out^T, the two factors of B^T
         self._factors = [(self.s[g].conj(), np.ascontiguousarray(self.s[out].T))
                          for g, out in inst.partition.blocks]
@@ -133,7 +132,7 @@ def run_leakage_experiment(
     d_bloch = d_sw = None
     if with_distances and inst.gamma > report.gamma_threshold_bloch:
         bloch = solve_bloch_series(inst, tol=series_tol)
-        u = inst.partition.eig.eigenvectors @ evo.s    # eigenvectors of H
+        u = evo.s    # eigenvectors of H in the H0 eigenbasis
         y = u.conj().T @ bloch.omega.entries @ u
         y_inv = np.linalg.inv(y)
         if inst.gamma > report.gamma_threshold_sw:

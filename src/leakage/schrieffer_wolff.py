@@ -4,7 +4,9 @@ The polar factor ``W = Omega (Omega^dag Omega)^(-1/2)`` is the direct
 rotation between the unperturbed spectral subspaces and their perturbed
 counterparts; conjugating H with it yields a Hermitian block-diagonal
 effective generator.  The perturbed projections are assembled from the
-per-block wave operators.
+per-block wave operators.  Like the Bloch solution it starts from, every
+operator here is in the H0 eigenbasis, where ``Omega_k`` is the column
+slice ``omega[:, g]`` of group k.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .operator_core import OperatorMatrix, inv_sqrt_psd
 
 @dataclass(frozen=True)
 class SWSolution:
-    """Unitary W, Hermitian effective generator, perturbed projections."""
+    """Unitary W, Hermitian effective generator, perturbed projections,
+    all in the H0 eigenbasis; ``h_sw`` is block diagonal there."""
 
     w: OperatorMatrix
     h_sw: OperatorMatrix
@@ -46,8 +49,7 @@ def sw_transform(inst: ProblemInstance, bloch: BlochSolution) -> SWSolution:
     gram_op = OperatorMatrix(0.5 * (gram + gram.conj().T), hermitian_hint=True)
     root_inv = inv_sqrt_psd(gram_op)
     w = omega @ root_inv.entries
-    h = inst.h.entries
-    h_sw = w.conj().T @ h @ w
+    h_sw = w.conj().T @ inst.h_eig @ w
     h_sw = 0.5 * (h_sw + h_sw.conj().T)
     projections = tuple(
         perturbed_projection(inst, bloch, k) for k in range(inst.partition.n_groups)
@@ -66,10 +68,8 @@ def perturbed_projection(inst: ProblemInstance, bloch: BlochSolution, k: int) ->
     inverse taken on the range of P_k.  Hermitian, idempotent, commutes
     with H, and tends to P_k as gamma grows.
     """
-    group = inst.partition.groups[k]
-    u = inst.partition.eig.eigenvectors[:, group]
-    # columns of Omega_k in the subspace basis: dim x |group|
-    cols = bloch.omega.entries @ u
+    # columns of Omega_k on the range of P_k: dim x |group|
+    cols = bloch.omega.entries[:, inst.partition.groups[k]]
     gram = cols.conj().T @ cols
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:

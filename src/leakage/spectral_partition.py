@@ -1,10 +1,10 @@
 """Coarse-graining of the spectrum of the drift Hamiltonian.
 
 Groups the eigenvalues of H0 into disjoint components and computes the
-spectral gap eta.  In the eigenbasis of H0 the projection P_k and its
-complement Q_k are the coordinate blocks ``(g, out)`` of group k, which
-the partition holds once; the dense matrices ``projection`` and
-``complement`` are the same operators in the original basis.
+spectral gap eta.  In the eigenbasis of H0, the basis every derived
+operator is kept in, the projection P_k and its complement Q_k are the
+coordinate blocks ``(g, out)`` of group k, which the partition holds
+once; no dense projector is built.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     NoGapFound,
     OverlappingIntervals,
     UncoveredEigenvalue,
 )
-from .operator_core import HermitianEigenSystem, OperatorMatrix
+from .operator_core import HermitianEigenSystem
 
 
 @dataclass(frozen=True)
@@ -137,19 +136,3 @@ def partition_by_intervals(eig: HermitianEigenSystem, intervals) -> SpectralPart
         raise NoGapFound("eigenvalues populate fewer than two intervals",
                          operation="partition_by_intervals")
     return _finalize(eig, groups)
-
-
-def projection(part: SpectralPartition, k: int) -> OperatorMatrix:
-    """Orthogonal projection P_k onto the eigenvectors of group ``k``."""
-    if not 0 <= k < part.n_groups:
-        raise IndexOutOfRange(f"group index {k} not in [0, {part.n_groups})",
-                              operation="projection")
-    u = part.eig.eigenvectors[:, part.groups[k]]
-    p = u @ u.conj().T
-    return OperatorMatrix(0.5 * (p + p.conj().T), hermitian_hint=True)
-
-
-def complement(part: SpectralPartition, k: int) -> OperatorMatrix:
-    """Complementary projection Q_k = 1 - P_k."""
-    p = projection(part, k)
-    return OperatorMatrix(np.eye(part.dim) - p.entries, hermitian_hint=True)

@@ -13,12 +13,12 @@ from leakage import (
     solve_bloch_series,
 )
 from leakage import bloch_solver
-from leakage.bounds import catalan_tail
+from leakage.bounds import catalan_tails
 from leakage.errors import GammaBelowThreshold, NotConverged, ZeroGap
 from leakage.models import HarmonicChainSpec, build_harmonic_chain
-from leakage.spectral_partition import SpectralPartition, complement, projection
+from leakage.spectral_partition import SpectralPartition
 
-from conftest import make_instance
+from conftest import dense_projection, make_instance, to_original
 
 
 def exact_two_level_omega(inst):
@@ -39,10 +39,10 @@ def exact_two_level_omega(inst):
 def test_two_level_series_matches_exact_wave_operator(rabi_instance):
     sol = solve_bloch_series(rabi_instance, tol=1e-14)
     exact = exact_two_level_omega(rabi_instance)
-    assert operator_norm(sol.omega.entries - exact) < 1e-12
+    assert operator_norm(to_original(rabi_instance, sol.omega) - exact) < 1e-12
     # the effective generator is diagonal with the exact eigenvalues
     lam = np.linalg.eigvalsh(rabi_instance.h.entries)
-    hb = sol.h_bloch.entries
+    hb = to_original(rabi_instance, sol.h_bloch)
     assert abs(hb[0, 0] - lam[0]) < 1e-12
     assert abs(hb[1, 1] - lam[1]) < 1e-12
     assert abs(hb[0, 1]) < 1e-12 and abs(hb[1, 0]) < 1e-12
@@ -66,7 +66,6 @@ def test_deep_series_matches_eigenprojection_wave_operator(n_sites, fock_cutoff)
         # Weyl: H's eigenvalues keep H0's order across gaps wider than 2||V||
         pt = s[:, g] @ s[:, g].conj().T
         exact[:, g] = pt[:, g] @ np.linalg.inv(pt[np.ix_(g, g)])
-    exact = u @ exact @ u.conj().T
     assert operator_norm(sol.omega.entries - exact) <= sol.tail_bound + 1e-13
 
 
@@ -74,13 +73,11 @@ def test_sylvester_solution_residual():
     # first order solves [H0, Omega^(1) P_k] = -Q_k V P_k on every block,
     # with Omega^(1) P_k = Q_k Omega^(1) P_k
     inst = make_instance(21, 9, 3, x=0.01)
-    part = inst.partition
-    u = part.eig.eigenvectors
-    term1 = u @ solve_bloch_series(inst).omega_terms[1] @ u.conj().T
+    term1 = to_original(inst, solve_bloch_series(inst).omega_terms[1])
     h0, v = inst.h0.entries, inst.v.entries
-    for k in range(part.n_groups):
-        p = projection(part, k).entries
-        q = complement(part, k).entries
+    for k in range(inst.partition.n_groups):
+        p = dense_projection(inst, k)
+        q = np.eye(inst.dim) - p
         x = term1 @ p
         assert operator_norm(h0 @ x - x @ h0 + q @ v @ p) < 1e-10
         assert operator_norm(x - q @ x @ p) < 1e-12
@@ -112,9 +109,10 @@ def test_bloch_equations_hold():
     sol = solve_bloch_series(inst, tol=1e-13)
     h = inst.h.entries
     scale = operator_norm(inst.h)
+    om = to_original(inst, sol.omega)
     for k in range(inst.partition.n_groups):
-        om_k = sol.omega_blocks[k].entries
-        p = projection(inst.partition, k).entries
+        p = dense_projection(inst, k)
+        om_k = om @ p
         assert operator_norm(h @ om_k - om_k @ h @ om_k) < 1e-11 * scale
         assert operator_norm(om_k @ p - om_k) < 1e-12
         assert operator_norm(p @ om_k - p) < 1e-11
@@ -139,7 +137,7 @@ def test_catalan_majorant_and_delta():
         assert operator_norm(term) <= ratio**j * catalan(j) + 1e-12
     assert operator_norm(sol.omega.entries - np.eye(10)) <= sol.delta_bound + 1e-9
     assert sol.delta_bound == pytest.approx(delta_of(inst.x), rel=1e-14)
-    assert sol.tail_bound == pytest.approx(catalan_tail(inst.x, sol.order), rel=1e-12)
+    assert sol.tail_bound == pytest.approx(catalan_tails(inst.x, sol.order)[sol.order], rel=1e-12)
     assert sol.tail_bound < 1e-12
 
 
@@ -147,23 +145,23 @@ def test_order_is_the_first_whose_tail_is_below_tol():
     inst = make_instance(26, 10, 3, x=0.0087)
     for tol in (1e-12, 1e-16):
         order = solve_bloch_series(inst, tol=tol).order
-        assert catalan_tail(inst.x, order) < tol <= catalan_tail(inst.x, order - 1)
+        tails = catalan_tails(inst.x, order)
+        assert tails[order] < tol <= tails[order - 1]
 
 
 def test_h_bloch_block_diagonal_and_isospectral():
     inst = make_instance(27, 11, 2, x=0.012)
     sol = solve_bloch_series(inst)
-    hb = sol.h_bloch.entries
+    hb = to_original(inst, sol.h_bloch)
     scale = operator_norm(inst.h)
     for k in range(inst.partition.n_groups):
-        q = complement(inst.partition, k).entries
-        p = projection(inst.partition, k).entries
-        assert operator_norm(q @ hb @ p) < 1e-9 * scale
+        p = dense_projection(inst, k)
+        assert operator_norm((np.eye(inst.dim) - p) @ hb @ p) < 1e-9 * scale
     spec_h = np.linalg.eigvalsh(inst.h.entries)
     spec_hb = np.sort(np.linalg.eigvals(hb).real)
     assert np.abs(spec_hb - spec_h).max() < 1e-8 * scale
     # similarity H Omega = Omega H_bloch
-    om = sol.omega.entries
+    om = to_original(inst, sol.omega)
     assert operator_norm(inst.h.entries @ om - om @ hb) < 1e-10 * scale
 
 
@@ -175,15 +173,17 @@ def harmonic_instance():
 @pytest.mark.parametrize("inst", [make_instance(27, 11, 3, x=0.012), harmonic_instance()],
                          ids=["random", "harmonic"])
 def test_blocks_and_h_bloch_match_projection_formula(inst):
-    # Omega_k = Omega P_k and H_Bloch = sum_k P_k H Omega_k with dense P_k
+    # H_Bloch = sum_k P_k H Omega_k with Omega_k = Omega P_k and dense P_k,
+    # in the original basis; in the H0 eigenbasis its off-blocks are exactly 0
     sol = solve_bloch_series(inst)
-    om, h = sol.omega.entries, inst.h.entries
+    om, h = to_original(inst, sol.omega), inst.h.entries
     h_bloch = 0.0
-    for k, om_k in enumerate(sol.omega_blocks):
-        p = projection(inst.partition, k).entries
-        assert np.abs(om_k.entries - om @ p).max() < 1e-13
+    for k in range(inst.partition.n_groups):
+        p = dense_projection(inst, k)
         h_bloch = h_bloch + p @ h @ (om @ p)
-    assert np.abs(sol.h_bloch.entries - h_bloch).max() < 1e-13
+    assert np.abs(to_original(inst, sol.h_bloch) - h_bloch).max() < 1e-13
+    for g, out in inst.partition.blocks:
+        assert not sol.h_bloch.entries[np.ix_(out, g)].any()
 
 
 def fresh_copy(inst):
@@ -206,8 +206,6 @@ def test_repeat_solves_reuse_the_cached_terms(monkeypatch):
         assert np.array_equal(sol.omega_terms, fresh.omega_terms)
         for attr in ("omega", "h_bloch"):
             assert np.array_equal(getattr(sol, attr).entries, getattr(fresh, attr).entries)
-        for a, b in zip(sol.omega_blocks, fresh.omega_blocks, strict=True):
-            assert np.array_equal(a.entries, b.entries)
 
 
 def test_cached_terms_are_per_order_and_read_only():

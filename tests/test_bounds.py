@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakage import bound_report, catalan, catalan_tail, delta_of, epsilon_of
+from leakage import bound_report, catalan, delta_of, epsilon_of
 from leakage.bounds import (
     SQRT2_M1,
+    catalan_tails,
     gamma_threshold_bloch,
     gamma_threshold_sw,
     harmonic_chain_bound,
@@ -103,7 +104,7 @@ def test_catalan_recurrence(j):
 
 def test_catalan_tail_properties():
     x = 0.02
-    tails = [catalan_tail(x, j) for j in range(30)]
+    tails = [catalan_tails(x, j)[j] for j in range(30)]
     assert all(t >= 0.0 for t in tails)
     assert all(a >= b for a, b in zip(tails, tails[1:]))
     # the tail is exactly what the generating function says is missing
@@ -126,7 +127,7 @@ def mp_catalan_tail(x, j_trunc):
 def test_catalan_tail_matches_extended_precision(x, j_trunc):
     # small tails keep their relative precision instead of rounding to 0
     expected = mp_catalan_tail(x, j_trunc)
-    assert catalan_tail(x, j_trunc) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert catalan_tails(x, j_trunc)[j_trunc] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_catalan_tail_bounds_the_remainder_near_the_edge():
@@ -134,7 +135,7 @@ def test_catalan_tail_bounds_the_remainder_near_the_edge():
     x = 0.999 * X_MAX
     for j_trunc in (3, 60):
         exact = mp_catalan_tail(x, j_trunc)
-        assert exact <= catalan_tail(x, j_trunc) <= 1.001 * exact
+        assert exact <= catalan_tails(x, j_trunc)[j_trunc] <= 1.001 * exact
 
 
 def test_thresholds_and_delta_equivalence():

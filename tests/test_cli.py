@@ -367,3 +367,79 @@ def test_outputs_default_to_json(tmp_path):
     cfg = {**CHAIN_CFG, "outputs": [{"path": "nested/series"}]}
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
     assert len(json.loads((tmp_path / "nested" / "series").read_text())["times"]) == 41
+
+
+@pytest.mark.parametrize("path", ["/abs/series.json", "../series.json", "sub/../../series.json",
+                                  ".", "sub/.."],
+                         ids=["absolute", "parent", "nested-parent", "out-dir", "sub-parent"])
+def test_outputs_outside_out_dir_rejected(tmp_path, monkeypatch, capsys, path):
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_leakage_experiment", never)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "outputs": [{"path": path}]})
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "outputs[0]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+    assert list(out.iterdir()) == []
+
+
+def test_outputs_in_subdirectory_of_out_dir(tmp_path):
+    cfg = {**CHAIN_CFG, "outputs": [{"path": "sub/x.json"}, {"path": "sub/../y.csv",
+                                                             "format": "csv"}]}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(json.loads((out / "sub" / "x.json").read_text())["times"]) == 41
+    assert (out / "y.csv").read_text().startswith("t,k,leakage")
+
+
+@pytest.mark.parametrize("intervals", [
+    5,
+    [5, 6],
+    [[None, 1], [2, 3]],
+    [[True, 1], [2, 3]],
+    [[0, 1, 2], [3, 4]],
+    [[0, "1"], [2, 3]],
+    {"lo": 0, "hi": 1},
+], ids=["number", "flat", "null-endpoint", "bool-endpoint", "triple", "string-endpoint",
+        "object"])
+def test_mistyped_partition_intervals_are_config_invalid(tmp_path, capsys, intervals):
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "partition": {"intervals": intervals}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'intervals' in partition" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def custom_cfg(h0_json):
+    v = OperatorMatrix(0.01 * np.array([[0.0, 1.0], [1.0, 0.0]]), hermitian_hint=True)
+    return {"model": "custom", "params": {"h0": h0_json, "v": v.to_json()},
+            "partition": {"threshold": 0.5}, "t_grid": {"t_max": 1.0, "n_points": 3}}
+
+
+def test_custom_model_matrices_run(tmp_path):
+    h0 = OperatorMatrix(np.diag([0.0, 1.0]), hermitian_hint=True).to_json()
+    h0["entries"][3] = [1, 0]   # integers are JSON numbers too
+    assert main(["run", "--config", write_cfg(tmp_path, custom_cfg(h0)),
+                 "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("h0, key", [
+    ({"dim": 2.5, "entries": [[0, 0], [0, 0], [0, 0], [1, 0]]}, "dim"),
+    ({"dim": True, "entries": [[0, 0]]}, "dim"),
+    ({"dim": 0, "entries": []}, "dim"),
+    ({"entries": [[0, 0], [0, 0], [0, 0], [1, 0]]}, "dim"),
+    ({"dim": 2, "entries": 5}, "entries"),
+    ({"dim": 2}, "entries"),
+    ({"dim": 2, "entries": [0, 0, 0, 1]}, "entries"),
+    ({"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [1, None]]}, "entries"),
+    ({"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [False, 0]]}, "entries"),
+    ({"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [1, 0, 0]]}, "entries"),
+], ids=["float-dim", "bool-dim", "zero-dim", "no-dim", "number-entries", "no-entries",
+        "flat-entries", "null-part", "bool-part", "triple"])
+def test_mistyped_custom_matrix_is_config_invalid(tmp_path, capsys, h0, key):
+    assert main(["run", "--config", write_cfg(tmp_path, custom_cfg(h0)),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "params.h0" in err
+    assert not (tmp_path / "summary.json").exists()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakage import (
     OperatorMatrix,
@@ -13,9 +15,8 @@ from leakage import (
 )
 from leakage.bloch_solver import BlochSolution
 from leakage.errors import GammaBelowSWThreshold, SingularBlockGram
-from leakage.spectral_partition import complement, projection
 
-from conftest import make_instance
+from conftest import dense_projection, make_instance, to_original
 
 
 def test_two_level_exact_diagonalization(rabi_instance):
@@ -24,7 +25,7 @@ def test_two_level_exact_diagonalization(rabi_instance):
     # closed-form eigenvalues of [[0, v], [v, 1]]
     lam_lo = 0.5 * (1.0 - math.sqrt(1.0 + 4 * 0.05**2))
     lam_hi = 0.5 * (1.0 + math.sqrt(1.0 + 4 * 0.05**2))
-    hs = sw.h_sw.entries
+    hs = to_original(rabi_instance, sw.h_sw)
     assert hs[0, 0].real == pytest.approx(lam_lo, abs=1e-12)
     assert hs[1, 1].real == pytest.approx(lam_hi, abs=1e-12)
     assert abs(hs[0, 1]) < 1e-12
@@ -48,16 +49,15 @@ def test_h_sw_hermitian_block_diagonal_isospectral():
     inst = make_instance(42, 12, 2, x=0.012)
     sol = solve_bloch_series(inst)
     sw = sw_transform(inst, sol)
-    hs = sw.h_sw.entries
+    hs = to_original(inst, sw.h_sw)
     scale = operator_norm(inst.h)
     assert operator_norm(hs - hs.conj().T) < 1e-12 * scale
     for k in range(inst.partition.n_groups):
-        q = complement(inst.partition, k).entries
-        p = projection(inst.partition, k).entries
-        assert operator_norm(q @ hs @ p) < 1e-9 * scale
+        p = dense_projection(inst, k)
+        assert operator_norm((np.eye(inst.dim) - p) @ hs @ p) < 1e-9 * scale
     assert np.abs(np.linalg.eigvalsh(hs) - np.linalg.eigvalsh(inst.h.entries)).max() < 1e-9 * scale
     # conjugation identity H_SW = W^dag H W
-    w = sw.w.entries
+    w = to_original(inst, sw.w)
     assert operator_norm(w.conj().T @ inst.h.entries @ w - hs) < 1e-11 * scale
 
 
@@ -68,7 +68,7 @@ def test_perturbed_projections_properties():
     h = inst.h.entries
     total = np.zeros((9, 9), dtype=complex)
     for k, pt in enumerate(sw.perturbed_projections):
-        m = pt.entries
+        m = to_original(inst, pt)
         assert operator_norm(m - m.conj().T) < 1e-12
         assert operator_norm(m @ m - m) < 1e-11
         assert operator_norm(h @ m - m @ h) < 1e-10 * operator_norm(inst.h)
@@ -77,14 +77,29 @@ def test_perturbed_projections_properties():
     assert operator_norm(total - np.eye(9)) < 1e-10
 
 
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 10), n_groups=st.integers(2, 3),
+       x=st.floats(1e-3, 0.03), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_perturbed_projections_match_eigh_of_h(seed, dim, n_groups, x, real):
+    # independent oracle: with ||V|| < gamma eta / 2, H's eigenvalues keep
+    # H0's order, so band k is spanned by the eigenvectors of H at the
+    # indices of group k
+    inst = make_instance(seed, dim, n_groups, x=x, real=real)
+    sw = sw_transform(inst, solve_bloch_series(inst))
+    _, s = np.linalg.eigh(inst.h.entries)
+    for g, pt in zip(inst.partition.groups, sw.perturbed_projections, strict=True):
+        exact = s[:, g] @ s[:, g].conj().T
+        assert operator_norm(to_original(inst, pt) - exact) < 1e-10
+
+
 def test_projections_approach_unperturbed_with_gamma():
     base = make_instance(44, 8, 2, x=0.02, gamma=1.0)
     shifts = []
     for gamma in [5.0, 10.0, 20.0, 40.0]:
         inst = ProblemInstance(base.h0, base.v, gamma, base.partition)
         sol = solve_bloch_series(inst)
-        p0 = projection(inst.partition, 0).entries
-        pt = perturbed_projection(inst, sol, 0).entries
+        p0 = dense_projection(inst, 0)
+        pt = to_original(inst, perturbed_projection(inst, sol, 0))
         shifts.append(operator_norm(pt - p0))
     assert all(a > b for a, b in zip(shifts, shifts[1:]))
     assert shifts[-1] < 1e-2
@@ -101,13 +116,13 @@ def test_below_sw_threshold_raises():
 
 def test_singular_block_gram_detected():
     inst = make_instance(46, 6, 2, x=0.01)
-    # fabricate a wave operator that annihilates one vector of group 0
-    u = inst.partition.eig.eigenvectors[:, inst.partition.groups[0][0]]
-    omega = OperatorMatrix(np.eye(6) - np.outer(u, u.conj()))
+    # fabricate a wave operator that annihilates one H0 eigenvector of group 0
+    omega = np.eye(6)
+    omega[:, inst.partition.groups[0][0]] = 0.0
+    omega = OperatorMatrix(omega)
     fake = BlochSolution(
         omega_terms=(omega,),
         omega=omega,
-        omega_blocks=(),
         h_bloch=omega,
         order=0,
         tail_bound=0.0,

@@ -3,15 +3,12 @@ import pytest
 
 from leakage import (
     OperatorMatrix,
-    complement,
     herm_eig,
     operator_norm,
     partition_by_intervals,
     partition_by_threshold,
-    projection,
 )
 from leakage.errors import (
-    IndexOutOfRange,
     NoGapFound,
     OverlappingIntervals,
     UncoveredEigenvalue,
@@ -88,23 +85,16 @@ def test_projections_resolve_identity_and_commute():
     h0 = clustered_h0(rng, 10, 3)
     part = partition_by_threshold(herm_eig(h0), 0.5)
     total = np.zeros((10, 10), dtype=complex)
-    for k in range(part.n_groups):
-        p = projection(part, k).entries
+    for g, out in part.blocks:
+        # (g, out) partitions the indices: P_k and Q_k = 1 - P_k as index blocks
+        assert np.array_equal(np.sort(np.concatenate([g, out])), np.arange(10))
+        u = part.eig.eigenvectors[:, g]
+        p = u @ u.conj().T
         assert operator_norm(p @ p - p) < 1e-12
         assert operator_norm(p - p.conj().T) < 1e-13
         assert operator_norm(p @ h0.entries - h0.entries @ p) < 1e-11
-        q = complement(part, k).entries
-        assert operator_norm(p + q - np.eye(10)) < 1e-13
         total += p
     assert operator_norm(total - np.eye(10)) < 1e-12
-
-
-def test_projection_index_range():
-    part = partition_by_threshold(diag_eig([0.0, 1.0]), 0.5)
-    with pytest.raises(IndexOutOfRange):
-        projection(part, 2)
-    with pytest.raises(IndexOutOfRange):
-        projection(part, -1)
 
 
 def test_partition_json():
