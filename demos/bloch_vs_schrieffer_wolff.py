@@ -21,19 +21,19 @@ from leakage import (
 
 
 def main():
-    h0 = OperatorMatrix(np.diag([0.0, 1.0]), hermitian_hint=True)
-    v = OperatorMatrix(0.05 * np.array([[0.0, 1.0], [1.0, 0.0]]), hermitian_hint=True)
+    h0 = OperatorMatrix(np.diag([0.0, 1.0]))
+    v = OperatorMatrix(0.05 * np.array([[0.0, 1.0], [1.0, 0.0]]))
     part = partition_by_threshold(herm_eig(h0), 0.5)
     inst = ProblemInstance(h0, v, 1.0, part)
 
     sol = solve_bloch_series(inst, tol=1e-14)
     print(f"Bloch series: truncation order {sol.order}, "
           f"tail bound {sol.tail_bound:.2e}, delta bound {sol.delta_bound:.5f}")
-    print("H_Bloch diagonal:", np.round(np.diag(sol.h_bloch.entries).real, 8))
+    print("H_Bloch diagonal:", np.round(np.diag(sol.h_bloch).real, 8))
 
     sw = sw_transform(inst, sol)
-    print("H_SW diagonal:   ", np.round(np.diag(sw.h_sw.entries).real, 8))
-    print("exact eigenvalues:", np.round(np.linalg.eigvalsh(inst.h.entries), 8))
+    print("H_SW diagonal:   ", np.round(np.diag(sw.h_sw).real, 8))
+    print("exact eigenvalues:", np.round(np.linalg.eigvalsh(inst.h), 8))
 
     times = np.linspace(0.0, 100.0, 1001)
     rep = run_leakage_experiment(inst, times)

@@ -29,7 +29,7 @@ from .errors import GammaBelowThreshold, NotConverged, ZeroGap
 from .operator_core import OperatorMatrix, operator_norm
 from .spectral_partition import SpectralPartition
 
-J_MAX_DEFAULT = 64
+J_MAX = 64
 SERIES_TOL_DEFAULT = 1e-12
 
 
@@ -66,7 +66,7 @@ class ProblemInstance:
 
     @property
     def v_norm(self) -> float:
-        return self._cached("v_norm", lambda: operator_norm(self.v))
+        return self._cached("v_norm", lambda: operator_norm(self.v.entries))
 
     @property
     def x(self) -> float:
@@ -74,17 +74,16 @@ class ProblemInstance:
         return self.v_norm / (self.gamma * self.partition.gap)
 
     @property
-    def h(self) -> OperatorMatrix:
-        return OperatorMatrix(
-            self.gamma * self.h0.entries + self.v.entries, hermitian_hint=True
-        )
+    def h(self) -> np.ndarray:
+        """``gamma * H0 + V`` in the original basis, rebuilt on each read."""
+        return self.gamma * self.h0.entries + self.v.entries
 
     @property
     def h_eig(self) -> np.ndarray:
         """H in the H0 eigenbasis, ``u^dag H u``, symmetrized; like ``h``,
         rebuilt on each read."""
         u = self.partition.eig.eigenvectors
-        h_eig = u.conj().T @ self.h.entries @ u
+        h_eig = u.conj().T @ self.h @ u
         return 0.5 * (h_eig + h_eig.conj().T)
 
 
@@ -92,18 +91,19 @@ class ProblemInstance:
 class BlochSolution:
     """Summed wave operator and per-order data of the Bloch series.
 
-    Every operator is in the H0 eigenbasis: ``u^dag M u`` with ``u`` the
-    partition's eigenvectors.  ``omega_terms`` stacks the gamma-independent
-    ``Omega^(j)``, j = 0..J, shape (J+1, dim, dim); the array is read-only
-    and shared by every solution of the instance at order J.  The block
-    wave operator ``Omega_k = Omega P_k`` is the column slice
-    ``omega.entries[:, g]`` of group k, and ``h_bloch`` is exactly zero
-    off the diagonal blocks.
+    Every operator is an array in the H0 eigenbasis: ``u^dag M u`` with
+    ``u`` the partition's eigenvectors.  ``omega_terms`` stacks the
+    gamma-independent ``Omega^(j)``, j = 0..J, shape (J+1, dim, dim); it is
+    read-only, being shared by every solution of the instance at order J.
+    ``omega`` and ``h_bloch`` are fresh arrays owned by the caller; both
+    are generally non-Hermitian.  The block wave operator
+    ``Omega_k = Omega P_k`` is the column slice ``omega[:, g]`` of group k,
+    and ``h_bloch`` is exactly zero off the diagonal blocks.
     """
 
     omega_terms: np.ndarray     # Omega^(j), j = 0..J
-    omega: OperatorMatrix
-    h_bloch: OperatorMatrix
+    omega: np.ndarray
+    h_bloch: np.ndarray
     order: int                  # truncation order J
     tail_bound: float
     delta_bound: float
@@ -167,16 +167,13 @@ def _series_terms(inst: ProblemInstance, order: int) -> np.ndarray:
     return inst._cached(("bloch_terms", order), solve)
 
 
-def solve_bloch_series(
-    inst: ProblemInstance,
-    tol: float = SERIES_TOL_DEFAULT,
-    j_max: int = J_MAX_DEFAULT,
-) -> BlochSolution:
+def solve_bloch_series(inst: ProblemInstance, tol: float = SERIES_TOL_DEFAULT) -> BlochSolution:
     """Sum the wave-operator series to the analytically required order.
 
-    The truncation order J is the smallest order whose Catalan tail
-    ``sum_{j>J} (pi x)^j C_j`` drops below ``tol``; the per-term Catalan
-    majorant guarantees this tail bounds the discarded operator mass.
+    The truncation order J is the smallest order, at most ``J_MAX``, whose
+    Catalan tail ``sum_{j>J} (pi x)^j C_j`` drops below ``tol``; the
+    per-term Catalan majorant guarantees this tail bounds the discarded
+    operator mass.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -190,11 +187,11 @@ def solve_bloch_series(
         )
     x = inst.x
 
-    tails = bounds.catalan_tails(x, j_max)
+    tails = bounds.catalan_tails(x, J_MAX)
     order = next((j for j, t in enumerate(tails) if t < tol), None)
     if order is None:
         raise NotConverged(
-            f"Catalan tail still above tol = {tol:.1e} at order {j_max}",
+            f"Catalan tail still above tol = {tol:.1e} at order {J_MAX}",
             operation="solve_bloch_series",
         )
 
@@ -202,7 +199,7 @@ def solve_bloch_series(
     omega = sum(t / inst.gamma**j for j, t in enumerate(terms))
     return BlochSolution(
         omega_terms=terms,
-        omega=OperatorMatrix(omega),
+        omega=omega,
         h_bloch=_assemble(inst, omega),
         order=order,
         tail_bound=tails[order],
@@ -210,7 +207,7 @@ def solve_bloch_series(
     )
 
 
-def _assemble(inst: ProblemInstance, omega: np.ndarray) -> OperatorMatrix:
+def _assemble(inst: ProblemInstance, omega: np.ndarray) -> np.ndarray:
     """Block-diagonal effective generator ``sum_k P_k H Omega_k``: similar
     to H through the wave operator, hence isospectral; generally
     non-Hermitian.  Block k is ``h_eig[g] @ omega[:, g]``; the off-blocks
@@ -219,4 +216,4 @@ def _assemble(inst: ProblemInstance, omega: np.ndarray) -> OperatorMatrix:
     hb = np.zeros_like(h_eig, dtype=np.result_type(h_eig, omega))
     for g in inst.partition.groups:
         hb[np.ix_(g, g)] = h_eig[g] @ omega[:, g]
-    return OperatorMatrix(hb)
+    return hb

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NonpositiveBandgap, OutOfDomain
+from .errors import OutOfDomain
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 
@@ -141,11 +141,7 @@ def transmon_leakage_bound(ej_over_ec: float, transparency_d: float) -> float:
     """
     from .models import transmon_bandgap, transmon_perturbation_norm
 
-    eta = transmon_bandgap(1, ej_over_ec)
-    if eta <= 0:
-        raise NonpositiveBandgap(
-            f"k=1 bandgap {eta:.6g} is not positive", operation="transmon_leakage_bound"
-        )
+    eta = transmon_bandgap(1, ej_over_ec)  # raises NonpositiveBandgap unless eta > 0
     v_norm = transmon_perturbation_norm(ej_over_ec, transparency_d)
     return epsilon_of(v_norm / eta)
 

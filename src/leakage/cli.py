@@ -91,7 +91,7 @@ def _matrix(params: dict, key: str) -> OperatorMatrix:
     if dim < 1:
         raise ConfigInvalid(f"'dim' in {where} must be positive, got {dim}", operation="run")
     _number_pairs(obj, "entries", where, "[re, im]")
-    return OperatorMatrix.from_json(obj, hermitian_hint=True)
+    return OperatorMatrix.from_json(obj)
 
 
 def build_instance(cfg: dict):
@@ -163,9 +163,11 @@ def _series_tol(cfg: dict) -> float:
 def _output_specs(cfg: dict, out_dir: Path) -> list:
     """``(path, format)`` of each ``outputs`` entry, checked before any
     computation: a non-empty relative string ``path`` that resolves to a
-    file under ``out_dir``, and a ``format`` (default ``"json"``) from
+    file under ``out_dir`` other than ``summary.json`` and every other
+    entry's file, and a ``format`` (default ``"json"``) from
     ``OUTPUT_FORMATS``."""
     root = out_dir.resolve()
+    taken = {(root / "summary.json").resolve(): "the summary"}
     checked = []
     for i, spec in enumerate(_optional(cfg, "outputs", list, "config", [])):
         where = f"outputs[{i}]"
@@ -176,9 +178,14 @@ def _output_specs(cfg: dict, out_dir: Path) -> list:
         if not path or fmt not in OUTPUT_FORMATS:
             raise ConfigInvalid(f"{where} needs a non-empty 'path' and a 'format' in "
                                 f"{OUTPUT_FORMATS}, got {spec!r}", operation="run")
-        if Path(path).is_absolute() or root not in (root / path).resolve().parents:
+        target = (root / path).resolve()
+        if Path(path).is_absolute() or root not in target.parents:
             raise ConfigInvalid(f"{where} 'path' {path!r} must name a file under --out",
                                 operation="run")
+        if target in taken:
+            raise ConfigInvalid(f"{where} 'path' {path!r} is the file of {taken[target]}",
+                                operation="run")
+        taken[target] = where
         checked.append((path, fmt))
     return checked
 

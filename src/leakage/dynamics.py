@@ -133,10 +133,10 @@ def run_leakage_experiment(
     if with_distances and inst.gamma > report.gamma_threshold_bloch:
         bloch = solve_bloch_series(inst, tol=series_tol)
         u = evo.s    # eigenvectors of H in the H0 eigenbasis
-        y = u.conj().T @ bloch.omega.entries @ u
+        y = u.conj().T @ bloch.omega @ u
         y_inv = np.linalg.inv(y)
         if inst.gamma > report.gamma_threshold_sw:
-            x = u.conj().T @ sw_transform(inst, bloch).w.entries @ u
+            x = u.conj().T @ sw_transform(inst, bloch).w @ u
             d_sw = np.zeros(times.size)
         d_bloch = np.zeros(times.size)
         for j, t in enumerate(times):

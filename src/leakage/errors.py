@@ -48,10 +48,6 @@ class OverlappingIntervals(InvalidInput):
     module = "spectral_partition"
 
 
-class IndexOutOfRange(InvalidInput):
-    module = "spectral_partition"
-
-
 # bloch_solver --------------------------------------------------------------
 
 class ZeroGap(LeakageError):
@@ -93,6 +89,10 @@ class DegenerateSweep(InvalidInput):
 
 
 class GroupNotPreserved(LeakageError):
+    module = "dynamics"
+
+
+class IndexOutOfRange(InvalidInput):
     module = "dynamics"
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveBandgap
-from .operator_core import OperatorMatrix, operator_norm
+from .operator_core import OperatorMatrix
 from .rng import substream
 
 
@@ -99,8 +99,8 @@ def build_chain(spec: ChainSpec):
     else:
         r = np.zeros(d)
     return (
-        OperatorMatrix(h0, hermitian_hint=True),
-        OperatorMatrix(np.diag(r), hermitian_hint=True),
+        OperatorMatrix(h0),
+        OperatorMatrix(np.diag(r)),
     )
 
 
@@ -158,8 +158,8 @@ def build_harmonic_chain(spec: HarmonicChainSpec):
         for k in range(cutoff + 1)
     ]
     return (
-        OperatorMatrix(h0, hermitian_hint=True),
-        OperatorMatrix(v, hermitian_hint=True),
+        OperatorMatrix(h0),
+        OperatorMatrix(v),
         intervals,
     )
 

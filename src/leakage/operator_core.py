@@ -1,10 +1,11 @@
 """Dense matrix engine.
 
 Hermitian eigendecomposition, operator norms and the inverse square
-root every other module builds on.  All matrices are dense arrays
-wrapped in :class:`OperatorMatrix`: float64 when the input is real,
-complex128 when it is complex, so real Hamiltonians stay in real
-arithmetic end to end.  Dimensions are at desk scale (up to a few
+root every other module builds on.  :class:`OperatorMatrix` is the
+checked Hermitian model input (H0 and V); every operator derived from
+it is a plain ``np.ndarray``.  All are dense, float64 when the input is
+real and complex128 when it is complex, so real Hamiltonians stay in
+real arithmetic end to end.  Dimensions are at desk scale (up to a few
 thousand), so exact factorizations (SVD, eigh) are always affordable.
 """
 
@@ -27,14 +28,13 @@ def _real_or_complex_copy(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Square real or complex matrix with an optional Hermiticity promise.
+    """Read-only square Hermitian matrix: a checked model input.
 
-    The ``hermitian_hint`` flag is verified at construction time:
-    ``max |M - M^dag|`` entrywise must not exceed ``1e-12 * max|M|``.
+    Hermiticity is verified at construction: ``max |M - M^dag|``
+    entrywise must not exceed ``1e-12 * max|M|``.
     """
 
     entries: np.ndarray
-    hermitian_hint: bool = False
 
     def __post_init__(self):
         m = _real_or_complex_copy(self.entries)
@@ -42,14 +42,13 @@ class OperatorMatrix:
             raise ValueError(f"entries must be a square matrix, got shape {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        if self.hermitian_hint:
-            scale = np.abs(m).max()
-            dev = np.abs(m - m.conj().T).max()
-            if dev > HERMITICITY_RTOL * max(scale, 1e-300):
-                raise NonHermitianInput(
-                    f"hermitian_hint set but max|M - M^dag| = {dev:.3e} "
-                    f"exceeds {HERMITICITY_RTOL:.0e} * max|M| = {HERMITICITY_RTOL * scale:.3e}"
-                )
+        scale = np.abs(m).max()
+        dev = np.abs(m - m.conj().T).max()
+        if dev > HERMITICITY_RTOL * max(scale, 1e-300):
+            raise NonHermitianInput(
+                f"max|M - M^dag| = {dev:.3e} exceeds "
+                f"{HERMITICITY_RTOL:.0e} * max|M| = {HERMITICITY_RTOL * scale:.3e}"
+            )
 
     @property
     def dim(self) -> int:
@@ -62,14 +61,14 @@ class OperatorMatrix:
         return {"dim": n, "entries": [[float(z.real), float(z.imag)] for z in flat]}
 
     @staticmethod
-    def from_json(obj: dict, hermitian_hint: bool = False) -> "OperatorMatrix":
+    def from_json(obj: dict) -> "OperatorMatrix":
         n = int(obj["dim"])
         flat = np.array([complex(re, im) for re, im in obj["entries"]])
         if flat.size != n * n:
             raise ValueError(f"expected {n * n} entries, got {flat.size}")
         if not flat.imag.any():
             flat = flat.real
-        return OperatorMatrix(flat.reshape(n, n), hermitian_hint=hermitian_hint)
+        return OperatorMatrix(flat.reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -88,38 +87,31 @@ class HermitianEigenSystem:
         object.__setattr__(self, "eigenvectors", u)
 
 
-def operator_norm(m) -> float:
-    """Largest singular value of ``m`` (OperatorMatrix or array)."""
-    a = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)
+def operator_norm(a: np.ndarray) -> float:
+    """Largest singular value of the array ``a``."""
     if not np.any(a):
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def herm_eig(m: OperatorMatrix) -> HermitianEigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
-
-    A matrix without ``hermitian_hint`` is rebuilt with it, so it passes
-    the same Hermiticity check as at construction or raises
-    :class:`NonHermitianInput`.
-    """
-    if not m.hermitian_hint:
-        m = OperatorMatrix(m.entries, hermitian_hint=True)
+    """Spectral decomposition of a Hermitian matrix, checked as such when
+    ``m`` was built."""
     lam, u = np.linalg.eigh(m.entries)
     return HermitianEigenSystem(lam, u)
 
 
-def inv_sqrt_psd(m: OperatorMatrix, psd_floor: float = PSD_FLOOR) -> OperatorMatrix:
-    """Inverse square root of a Hermitian positive definite matrix."""
-    eig = herm_eig(m)
+def inv_sqrt_psd(a: np.ndarray) -> np.ndarray:
+    """Inverse square root of a Hermitian positive definite array, as a
+    Hermitian array."""
+    eig = herm_eig(OperatorMatrix(a))
     lam_min = eig.eigenvalues.min()
-    if lam_min <= psd_floor:
+    if lam_min <= PSD_FLOOR:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam_min:.3e} <= floor {psd_floor:.0e}",
+            f"smallest eigenvalue {lam_min:.3e} <= floor {PSD_FLOOR:.0e}",
             operation="inv_sqrt_psd",
         )
     u = eig.eigenvectors
     r = (u * eig.eigenvalues ** -0.5) @ u.conj().T
-    # symmetrize away roundoff so the result carries the Hermitian promise
-    r = 0.5 * (r + r.conj().T)
-    return OperatorMatrix(r, hermitian_hint=True)
+    # symmetrize away roundoff
+    return 0.5 * (r + r.conj().T)

@@ -18,17 +18,17 @@ import numpy as np
 from . import bounds
 from .bloch_solver import BlochSolution, ProblemInstance
 from .errors import GammaBelowSWThreshold, SingularBlockGram
-from .operator_core import OperatorMatrix, inv_sqrt_psd
+from .operator_core import inv_sqrt_psd
 
 
 @dataclass(frozen=True)
 class SWSolution:
     """Unitary W, Hermitian effective generator, perturbed projections,
-    all in the H0 eigenbasis; ``h_sw`` is block diagonal there."""
+    all arrays in the H0 eigenbasis; ``h_sw`` is block diagonal there."""
 
-    w: OperatorMatrix
-    h_sw: OperatorMatrix
-    perturbed_projections: tuple
+    w: np.ndarray
+    h_sw: np.ndarray
+    perturbed_projections: tuple    # P~_k, one array per group
 
 
 def sw_transform(inst: ProblemInstance, bloch: BlochSolution) -> SWSolution:
@@ -44,24 +44,18 @@ def sw_transform(inst: ProblemInstance, bloch: BlochSolution) -> SWSolution:
             f"gamma = {inst.gamma:.6g} <= 2 pi/(sqrt(2)-1) ||V||/eta = {threshold:.6g}",
             operation="sw_transform",
         )
-    omega = bloch.omega.entries
+    omega = bloch.omega
     gram = omega.conj().T @ omega
-    gram_op = OperatorMatrix(0.5 * (gram + gram.conj().T), hermitian_hint=True)
-    root_inv = inv_sqrt_psd(gram_op)
-    w = omega @ root_inv.entries
+    w = omega @ inv_sqrt_psd(0.5 * (gram + gram.conj().T))
     h_sw = w.conj().T @ inst.h_eig @ w
-    h_sw = 0.5 * (h_sw + h_sw.conj().T)
     projections = tuple(
         perturbed_projection(inst, bloch, k) for k in range(inst.partition.n_groups)
     )
-    return SWSolution(
-        w=OperatorMatrix(w),
-        h_sw=OperatorMatrix(h_sw, hermitian_hint=True),
-        perturbed_projections=projections,
-    )
+    return SWSolution(w=w, h_sw=0.5 * (h_sw + h_sw.conj().T),
+                      perturbed_projections=projections)
 
 
-def perturbed_projection(inst: ProblemInstance, bloch: BlochSolution, k: int) -> OperatorMatrix:
+def perturbed_projection(inst: ProblemInstance, bloch: BlochSolution, k: int) -> np.ndarray:
     """Spectral projection of H onto the k-th deformed subspace.
 
     ``P~_k = Omega_k (Omega_k^dag Omega_k)^-1 Omega_k^dag`` with the Gram
@@ -69,7 +63,7 @@ def perturbed_projection(inst: ProblemInstance, bloch: BlochSolution, k: int) ->
     with H, and tends to P_k as gamma grows.
     """
     # columns of Omega_k on the range of P_k: dim x |group|
-    cols = bloch.omega.entries[:, inst.partition.groups[k]]
+    cols = bloch.omega[:, inst.partition.groups[k]]
     gram = cols.conj().T @ cols
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
@@ -78,4 +72,4 @@ def perturbed_projection(inst: ProblemInstance, bloch: BlochSolution, k: int) ->
             operation="perturbed_projection",
         )
     p = cols @ np.linalg.solve(gram, cols.conj().T)
-    return OperatorMatrix(0.5 * (p + p.conj().T), hermitian_hint=True)
+    return 0.5 * (p + p.conj().T)

@@ -79,13 +79,12 @@ def random_instance(
     lam.sort()
     u = haar_unitary(rng, dim)
     h0 = (u * lam) @ u.conj().T
-    h0 = OperatorMatrix(0.5 * (h0 + h0.conj().T), hermitian_hint=True)
+    h0 = OperatorMatrix(0.5 * (h0 + h0.conj().T))
     part = partition_by_threshold(herm_eig(h0), 0.5)
     v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     v = 0.5 * (v + v.conj().T)
     v *= x_target * gamma * part.gap / operator_norm(v)
-    v = OperatorMatrix(v, hermitian_hint=True)
-    return ProblemInstance(h0, v, gamma, part)
+    return ProblemInstance(h0, OperatorMatrix(v), gamma, part)
 
 
 def check_instance(inst: ProblemInstance, series_tol: float = 1e-12):
@@ -118,7 +117,7 @@ def check_instance(inst: ProblemInstance, series_tol: float = 1e-12):
         return max(operator_norm(m[np.ix_(out, g)]) for g, out in part.blocks)
 
     sol = solve_bloch_series(inst, tol=series_tol)
-    omega = sol.omega.entries
+    omega = sol.omega
     delta = sol.delta_bound
 
     # Bloch equation residuals on the columns c = Omega[:, g] of Omega_k:
@@ -154,7 +153,7 @@ def check_instance(inst: ProblemInstance, series_tol: float = 1e-12):
     record("catalan_term_bounds", worst_excess, 1e-12)
 
     # effective-generator block diagonality and isospectrality
-    hb = sol.h_bloch.entries
+    hb = sol.h_bloch
     record("h_bloch_off_block", off_block_norm(hb), 1e-9 * h_norm)
     spec_h = evo.lam
     spec_hb = np.sort(np.linalg.eigvals(hb).real)
@@ -164,7 +163,7 @@ def check_instance(inst: ProblemInstance, series_tol: float = 1e-12):
     gram = omega.conj().T @ omega
     record("gram_minus_identity", operator_norm(gram - eye), 2 * delta + delta**2 + SLACK)
     sw = sw_transform(inst, sol)
-    w = sw.w.entries
+    w = sw.w
     root_inv_bound = (1.0 - 2 * delta - delta**2) ** -0.5
     gram_eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     record("gram_inv_sqrt_norm", gram_eigs.min() ** -0.5, root_inv_bound + SLACK)
@@ -183,25 +182,17 @@ def check_instance(inst: ProblemInstance, series_tol: float = 1e-12):
         operator_norm(w - eye),
         (1.0 + delta) * root_inv_bound - 1.0 + SLACK,
     )
-    hs = sw.h_sw.entries
+    hs = sw.h_sw
     record("h_sw_hermitian", operator_norm(hs - hs.conj().T), 1e-10 * h_norm)
     record("h_sw_off_block", off_block_norm(hs), 1e-9 * h_norm)
     record("h_sw_isospectral", np.abs(np.linalg.eigvalsh(hs) - spec_h).max(), 1e-8 * h_norm)
 
     # perturbed projections
     worst = 0.0
-    for k, pt in enumerate(sw.perturbed_projections):
-        m = pt.entries
-        worst = max(
-            worst,
-            operator_norm(m - m.conj().T),
-            operator_norm(m @ m - m),
-        )
+    for pt in sw.perturbed_projections:
+        worst = max(worst, operator_norm(pt - pt.conj().T), operator_norm(pt @ pt - pt))
     record("perturbed_projection_idempotent", worst, 1e-10)
-    worst = max(
-        operator_norm(h_eig @ pt.entries - pt.entries @ h_eig)
-        for pt in sw.perturbed_projections
-    )
+    worst = max(operator_norm(h_eig @ pt - pt @ h_eig) for pt in sw.perturbed_projections)
     record("perturbed_projection_commutes", worst, 1e-9 * h_norm)
 
     # linear eternal bound on sampled times, valid for every gamma

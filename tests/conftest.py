@@ -36,14 +36,14 @@ def clustered_h0(rng, dim, n_groups, spread=0.15, min_sep=1.3, max_sep=2.5, real
     q, r = np.linalg.qr(z)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     h = (q * lam) @ q.conj().T
-    return OperatorMatrix(0.5 * (h + h.conj().T), hermitian_hint=True)
+    return OperatorMatrix(0.5 * (h + h.conj().T))
 
 
 def to_original(inst, m):
     """``u m u^dag``: an operator of the H0 eigenbasis, where the package
     keeps every derived operator, in the original basis of H0 and V."""
     u = inst.partition.eig.eigenvectors
-    return u @ getattr(m, "entries", m) @ u.conj().T
+    return u @ m @ u.conj().T
 
 
 def dense_projection(inst, k):
@@ -60,13 +60,13 @@ def make_instance(seed, dim, n_groups, x=0.01, gamma=1.0, real=False):
     part = partition_by_threshold(herm_eig(h0), 0.5)
     v = random_hermitian(rng, dim, real)
     v *= x * gamma * part.gap / operator_norm(v)
-    return ProblemInstance(h0, OperatorMatrix(v, hermitian_hint=True), gamma, part)
+    return ProblemInstance(h0, OperatorMatrix(v), gamma, part)
 
 
 @pytest.fixture
 def rabi_instance():
     """Two-level instance with closed-form everything."""
-    h0 = OperatorMatrix(np.diag([0.0, 1.0]), hermitian_hint=True)
-    v = OperatorMatrix(0.05 * SX, hermitian_hint=True)
+    h0 = OperatorMatrix(np.diag([0.0, 1.0]))
+    v = OperatorMatrix(0.05 * SX)
     part = partition_by_threshold(herm_eig(h0), 0.5)
     return ProblemInstance(h0, v, 1.0, part)

@@ -85,8 +85,8 @@ def test_criterion_3_transmon_bound():
 
 def test_criterion_4_two_level_oracle():
     start = time.perf_counter()
-    h0 = OperatorMatrix(np.diag([0.0, 1.0]), hermitian_hint=True)
-    v = OperatorMatrix(0.05 * SX, hermitian_hint=True)
+    h0 = OperatorMatrix(np.diag([0.0, 1.0]))
+    v = OperatorMatrix(0.05 * SX)
     part = partition_by_threshold(herm_eig(h0), 0.5)
     inst = ProblemInstance(h0, v, 1.0, part)
     times = np.linspace(0.0, 200.0, 20001)

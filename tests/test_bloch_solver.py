@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from leakage import (
     solve_bloch_series,
 )
 from leakage import bloch_solver
+from leakage.bloch_solver import J_MAX
 from leakage.bounds import catalan_tails
 from leakage.errors import GammaBelowThreshold, NotConverged, ZeroGap
 from leakage.models import HarmonicChainSpec, build_harmonic_chain
@@ -27,7 +30,7 @@ def exact_two_level_omega(inst):
     Column k is the perturbed eigenvector attached to e_k, normalized so
     that its overlap with e_k is one.
     """
-    lam, psi = np.linalg.eigh(inst.h.entries)
+    lam, psi = np.linalg.eigh(inst.h)
     cols = []
     for k in range(2):
         # pick the eigenvector with the largest overlap with e_k
@@ -41,7 +44,7 @@ def test_two_level_series_matches_exact_wave_operator(rabi_instance):
     exact = exact_two_level_omega(rabi_instance)
     assert operator_norm(to_original(rabi_instance, sol.omega) - exact) < 1e-12
     # the effective generator is diagonal with the exact eigenvalues
-    lam = np.linalg.eigvalsh(rabi_instance.h.entries)
+    lam = np.linalg.eigvalsh(rabi_instance.h)
     hb = to_original(rabi_instance, sol.h_bloch)
     assert abs(hb[0, 0] - lam[0]) < 1e-12
     assert abs(hb[1, 1] - lam[1]) < 1e-12
@@ -60,13 +63,13 @@ def test_deep_series_matches_eigenprojection_wave_operator(n_sites, fock_cutoff)
     sol = solve_bloch_series(inst)
     assert part.n_groups == fock_cutoff + 1 and sol.order > 30
     u = part.eig.eigenvectors
-    _, s = np.linalg.eigh(u.conj().T @ inst.h.entries @ u)
+    _, s = np.linalg.eigh(u.conj().T @ inst.h @ u)
     exact = np.zeros((inst.dim, inst.dim), dtype=complex)
     for g in part.groups:
         # Weyl: H's eigenvalues keep H0's order across gaps wider than 2||V||
         pt = s[:, g] @ s[:, g].conj().T
         exact[:, g] = pt[:, g] @ np.linalg.inv(pt[np.ix_(g, g)])
-    assert operator_norm(sol.omega.entries - exact) <= sol.tail_bound + 1e-13
+    assert operator_norm(sol.omega - exact) <= sol.tail_bound + 1e-13
 
 
 def test_sylvester_solution_residual():
@@ -107,7 +110,7 @@ def test_first_order_term_entrywise():
 def test_bloch_equations_hold():
     inst = make_instance(24, 12, 3, x=0.015)
     sol = solve_bloch_series(inst, tol=1e-13)
-    h = inst.h.entries
+    h = inst.h
     scale = operator_norm(inst.h)
     om = to_original(inst, sol.omega)
     for k in range(inst.partition.n_groups):
@@ -135,7 +138,7 @@ def test_catalan_majorant_and_delta():
     ratio = np.pi * inst.v_norm / inst.partition.gap
     for j, term in enumerate(sol.omega_terms):
         assert operator_norm(term) <= ratio**j * catalan(j) + 1e-12
-    assert operator_norm(sol.omega.entries - np.eye(10)) <= sol.delta_bound + 1e-9
+    assert operator_norm(sol.omega - np.eye(10)) <= sol.delta_bound + 1e-9
     assert sol.delta_bound == pytest.approx(delta_of(inst.x), rel=1e-14)
     assert sol.tail_bound == pytest.approx(catalan_tails(inst.x, sol.order)[sol.order], rel=1e-12)
     assert sol.tail_bound < 1e-12
@@ -157,12 +160,12 @@ def test_h_bloch_block_diagonal_and_isospectral():
     for k in range(inst.partition.n_groups):
         p = dense_projection(inst, k)
         assert operator_norm((np.eye(inst.dim) - p) @ hb @ p) < 1e-9 * scale
-    spec_h = np.linalg.eigvalsh(inst.h.entries)
+    spec_h = np.linalg.eigvalsh(inst.h)
     spec_hb = np.sort(np.linalg.eigvals(hb).real)
     assert np.abs(spec_hb - spec_h).max() < 1e-8 * scale
     # similarity H Omega = Omega H_bloch
     om = to_original(inst, sol.omega)
-    assert operator_norm(inst.h.entries @ om - om @ hb) < 1e-10 * scale
+    assert operator_norm(inst.h @ om - om @ hb) < 1e-10 * scale
 
 
 def harmonic_instance():
@@ -176,14 +179,14 @@ def test_blocks_and_h_bloch_match_projection_formula(inst):
     # H_Bloch = sum_k P_k H Omega_k with Omega_k = Omega P_k and dense P_k,
     # in the original basis; in the H0 eigenbasis its off-blocks are exactly 0
     sol = solve_bloch_series(inst)
-    om, h = to_original(inst, sol.omega), inst.h.entries
+    om, h = to_original(inst, sol.omega), inst.h
     h_bloch = 0.0
     for k in range(inst.partition.n_groups):
         p = dense_projection(inst, k)
         h_bloch = h_bloch + p @ h @ (om @ p)
     assert np.abs(to_original(inst, sol.h_bloch) - h_bloch).max() < 1e-13
     for g, out in inst.partition.blocks:
-        assert not sol.h_bloch.entries[np.ix_(out, g)].any()
+        assert not sol.h_bloch[np.ix_(out, g)].any()
 
 
 def fresh_copy(inst):
@@ -205,7 +208,7 @@ def test_repeat_solves_reuse_the_cached_terms(monkeypatch):
         assert sol.order == fresh.order
         assert np.array_equal(sol.omega_terms, fresh.omega_terms)
         for attr in ("omega", "h_bloch"):
-            assert np.array_equal(getattr(sol, attr).entries, getattr(fresh, attr).entries)
+            assert np.array_equal(getattr(sol, attr), getattr(fresh, attr))
 
 
 def test_cached_terms_are_per_order_and_read_only():
@@ -217,7 +220,7 @@ def test_cached_terms_are_per_order_and_read_only():
         fresh = solve_bloch_series(fresh_copy(inst), tol=tol)
         assert sol.omega_terms.shape == (sol.order + 1, 10, 10)
         assert np.array_equal(sol.omega_terms, fresh.omega_terms)
-        assert np.array_equal(sol.omega.entries, fresh.omega.entries)
+        assert np.array_equal(sol.omega, fresh.omega)
         assert not sol.omega_terms.flags.writeable
         with pytest.raises(ValueError):
             sol.omega_terms[1, 0, 0] = 1.0
@@ -231,8 +234,8 @@ def test_v_norm_computed_once(monkeypatch):
                         lambda m: norms.append(m) or real(m))
     values = [inst.v_norm for _ in range(3)]
     assert inst.x == values[0] / (inst.gamma * inst.partition.gap)
-    assert len(norms) == 1 and norms[0] is inst.v
-    assert values == [operator_norm(inst.v)] * 3
+    assert len(norms) == 1 and norms[0] is inst.v.entries
+    assert values == [operator_norm(inst.v.entries)] * 3
 
 
 def test_gamma_below_threshold_raises():
@@ -242,22 +245,24 @@ def test_gamma_below_threshold_raises():
 
 
 def test_not_converged_when_order_capped():
-    inst = make_instance(29, 6, 2, x=0.02)
-    with pytest.raises(NotConverged):
-        solve_bloch_series(inst, tol=1e-12, j_max=2)
+    # below the Bloch threshold (4 pi x = 0.8), but the Catalan tail at
+    # order J_MAX is still 2.4e-9 > 1e-12
+    inst = make_instance(29, 6, 2, x=0.8 / (4 * math.pi))
+    with pytest.raises(NotConverged, match=f"at order {J_MAX}"):
+        solve_bloch_series(inst, tol=1e-12)
     with pytest.raises(ValueError):
         solve_bloch_series(inst, tol=0.0)
 
 
 def test_misdeclared_gap_raises_zero_gap():
-    h0 = OperatorMatrix(np.diag([0.0, 0.4, 1.0]), hermitian_hint=True)
+    h0 = OperatorMatrix(np.diag([0.0, 0.4, 1.0]))
     eig = herm_eig(h0)
     honest = partition_by_threshold(eig, 0.3)
     # overstate the gap: actual cross-group distance 0.4 < claimed 2.0 / 2
     lied = SpectralPartition(
         eig, honest.groups, 2.0, honest.component_intervals
     )
-    v = OperatorMatrix(1e-3 * np.ones((3, 3)), hermitian_hint=True)
+    v = OperatorMatrix(1e-3 * np.ones((3, 3)))
     with pytest.raises(ZeroGap):
         solve_bloch_series(ProblemInstance(h0, v, 1.0, lied))
 
@@ -266,7 +271,7 @@ def test_instance_validation():
     inst = make_instance(30, 5, 2)
     with pytest.raises(ValueError):
         ProblemInstance(inst.h0, inst.v, 0.0, inst.partition)
-    other = OperatorMatrix(np.zeros((4, 4)), hermitian_hint=True)
+    other = OperatorMatrix(np.zeros((4, 4)))
     with pytest.raises(ValueError):
         ProblemInstance(inst.h0, other, 1.0, inst.partition)
     for gamma in (float("nan"), float("inf"), -float("inf")):

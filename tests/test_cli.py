@@ -112,8 +112,8 @@ def test_run_config_errors(tmp_path, capsys):
 def test_run_convergence_failure_exit_code(tmp_path):
     # two-level custom model just inside the threshold: the Catalan tail
     # never clears the tolerance within the order cap
-    h0 = OperatorMatrix(np.diag([0.0, 1.0]), hermitian_hint=True)
-    v = OperatorMatrix(0.07 * np.array([[0.0, 1.0], [1.0, 0.0]]), hermitian_hint=True)
+    h0 = OperatorMatrix(np.diag([0.0, 1.0]))
+    v = OperatorMatrix(0.07 * np.array([[0.0, 1.0], [1.0, 0.0]]))
     cfg = {
         "model": "custom",
         "params": {"h0": h0.to_json(), "v": v.to_json()},
@@ -126,7 +126,7 @@ def test_run_convergence_failure_exit_code(tmp_path):
 
 def test_run_non_hermitian_custom_exit_code(tmp_path):
     bad = {"dim": 2, "entries": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
-    v = OperatorMatrix(np.zeros((2, 2)), hermitian_hint=True)
+    v = OperatorMatrix(np.zeros((2, 2)))
     cfg = {
         "model": "custom",
         "params": {"h0": bad, "v": v.to_json()},
@@ -350,8 +350,13 @@ def test_integer_config_fields_run(tmp_path):
     [{"path": "series.json", "format": None}],
     [{"path": "series.json"}, "series.csv"],
     {"path": "series.json"},
+    [{"path": "summary.json"}],
+    [{"path": "a.csv", "format": "csv"}, {"path": "./sub/../summary.json"}],
+    [{"path": "a.json"}, {"path": "a.json", "format": "csv"}],
+    [{"path": "a.csv", "format": "csv"}, {"path": "sub/../a.csv"}],
 ], ids=["no-path", "int-path", "empty-path", "yaml", "upper-csv", "null-format",
-        "bare-string", "not-a-list"])
+        "bare-string", "not-a-list", "summary", "dotted-summary", "duplicate",
+        "dotted-duplicate"])
 def test_bad_outputs_rejected_before_computation(tmp_path, monkeypatch, capsys, outputs):
     def never(*args, **kwargs):
         raise AssertionError("the experiment ran")
@@ -412,13 +417,13 @@ def test_mistyped_partition_intervals_are_config_invalid(tmp_path, capsys, inter
 
 
 def custom_cfg(h0_json):
-    v = OperatorMatrix(0.01 * np.array([[0.0, 1.0], [1.0, 0.0]]), hermitian_hint=True)
+    v = OperatorMatrix(0.01 * np.array([[0.0, 1.0], [1.0, 0.0]]))
     return {"model": "custom", "params": {"h0": h0_json, "v": v.to_json()},
             "partition": {"threshold": 0.5}, "t_grid": {"t_max": 1.0, "n_points": 3}}
 
 
 def test_custom_model_matrices_run(tmp_path):
-    h0 = OperatorMatrix(np.diag([0.0, 1.0]), hermitian_hint=True).to_json()
+    h0 = OperatorMatrix(np.diag([0.0, 1.0])).to_json()
     h0["entries"][3] = [1, 0]   # integers are JSON numbers too
     assert main(["run", "--config", write_cfg(tmp_path, custom_cfg(h0)),
                  "--out", str(tmp_path)]) == 0

@@ -51,7 +51,7 @@ def test_leakage_two_level_closed_form(rabi_instance):
 def dense_leakage(inst, t):
     """Oracle: ``||Q_k expm(-itH) P_k||_2`` per block, with dense projectors
     built from the H0 eigenvectors."""
-    prop = scipy.linalg.expm(-1j * t * inst.h.entries)
+    prop = scipy.linalg.expm(-1j * t * inst.h)
     eye = np.eye(inst.partition.dim)
     values = []
     for k in range(inst.partition.n_groups):
@@ -160,7 +160,7 @@ def expm_distances(inst, t):
     with scipy's Pade expm, which exponentiates the non-Hermitian H_Bloch
     directly.  Both generators are taken back to the original basis of H."""
     sol = solve_bloch_series(inst)
-    true_prop = scipy.linalg.expm(-1j * t * inst.h.entries)
+    true_prop = scipy.linalg.expm(-1j * t * inst.h)
     return tuple(
         np.linalg.norm(true_prop - scipy.linalg.expm(-1j * t * to_original(inst, gen)), 2)
         for gen in (sol.h_bloch, sw_transform(inst, sol).h_sw)
@@ -183,7 +183,7 @@ def test_evolution_distance_matches_series(rabi_instance):
 @settings(deadline=None, max_examples=40)
 def test_distance_series_match_expm_on_random_instances(seed, dim, n_groups, x, real, t):
     inst = make_instance(seed, dim, n_groups, x=x, real=real)
-    assert inst.h.entries.dtype == (np.float64 if real else np.complex128)
+    assert inst.h.dtype == (np.float64 if real else np.complex128)
     rep = run_leakage_experiment(inst, [t])
     d_bloch, d_sw = expm_distances(inst, t)
     assert rep.d_bloch_series[0] == pytest.approx(d_bloch, abs=1e-11)
@@ -207,14 +207,17 @@ def test_real_and_complex_copies_agree(model):
     times = np.linspace(0.0, 30.0, 31)
     runs = []
     for dtype in (np.float64, np.complex128):
-        h0_d = OperatorMatrix(h0.entries.astype(dtype), hermitian_hint=True)
-        v_d = OperatorMatrix(v.entries.astype(dtype), hermitian_hint=True)
+        h0_d = OperatorMatrix(h0.entries.astype(dtype))
+        v_d = OperatorMatrix(v.entries.astype(dtype))
         eig = herm_eig(h0_d)
         inst = ProblemInstance(h0_d, v_d, 1.0, partition(eig))
         sol = solve_bloch_series(inst)
-        w = sw_transform(inst, sol).w.entries
-        assert eig.eigenvectors.dtype == w.dtype == dtype
-        assert sol.omega_terms.dtype == dtype
+        sw = sw_transform(inst, sol)
+        assert eig.eigenvectors.dtype == sol.omega_terms.dtype == dtype
+        # every derived operator is a plain array of the input dtype
+        derived = [inst.h, inst.h_eig, sol.omega, sol.h_bloch, sw.w, sw.h_sw,
+                   *sw.perturbed_projections]
+        assert all(type(m) is np.ndarray and m.dtype == dtype for m in derived)
         runs.append((run_leakage_experiment(inst, times), sol.order))
     (real, real_order), (cplx, cplx_order) = runs
     assert real_order == cplx_order
@@ -267,6 +270,6 @@ def test_truncation_study_rejects_negative_group(cutoffs):
         built.append(cutoff)
         return harmonic_builder(cutoff)
 
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match=r"^\[dynamics\.truncation_convergence_study\]"):
         truncation_convergence_study(builder, cutoffs, 10.0, -1)
     assert built == []

@@ -17,11 +17,22 @@ def test_rejects_non_square():
 
 
 def test_hermitian_hint_is_checked():
+    # the Hermiticity check once enabled by a hint now always runs at construction
     with pytest.raises(NonHermitianInput):
-        OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian_hint=True)
+        OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NonHermitianInput):
+        OperatorMatrix.from_json({"dim": 2, "entries": [[0, 0], [0, 1], [0, 1], [0, 0]]})
     # within tolerance: relative deviation 1e-13 passes
     m = np.array([[1.0, 1.0], [1.0 + 1e-13, 1.0]])
-    OperatorMatrix(m, hermitian_hint=True)
+    OperatorMatrix(m)
+
+
+def test_herm_eig_rejects_non_hermitian_without_hint():
+    # a non-Hermitian matrix is stopped before herm_eig or inv_sqrt_psd factor it
+    with pytest.raises(NonHermitianInput):
+        herm_eig(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    with pytest.raises(NonHermitianInput):
+        inv_sqrt_psd(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
 def test_entries_are_read_only():
@@ -36,9 +47,9 @@ def test_entries_are_read_only():
 
 def test_json_round_trip_exact():
     rng = np.random.default_rng(3)
-    m = OperatorMatrix(random_hermitian(rng, 5), hermitian_hint=True)
+    m = OperatorMatrix(random_hermitian(rng, 5))
     blob = json.dumps(m.to_json())
-    back = OperatorMatrix.from_json(json.loads(blob), hermitian_hint=True)
+    back = OperatorMatrix.from_json(json.loads(blob))
     assert np.array_equal(back.entries, m.entries)
 
 
@@ -46,9 +57,9 @@ def test_dtype_is_float64_when_real_complex128_when_complex():
     assert OperatorMatrix(np.eye(2, dtype=int)).entries.dtype == np.float64
     assert OperatorMatrix(np.eye(2, dtype=np.float32)).entries.dtype == np.float64
     assert OperatorMatrix(np.eye(2, dtype=np.complex64)).entries.dtype == np.complex128
-    real = OperatorMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]), hermitian_hint=True)
+    real = OperatorMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert herm_eig(real).eigenvectors.dtype == np.float64
-    assert inv_sqrt_psd(real).entries.dtype == np.float64
+    assert inv_sqrt_psd(real.entries).dtype == np.float64
     back = OperatorMatrix.from_json(json.loads(json.dumps(real.to_json())))
     assert back.entries.dtype == np.float64 and np.array_equal(back.entries, real.entries)
     one_imag = {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 1e-300], [1.0, 0.0]]}
@@ -71,24 +82,19 @@ def test_operator_norm_matches_reference():
 
 def test_herm_eig_reconstructs():
     rng = np.random.default_rng(1)
-    m = OperatorMatrix(random_hermitian(rng, 8), hermitian_hint=True)
+    m = OperatorMatrix(random_hermitian(rng, 8))
     eig = herm_eig(m)
     assert np.all(np.diff(eig.eigenvalues) >= 0)
     rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
     assert operator_norm(rebuilt - m.entries) < 1e-12
 
 
-def test_herm_eig_rejects_non_hermitian_without_hint():
-    m = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NonHermitianInput):
-        herm_eig(m)
-
-
 def test_inv_sqrt_psd():
     rng = np.random.default_rng(4)
     a = random_hermitian(rng, 6)
-    m = OperatorMatrix(a @ a.conj().T + 0.5 * np.eye(6), hermitian_hint=True)
-    r = inv_sqrt_psd(m).entries
-    assert operator_norm(r @ m.entries @ r - np.eye(6)) < 1e-11
+    m = a @ a.conj().T + 0.5 * np.eye(6)
+    r = inv_sqrt_psd(m)
+    assert operator_norm(r @ m @ r - np.eye(6)) < 1e-11
+    assert np.array_equal(r, r.conj().T)
     with pytest.raises(NotPositiveDefinite):
-        inv_sqrt_psd(OperatorMatrix(np.diag([1.0, 0.0]), hermitian_hint=True))
+        inv_sqrt_psd(np.diag([1.0, 0.0]))

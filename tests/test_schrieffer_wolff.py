@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakage import (
-    OperatorMatrix,
     ProblemInstance,
     operator_norm,
     perturbed_projection,
@@ -35,12 +34,12 @@ def test_w_is_unitary_polar_factor():
     inst = make_instance(41, 10, 3, x=0.015)
     sol = solve_bloch_series(inst)
     sw = sw_transform(inst, sol)
-    w = sw.w.entries
+    w = sw.w
     eye = np.eye(10)
     assert operator_norm(w.conj().T @ w - eye) < 1e-11
     assert operator_norm(w @ w.conj().T - eye) < 1e-11
     # W = Omega (Omega^dag Omega)^(-1/2) means W^dag Omega is positive
-    pos = w.conj().T @ sol.omega.entries
+    pos = w.conj().T @ sol.omega
     assert operator_norm(pos - pos.conj().T) < 1e-11
     assert np.linalg.eigvalsh(0.5 * (pos + pos.conj().T)).min() > 0.0
 
@@ -55,17 +54,17 @@ def test_h_sw_hermitian_block_diagonal_isospectral():
     for k in range(inst.partition.n_groups):
         p = dense_projection(inst, k)
         assert operator_norm((np.eye(inst.dim) - p) @ hs @ p) < 1e-9 * scale
-    assert np.abs(np.linalg.eigvalsh(hs) - np.linalg.eigvalsh(inst.h.entries)).max() < 1e-9 * scale
+    assert np.abs(np.linalg.eigvalsh(hs) - np.linalg.eigvalsh(inst.h)).max() < 1e-9 * scale
     # conjugation identity H_SW = W^dag H W
     w = to_original(inst, sw.w)
-    assert operator_norm(w.conj().T @ inst.h.entries @ w - hs) < 1e-11 * scale
+    assert operator_norm(w.conj().T @ inst.h @ w - hs) < 1e-11 * scale
 
 
 def test_perturbed_projections_properties():
     inst = make_instance(43, 9, 3, x=0.015)
     sol = solve_bloch_series(inst)
     sw = sw_transform(inst, sol)
-    h = inst.h.entries
+    h = inst.h
     total = np.zeros((9, 9), dtype=complex)
     for k, pt in enumerate(sw.perturbed_projections):
         m = to_original(inst, pt)
@@ -86,7 +85,7 @@ def test_perturbed_projections_match_eigh_of_h(seed, dim, n_groups, x, real):
     # indices of group k
     inst = make_instance(seed, dim, n_groups, x=x, real=real)
     sw = sw_transform(inst, solve_bloch_series(inst))
-    _, s = np.linalg.eigh(inst.h.entries)
+    _, s = np.linalg.eigh(inst.h)
     for g, pt in zip(inst.partition.groups, sw.perturbed_projections, strict=True):
         exact = s[:, g] @ s[:, g].conj().T
         assert operator_norm(to_original(inst, pt) - exact) < 1e-10
@@ -119,9 +118,8 @@ def test_singular_block_gram_detected():
     # fabricate a wave operator that annihilates one H0 eigenvector of group 0
     omega = np.eye(6)
     omega[:, inst.partition.groups[0][0]] = 0.0
-    omega = OperatorMatrix(omega)
     fake = BlochSolution(
-        omega_terms=(omega,),
+        omega_terms=omega[None],
         omega=omega,
         h_bloch=omega,
         order=0,

@@ -18,7 +18,7 @@ from conftest import clustered_h0
 
 
 def diag_eig(values):
-    return herm_eig(OperatorMatrix(np.diag(values), hermitian_hint=True))
+    return herm_eig(OperatorMatrix(np.diag(values)))
 
 
 def test_threshold_partition_basic():
