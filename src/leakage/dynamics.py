@@ -15,9 +15,10 @@ The distance series are commutator norms in the eigenbasis of H, where
 e^{-itH} is ``D = diag(e^{-i lam t})`` and ``[A, D] = -2i E (A o K) E``
 with ``E = D^(1/2)``, ``K[m, n] = sin((lam_n - lam_m) t / 2)``.  With W
 and Omega in that basis as X and Y, ``d_SW = ||[X, D]|| = 2 ||X o K||``
-and ``d_Bloch = ||Y^-1 [Y, D]|| = 2 ||(Y^-1 E) (Y o K)||``: one GEMM at
-most per time, and real ``X o K`` for a real H.  As W and Omega are kept
-in the H0 eigenbasis, ``X = S^dag W S`` and ``Y = S^dag Omega S``.
+and ``d_Bloch = ||Y^-1 [Y, D]|| = 2 ||(Y o K)^T (E Y^-T)||``, the transpose
+of ``(Y^-1 E) (Y o K)``: one real GEMM per time and real ``X o K`` for a
+real H.  As W and Omega are kept in the H0 eigenbasis, ``X = S^dag W S``
+and ``Y = S^dag Omega S``.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def run_leakage_experiment(
         bloch = solve_bloch_series(inst, tol=series_tol)
         u = evo.s    # eigenvectors of H in the H0 eigenbasis
         y = u.conj().T @ bloch.omega @ u
-        y_inv = np.linalg.inv(y)
+        y_inv_t = np.ascontiguousarray(np.linalg.inv(y).T)
         if inst.gamma > report.gamma_threshold_sw:
             x = u.conj().T @ sw_transform(inst, bloch).w @ u
             d_sw = np.zeros(times.size)
@@ -142,7 +143,12 @@ def run_leakage_experiment(
         for j, t in enumerate(times):
             c, s = np.cos(0.5 * t * evo.lam), np.sin(0.5 * t * evo.lam)
             sines = np.outer(c, s) - np.outer(s, c)   # sin((lam_n - lam_m) t / 2)
-            d_bloch[j] = 2.0 * operator_norm((y_inv * (c - 1j * s)) @ (y * sines))
+            rhs = (c - 1j * s)[:, None] * y_inv_t      # E Y^-T
+            if y.dtype == np.float64:   # one GEMM on the real and imaginary parts
+                m_t = ((y * sines).T @ rhs.view(np.float64)).view(np.complex128)
+            else:
+                m_t = (y * sines).T @ rhs
+            d_bloch[j] = 2.0 * operator_norm(m_t)
             if d_sw is not None:
                 d_sw[j] = 2.0 * operator_norm(x * sines)
 

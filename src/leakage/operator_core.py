@@ -6,7 +6,8 @@ checked Hermitian model input (H0 and V); every operator derived from
 it is a plain ``np.ndarray``.  All are dense, float64 when the input is
 real and complex128 when it is complex, so real Hamiltonians stay in
 real arithmetic end to end.  Dimensions are at desk scale (up to a few
-thousand), so exact factorizations (SVD, eigh) are always affordable.
+thousand), so exact factorizations are always affordable: ``eigh``, and
+``eigvalsh`` of a scaled Gram matrix for operator norms.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ def _real_or_complex_copy(a) -> np.ndarray:
 class OperatorMatrix:
     """Read-only square Hermitian matrix: a checked model input.
 
-    Hermiticity is verified at construction: ``max |M - M^dag|``
-    entrywise must not exceed ``1e-12 * max|M|``.
+    At construction every entry must be finite (else ``ValueError``), and
+    ``max |M - M^dag|`` entrywise must not exceed ``1e-12 * max|M|``.
     """
 
     entries: np.ndarray
@@ -43,6 +44,8 @@ class OperatorMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         scale = np.abs(m).max()
+        if not np.isfinite(scale):
+            raise ValueError("entries must be finite, got a NaN or infinite entry")
         dev = np.abs(m - m.conj().T).max()
         if dev > HERMITICITY_RTOL * max(scale, 1e-300):
             raise NonHermitianInput(
@@ -88,10 +91,18 @@ class HermitianEigenSystem:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value of the array ``a``."""
-    if not np.any(a):
+    """Largest singular value of ``a``: ``max|a|`` times the root of the top
+    eigenvalue of the Gram of ``a / max|a|`` (scaled clear of over- and
+    underflow) on its smaller side.  0 for a zero or empty array; a NaN or
+    infinite entry raises ``LinAlgError``."""
+    scale = np.abs(a).max(initial=0.0)
+    if not np.isfinite(scale):
+        raise np.linalg.LinAlgError("operator_norm of an array with a non-finite entry")
+    if scale == 0.0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    b = a / scale
+    gram = b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b
+    return float(scale * np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def herm_eig(m: OperatorMatrix) -> HermitianEigenSystem:

@@ -322,6 +322,35 @@ def test_mistyped_config_field_is_config_invalid(tmp_path, capsys, command, cfg,
     assert not (tmp_path / "summary.json").exists()
 
 
+TRANSMON_CFG = {"model": "transmon", "params": {"ej_over_ec": 90.0, "transparency_d": 1e-3}}
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_FIELDS = [
+    ({**CHAIN_CFG, "gamma": NAN}, "gamma"),
+    ({**CHAIN_CFG, "partition": {"threshold": NAN}}, "threshold"),
+    ({**CHAIN_CFG, "t_grid": {"t_max": INF, "n_points": 41}}, "t_max"),
+    ({**CHAIN_CFG, "params": {"n_cells": 4, "g1": INF}}, "g1"),
+    ({**CHAIN_CFG, "params": {"n_cells": 4, "g2": NAN}}, "g2"),
+    ({**CHAIN_CFG, "params": {"n_cells": 4, "g3": -INF}}, "g3"),
+    ({**CHAIN_CFG, "params": {"n_cells": 4, "disorder_strength": NAN}}, "disorder_strength"),
+    ({**CHAIN_CFG, "tolerances": {"series_tol": INF}}, "series_tol"),
+    ({**HARMONIC_CFG, "params": {"n_sites": 2, "omega": INF}}, "omega"),
+    ({**HARMONIC_CFG, "params": {"n_sites": 2, "g": NAN}}, "g"),
+    ({**HARMONIC_CFG, "params": {"n_sites": 2, "v0": INF}}, "v0"),
+    ({**TRANSMON_CFG, "params": {"ej_over_ec": NAN, "transparency_d": 1e-3}}, "ej_over_ec"),
+    ({**TRANSMON_CFG, "params": {"ej_over_ec": 90.0, "transparency_d": -INF}},
+     "transparency_d"),
+]
+
+
+@pytest.mark.parametrize("cfg, key", NON_FINITE_FIELDS, ids=[k for _, k in NON_FINITE_FIELDS])
+def test_non_finite_float_config_field_is_config_invalid(tmp_path, capsys, cfg, key):
+    # json reads the non-standard NaN and Infinity as floats
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' in" in err and "finite" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_integer_config_fields_run(tmp_path):
     # the same fields given as JSON integers, float fields included
     assert main(["run", "--config", write_cfg(tmp_path, HARMONIC_CFG),
@@ -427,6 +456,16 @@ def test_custom_model_matrices_run(tmp_path):
     h0["entries"][3] = [1, 0]   # integers are JSON numbers too
     assert main(["run", "--config", write_cfg(tmp_path, custom_cfg(h0)),
                  "--out", str(tmp_path)]) == 0
+
+
+def test_non_finite_custom_matrix_is_input_error(tmp_path, capsys):
+    # an input at fault exits 2, not 3 as a failed LAPACK call would
+    h0 = OperatorMatrix(np.diag([0.0, 1.0])).to_json()
+    h0["entries"][3] = [float("nan"), 0.0]
+    assert main(["run", "--config", write_cfg(tmp_path, custom_cfg(h0)),
+                 "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("h0, key", [

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leakage import OperatorMatrix, herm_eig, inv_sqrt_psd, operator_norm
 from leakage.errors import NonHermitianInput, NotPositiveDefinite
@@ -14,6 +16,16 @@ def test_rejects_non_square():
         OperatorMatrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         OperatorMatrix(np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_rejects_non_finite_entries(bad):
+    m = np.eye(2)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        OperatorMatrix(m)
+    with pytest.raises(ValueError, match="finite"):
+        OperatorMatrix.from_json({"dim": 1, "entries": [[bad, 0.0]]})
 
 
 def test_hermitian_hint_is_checked():
@@ -78,6 +90,43 @@ def test_operator_norm_matches_reference():
     for _ in range(5):
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, ord=2), rel=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), cols=st.integers(1, 40),
+       complex_entries=st.booleans(), exponent=st.integers(-200, 200))
+@example(seed=5, rows=7, cols=3, complex_entries=False, exponent=-300)
+@example(seed=5, rows=3, cols=7, complex_entries=True, exponent=-200)
+@example(seed=5, rows=7, cols=3, complex_entries=True, exponent=-150)
+@example(seed=5, rows=3, cols=7, complex_entries=False, exponent=150)
+@example(seed=5, rows=7, cols=3, complex_entries=False, exponent=200)
+@example(seed=5, rows=3, cols=7, complex_entries=True, exponent=300)
+@settings(deadline=None, max_examples=150)
+def test_operator_norm_matches_svd_oracle(seed, rows, cols, complex_entries, exponent):
+    # squared, entries beyond about 1e+-154 leave the float64 range, so the
+    # exponents reach past that to exercise the scaling before the Gram
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, cols))
+    if complex_entries:
+        a = a + 1j * rng.normal(size=(rows, cols))
+    a *= 10.0 ** exponent
+    expected = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert operator_norm(a) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 3), (2, 5)])
+def test_operator_norm_of_zero_or_empty_is_zero(shape):
+    assert operator_norm(np.zeros(shape)) == 0.0
+    assert operator_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_operator_norm_rejects_non_finite(bad, dtype):
+    a = np.ones((3, 4), dtype=dtype)
+    a[1, 2] = bad
+    for m in (a, a.T):
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm(m)
 
 
 def test_herm_eig_reconstructs():
