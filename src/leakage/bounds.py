@@ -10,7 +10,7 @@ leakage bound with its 9*pi*x linear envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .errors import OutOfDomain
@@ -167,18 +167,7 @@ class BoundReport:
     gamma_threshold_sw: float
 
     def to_json(self) -> dict:
-        return {
-            "v_norm": self.v_norm,
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "x": self.x,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "d_sw_bound": self.d_sw_bound,
-            "leakage_linear": self.leakage_linear,
-            "gamma_threshold_bloch": self.gamma_threshold_bloch,
-            "gamma_threshold_sw": self.gamma_threshold_sw,
-        }
+        return asdict(self)
 
 
 def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:

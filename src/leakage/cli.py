@@ -6,6 +6,11 @@ experiment), ``verify`` (invariant suite), ``bounds`` (scalar formulas),
 flows from the config seed through labeled sub-streams, so outputs are
 deterministic functions of (config, seed).
 
+A config is read by one reader, ``_section``: each section declares its
+keys with a kind and a default and rejects any other key, so a misspelled
+key exits 2.  A model's ``params`` are the fields, types and defaults of its
+spec (``ChainSpec``, ``HarmonicChainSpec``, ``TransmonSpec``).
+
 Exit codes: 0 success, 2 invalid input (config, time grid, matrices,
 partition or bound arguments), 3 convergence or numerical failure
 (LAPACK's included), 4 bound violation or failed invariant.
@@ -16,12 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .bloch_solver import ProblemInstance, solve_bloch_series
+from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
 from .dynamics import gamma_scaling_sweep, run_leakage_experiment
 from .errors import ConfigInvalid, InvalidInput, LeakageError
 from .models import (
@@ -39,7 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_VIOLATION = 4
-OUTPUT_FORMATS = ("json", "csv")
 
 
 def _load_config(path: str) -> dict:
@@ -48,19 +54,54 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}", operation="run") from exc
-    if not isinstance(cfg, dict) or "model" not in cfg:
-        raise ConfigInvalid("config must be an object with a 'model' field", operation="run")
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid("config must be an object", operation="run")
     return cfg
 
 
-def _require(cfg: dict, key: str, kind, where: str):
-    """``cfg[key]`` as a ``kind``: an int field takes only a JSON integer, a
-    float field a finite integer or float, and neither takes a boolean."""
-    if key not in cfg:
-        raise ConfigInvalid(f"missing '{key}' in {where}", operation="run")
-    val = cfg[key]
+# kinds: a type, a tuple of the allowed values, a shape such as "[lo, hi]" for a
+# list of number pairs, a section, or a one-section list for a list of sections
+_PARTITION = {"threshold": (float, None), "intervals": ("[lo, hi]", None)}
+_T_GRID = {"t_max": (float, 200.0), "n_points": (int, 2001)}
+_TOLERANCES = {"series_tol": (float, SERIES_TOL_DEFAULT)}
+_OUTPUT = {"path": (str, MISSING), "format": (("json", "csv"), "json"),
+           "kind": (("leakage",), "leakage")}
+_TOP = {"model": (str, MISSING), "params": (dict, {}), "seed": (int, 0),
+        "gamma": (float, 1.0), "partition": (_PARTITION, {"threshold": 0.5}),
+        "t_grid": (_T_GRID, {}), "tolerances": (_TOLERANCES, {}),
+        "outputs": ([_OUTPUT], []), "verify_instances": (int, 100)}
+_MATRIX = {"dim": (int, MISSING), "entries": ("[re, im]", MISSING)}
+_CUSTOM = {"h0": (_MATRIX, MISSING), "v": (_MATRIX, MISSING)}
+
+
+def _value(val, key: str, kind, where: str):
+    """``val`` of ``key`` in section ``where`` read as a ``kind``: an int takes
+    only a JSON integer, a float a finite JSON number, and neither a boolean."""
+    inner = key if where == "config" else f"{where}.{key}"
+    if isinstance(kind, dict):
+        return _section(val, inner, kind)
+    if isinstance(kind, list):
+        return [_section(v, f"{inner}[{i}]", kind[0])
+                for i, v in enumerate(_value(val, key, list, where))]
+    if isinstance(kind, tuple):
+        if val in kind:
+            return val
+        raise ConfigInvalid(f"'{key}' in {where} must be one of {kind}, got {val!r}",
+                            operation="run")
+    if isinstance(kind, str):
+        if isinstance(val, list) and all(
+                isinstance(pair, list) and len(pair) == 2 and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+                for pair in val):
+            return val
+        raise ConfigInvalid(f"'{key}' in {where} must be a list of {kind} number pairs, "
+                            f"got {val!r}", operation="run")
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ConfigInvalid(f"'{key}' in {where} must be finite, got an integer "
+                                "beyond the float range", operation="run") from None
     if isinstance(val, bool) or not isinstance(val, kind):
         raise ConfigInvalid(f"'{key}' in {where} must be {kind.__name__}, got {val!r}",
                             operation="run")
@@ -70,116 +111,93 @@ def _require(cfg: dict, key: str, kind, where: str):
     return val
 
 
-def _optional(cfg: dict, key: str, kind, where: str, default):
-    return _require(cfg, key, kind, where) if key in cfg else default
+def _field(obj: dict, key: str, schema: dict, where: str):
+    """``obj[key]``, or else its default, read as ``schema`` declares it."""
+    kind, default = schema[key]
+    if key in obj:
+        return _value(obj[key], key, kind, where)
+    if default is MISSING:
+        raise ConfigInvalid(f"missing '{key}' in {where}", operation="run")
+    return default if default is None else _value(default, key, kind, where)
 
 
-def _number_pairs(cfg: dict, key: str, where: str, shape: str) -> list:
-    """``cfg[key]`` as a list of two-element lists of JSON numbers."""
-    pairs = _require(cfg, key, list, where)
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
-            raise ConfigInvalid(f"'{key}' in {where} must be a list of {shape} number "
-                                f"pairs, got {pair!r}", operation="run")
-    return pairs
+def _section(obj, where: str, schema: dict) -> dict:
+    """Every key of ``schema`` read from the config section ``where``, which
+    must be an object that holds no key ``schema`` does not declare."""
+    if not isinstance(obj, dict):
+        raise ConfigInvalid(f"{where} must be an object, got {obj!r}", operation="run")
+    for key in obj:
+        if key not in schema:
+            raise ConfigInvalid(f"unknown key '{key}' in {where}, which takes "
+                                f"{', '.join(schema)}", operation="run")
+    return {key: _field(obj, key, schema, where) for key in schema}
 
 
-def _matrix(params: dict, key: str) -> OperatorMatrix:
-    """``params[key]`` in the matrix encoding of ``OperatorMatrix.to_json``:
-    a positive integer ``dim`` and ``entries`` as ``[re, im]`` pairs."""
-    where = f"params.{key}"
-    obj = _require(params, key, dict, "params")
-    dim = _require(obj, "dim", int, where)
-    if dim < 1:
-        raise ConfigInvalid(f"'dim' in {where} must be positive, got {dim}", operation="run")
-    _number_pairs(obj, "entries", where, "[re, im]")
-    return OperatorMatrix.from_json(obj)
+def _params(params, spec_cls) -> dict:
+    """Model ``params`` read by the fields, annotated types and defaults of the
+    model's spec; the chain's ``seed`` is the config's own."""
+    types = get_type_hints(spec_cls)
+    return _section(params, "params", {f.name: (types[f.name], f.default)
+                                       for f in fields(spec_cls) if f.name != "seed"})
 
 
 def build_instance(cfg: dict):
-    """Model matrices + partition from a config; None for formula-only models."""
-    model = cfg["model"]
-    params = _optional(cfg, "params", dict, "config", {})
-    seed = _optional(cfg, "seed", int, "config", 0)
-    gamma = _optional(cfg, "gamma", float, "config", 1.0)
+    """Model matrices + partition from a config; None for formula-only models.
+
+    Every section is read here, also those only some subcommands use, so no
+    subcommand runs on a config that holds a key nothing reads.
+    """
+    top = _section(cfg, "config", _TOP)
+    model, params, rule = top["model"], top["params"], top["partition"]
+    if rule["threshold"] is not None and rule["intervals"] is not None:
+        raise ConfigInvalid("partition takes 'threshold' or 'intervals', not both",
+                            operation="run")
+    intervals = rule["intervals"]
     if model == "transmon":
-        return None, TransmonSpec(
-            ej_over_ec=_require(params, "ej_over_ec", float, "params"),
-            transparency_d=_require(params, "transparency_d", float, "params"),
-        )
+        return None, TransmonSpec(**_params(params, TransmonSpec))
     if model == "chain":
-        spec = ChainSpec(
-            n_cells=_require(params, "n_cells", int, "params"),
-            g1=_optional(params, "g1", float, "params", 1.0),
-            g2=_optional(params, "g2", float, "params", 1.5),
-            g3=_optional(params, "g3", float, "params", 2.0),
-            disorder_strength=_optional(params, "disorder_strength", float, "params", 0.01),
-            seed=seed,
-        )
-        h0, v = build_chain(spec)
-        hint_intervals = None
+        h0, v = build_chain(ChainSpec(**_params(params, ChainSpec), seed=top["seed"]))
     elif model == "harmonic":
-        spec = HarmonicChainSpec(
-            n_sites=_require(params, "n_sites", int, "params"),
-            omega=_optional(params, "omega", float, "params", 10.0),
-            g=_optional(params, "g", float, "params", 1.0),
-            fock_cutoff=_optional(params, "fock_cutoff", int, "params", 3),
-            v0=_optional(params, "v0", float, "params", 0.0),
-        )
-        h0, v, hint_intervals = build_harmonic_chain(spec)
+        spec = HarmonicChainSpec(**_params(params, HarmonicChainSpec))
+        h0, v, bands = build_harmonic_chain(spec)
+        intervals = bands if intervals is None else intervals
     elif model == "custom":
-        h0, v = _matrix(params, "h0"), _matrix(params, "v")
-        hint_intervals = None
+        matrices = _section(params, "params", _CUSTOM)
+        for key, m in matrices.items():
+            if m["dim"] < 1:
+                raise ConfigInvalid(f"'dim' in params.{key} must be positive, got "
+                                    f"{m['dim']}", operation="run")
+        h0, v = (OperatorMatrix.from_json(m) for m in matrices.values())
     else:
         raise ConfigInvalid(f"unknown model '{model}'", operation="run")
 
-    part_cfg = _optional(cfg, "partition", dict, "config", {"threshold": 0.5})
     eig = herm_eig(h0)
-    if "threshold" in part_cfg:
-        part = partition_by_threshold(eig, _require(part_cfg, "threshold", float, "partition"))
-    elif "intervals" in part_cfg:
-        part = partition_by_intervals(
-            eig, _number_pairs(part_cfg, "intervals", "partition", "[lo, hi]"))
-    elif hint_intervals is not None:
-        part = partition_by_intervals(eig, hint_intervals)
+    if rule["threshold"] is not None:
+        part = partition_by_threshold(eig, rule["threshold"])
+    elif intervals is not None:
+        part = partition_by_intervals(eig, intervals)
     else:
         raise ConfigInvalid("partition must give 'threshold' or 'intervals'", operation="run")
-    return ProblemInstance(h0, v, gamma, part), None
+    return ProblemInstance(h0, v, top["gamma"], part), None
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
-    tg = _optional(cfg, "t_grid", dict, "config", {})
-    t_max = _optional(tg, "t_max", float, "t_grid", 200.0)
-    n_points = _optional(tg, "n_points", int, "t_grid", 2001)
-    if n_points < 1:
-        raise ConfigInvalid(f"t_grid needs n_points >= 1, got {n_points}", operation="run")
-    return np.linspace(0.0, t_max, n_points)
-
-
-def _series_tol(cfg: dict) -> float:
-    tolerances = _optional(cfg, "tolerances", dict, "config", {})
-    return _optional(tolerances, "series_tol", float, "tolerances", 1e-12)
+    tg = _field(cfg, "t_grid", _TOP, "config")
+    if tg["n_points"] < 1:
+        raise ConfigInvalid(f"t_grid needs n_points >= 1, got {tg['n_points']}",
+                            operation="run")
+    return np.linspace(0.0, tg["t_max"], tg["n_points"])
 
 
 def _output_specs(cfg: dict, out_dir: Path) -> list:
     """``(path, format)`` of each ``outputs`` entry, checked before any
-    computation: a non-empty relative string ``path`` that resolves to a
-    file under ``out_dir`` other than ``summary.json`` and every other
-    entry's file, and a ``format`` (default ``"json"``) from
-    ``OUTPUT_FORMATS``."""
+    computation: a ``path`` that resolves to a file under ``out_dir`` other
+    than ``summary.json`` and every other entry's file."""
     root = out_dir.resolve()
     taken = {(root / "summary.json").resolve(): "the summary"}
     checked = []
-    for i, spec in enumerate(_optional(cfg, "outputs", list, "config", [])):
-        where = f"outputs[{i}]"
-        if not isinstance(spec, dict):
-            raise ConfigInvalid(f"{where} must be an object, got {spec!r}", operation="run")
-        path = _require(spec, "path", str, where)
-        fmt = _optional(spec, "format", str, where, "json")
-        if not path or fmt not in OUTPUT_FORMATS:
-            raise ConfigInvalid(f"{where} needs a non-empty 'path' and a 'format' in "
-                                f"{OUTPUT_FORMATS}, got {spec!r}", operation="run")
+    for i, spec in enumerate(_field(cfg, "outputs", _TOP, "config")):
+        where, path = f"outputs[{i}]", spec["path"]
         target = (root / path).resolve()
         if Path(path).is_absolute() or root not in target.parents:
             raise ConfigInvalid(f"{where} 'path' {path!r} must name a file under --out",
@@ -188,7 +206,7 @@ def _output_specs(cfg: dict, out_dir: Path) -> list:
             raise ConfigInvalid(f"{where} 'path' {path!r} is the file of {taken[target]}",
                                 operation="run")
         taken[target] = where
-        checked.append((path, fmt))
+        checked.append((path, spec["format"]))
     return checked
 
 
@@ -210,7 +228,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = _output_specs(cfg, out_dir)
     inst, transmon = build_instance(cfg)
-    series_tol = _series_tol(cfg)
+    series_tol = _field(cfg, "tolerances", _TOP, "config")["series_tol"]
 
     summary: dict = {"config": cfg}
     exit_code = EXIT_OK
@@ -253,15 +271,15 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     inst, transmon = build_instance(cfg)
     extras = [] if inst is None else [inst]
-    n_instances = _optional(cfg, "verify_instances", int, "config", 100)
+    n_instances = _field(cfg, "verify_instances", _TOP, "config")
     if n_instances < 0 or n_instances + len(extras) == 0:
         raise ConfigInvalid(f"'verify_instances' = {n_instances} with {len(extras)} model "
                             "instance(s) gives no suite to run", operation="verify")
     suite = run_suite(
         n_instances=n_instances,
-        seed=_optional(cfg, "seed", int, "config", 0),
+        seed=_field(cfg, "seed", _TOP, "config"),
         extra_instances=extras,
-        series_tol=_series_tol(cfg),
+        series_tol=_field(cfg, "tolerances", _TOP, "config")["series_tol"],
     )
     for name, worst in sorted(suite.worst_by_name().items()):
         status = "PASS" if worst.passed else "FAIL"
@@ -289,17 +307,12 @@ def cmd_model(args) -> int:
     inst, transmon = build_instance(cfg)
     if inst is None:
         raise ConfigInvalid("transmon model has no matrices to emit", operation="model")
-    wanted = [w.strip() for w in args.emit.split(",")]
+    targets = {"h0": inst.h0, "v": inst.v, "partition": inst.partition}
     out = {}
-    for w in wanted:
-        if w == "h0":
-            out["h0"] = inst.h0.to_json()
-        elif w == "v":
-            out["v"] = inst.v.to_json()
-        elif w == "partition":
-            out["partition"] = inst.partition.to_json()
-        else:
+    for w in (w.strip() for w in args.emit.split(",")):
+        if w not in targets:
             raise ConfigInvalid(f"unknown emit target '{w}'", operation="model")
+        out[w] = targets[w].to_json()
     print(json.dumps(out))
     return EXIT_OK
 

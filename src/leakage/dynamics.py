@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .bloch_solver import ProblemInstance, solve_bloch_series
+from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
 from .errors import DegenerateSweep, GroupNotPreserved, IndexOutOfRange
-from .operator_core import operator_norm
+from .operator_core import _gram, operator_norm
 from .schrieffer_wolff import sw_transform
 
 VIOLATION_SLACK = 1e-9
@@ -87,30 +87,29 @@ class _Evolution:
 
     def leakage(self, k: int, t: float) -> float:
         """``||Q_k e^{-itH} P_k||``: the top singular value of the off-block
-        ``B = S_out D S_g^dag`` with ``D = diag(e^{-i lam t})``.
-
-        ``B^T = conj(S_g) (D S_out^T)`` is one real GEMM on the interleaved
-        real and imaginary parts when S is real.  The singular value is read
-        from the Gram matrix on the smaller side of B, which keeps its
+        ``B = S_out D S_g^dag`` with ``D = diag(e^{-i lam t})``, read from the
+        small-side Gram of ``B^T = conj(S_g) (D S_out^T)``, which keeps its
         relative accuracy near machine epsilon.
         """
         sg_conj, sout_t = self._factors[k]
         if sg_conj.size == 0 or sout_t.size == 0:
             return 0.0
-        rhs = np.exp(-1j * t * self.lam)[:, None] * sout_t
-        if sg_conj.dtype == np.float64:
-            bt = (sg_conj @ rhs.view(np.float64)).view(np.complex128)
-        else:
-            bt = sg_conj @ rhs
-        gram = bt @ bt.conj().T if bt.shape[0] <= bt.shape[1] else bt.conj().T @ bt
-        return math.sqrt(np.linalg.svd(gram, compute_uv=False)[0])
+        bt = _product(sg_conj, np.exp(-1j * t * self.lam)[:, None] * sout_t)
+        return math.sqrt(np.linalg.svd(_gram(bt), compute_uv=False)[0])
+
+
+def _product(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``a @ rhs``, one real GEMM on a C-contiguous complex ``rhs`` if ``a`` is real."""
+    if a.dtype == np.float64:
+        return (a @ rhs.view(np.float64)).view(np.complex128)
+    return a @ rhs
 
 
 def run_leakage_experiment(
     inst: ProblemInstance,
     t_grid,
     with_distances: bool = True,
-    series_tol: float = 1e-12,
+    series_tol: float = SERIES_TOL_DEFAULT,
 ) -> LeakageReport:
     """Leakage of every block over the grid, optionally with the
     Bloch/Schrieffer-Wolff distance series, checked against the bounds.
@@ -143,11 +142,8 @@ def run_leakage_experiment(
         for j, t in enumerate(times):
             c, s = np.cos(0.5 * t * evo.lam), np.sin(0.5 * t * evo.lam)
             sines = np.outer(c, s) - np.outer(s, c)   # sin((lam_n - lam_m) t / 2)
-            rhs = (c - 1j * s)[:, None] * y_inv_t      # E Y^-T
-            if y.dtype == np.float64:   # one GEMM on the real and imaginary parts
-                m_t = ((y * sines).T @ rhs.view(np.float64)).view(np.complex128)
-            else:
-                m_t = (y * sines).T @ rhs
+            # M^T = (Y o K)^T (E Y^-T)
+            m_t = _product((y * sines).T, (c - 1j * s)[:, None] * y_inv_t)
             d_bloch[j] = 2.0 * operator_norm(m_t)
             if d_sw is not None:
                 d_sw[j] = 2.0 * operator_norm(x * sines)

@@ -100,9 +100,15 @@ def operator_norm(a: np.ndarray) -> float:
         raise np.linalg.LinAlgError("operator_norm of an array with a non-finite entry")
     if scale == 0.0:
         return 0.0
-    b = a / scale
-    gram = b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b
-    return float(scale * np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    # the float64 view, as complex / float overflows when the scale is subnormal
+    b = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    b = (b.view(np.float64) / scale).view(b.dtype)
+    return float(scale * np.sqrt(max(np.linalg.eigvalsh(_gram(b))[-1], 0.0)))
+
+
+def _gram(b: np.ndarray) -> np.ndarray:
+    """Gram matrix of ``b`` on its smaller side: its top eigenvalue is ``||b||^2``."""
+    return b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b
 
 
 def herm_eig(m: OperatorMatrix) -> HermitianEigenSystem:

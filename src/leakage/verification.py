@@ -14,12 +14,12 @@ CLI ``verify`` subcommand and by the acceptance tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bounds
-from .bloch_solver import ProblemInstance, solve_bloch_series
+from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
 from .dynamics import _Evolution
 from .operator_core import OperatorMatrix, herm_eig, operator_norm
 from .schrieffer_wolff import sw_transform
@@ -37,12 +37,7 @@ class InvariantResult:
     allowed: float
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "allowed": self.allowed,
-        }
+        return asdict(self)
 
 
 def haar_unitary(rng, dim: int) -> np.ndarray:
@@ -87,7 +82,7 @@ def random_instance(
     return ProblemInstance(h0, OperatorMatrix(v), gamma, part)
 
 
-def check_instance(inst: ProblemInstance, series_tol: float = 1e-12):
+def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT):
     """All operator-level invariants on one instance.
 
     Returns a list of :class:`InvariantResult`, one per inequality, each
@@ -236,7 +231,7 @@ def run_suite(
     n_instances: int = 100,
     seed: int = 0,
     extra_instances=(),
-    series_tol: float = 1e-12,
+    series_tol: float = SERIES_TOL_DEFAULT,
 ) -> SuiteReport:
     """Invariant suite over seeded random instances plus any extras."""
     if n_instances < 0:

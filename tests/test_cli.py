@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from leakage import OperatorMatrix, bounds, cli, dynamics
+from leakage.models import ChainSpec, HarmonicChainSpec, build_chain, build_harmonic_chain
 from leakage.cli import _time_grid, main
 from leakage.errors import ConfigInvalid, SingularBlockGram
 
@@ -311,6 +312,8 @@ HARMONIC_CFG = {
     ("run", {**CHAIN_CFG, "t_grid": 41}, "t_grid"),
     ("run", {**CHAIN_CFG, "partition": 0.5}, "partition"),
     ("run", {**CHAIN_CFG, "params": [4]}, "params"),
+    ("run", {**CHAIN_CFG, "partition": {"threshold": 0.5, "intervals": [[-5, 5]]}},
+     "partition"),
 ])
 def test_mistyped_config_field_is_config_invalid(tmp_path, capsys, command, cfg, key):
     argv = [command, "--config", write_cfg(tmp_path, cfg)]
@@ -342,7 +345,17 @@ NON_FINITE_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("cfg, key", NON_FINITE_FIELDS, ids=[k for _, k in NON_FINITE_FIELDS])
+# JSON integers beyond the float64 range, which float() cannot convert
+HUGE_INT_FIELDS = [
+    ({**CHAIN_CFG, "gamma": 10**400}, "gamma"),
+    ({**CHAIN_CFG, "params": {"n_cells": 4, "g1": 10**400}}, "g1"),
+    ({**CHAIN_CFG, "t_grid": {"t_max": -10**400, "n_points": 41}}, "t_max"),
+]
+
+
+@pytest.mark.parametrize("cfg, key", NON_FINITE_FIELDS + HUGE_INT_FIELDS,
+                         ids=[k for _, k in NON_FINITE_FIELDS]
+                         + [f"huge-{k}" for _, k in HUGE_INT_FIELDS])
 def test_non_finite_float_config_field_is_config_invalid(tmp_path, capsys, cfg, key):
     # json reads the non-standard NaN and Infinity as floats
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
@@ -368,6 +381,8 @@ def test_integer_config_fields_run(tmp_path):
     assert summaries[0]["max_leakage"] == summaries[1]["max_leakage"] > 0
     cfg = {**CHAIN_CFG, "verify_instances": 1, "seed": 2}
     assert main(["verify", "--config", write_cfg(tmp_path, cfg, "verify.json")]) == 0
+    # an integer inside the float64 range reads as that float
+    assert _time_grid({"t_grid": {"t_max": 10**308, "n_points": 2}})[-1] == 1e308
 
 
 @pytest.mark.parametrize("outputs", [
@@ -383,9 +398,10 @@ def test_integer_config_fields_run(tmp_path):
     [{"path": "a.csv", "format": "csv"}, {"path": "./sub/../summary.json"}],
     [{"path": "a.json"}, {"path": "a.json", "format": "csv"}],
     [{"path": "a.csv", "format": "csv"}, {"path": "sub/../a.csv"}],
+    [{"path": "a.json", "kind": "distance"}],
 ], ids=["no-path", "int-path", "empty-path", "yaml", "upper-csv", "null-format",
         "bare-string", "not-a-list", "summary", "dotted-summary", "duplicate",
-        "dotted-duplicate"])
+        "dotted-duplicate", "other-kind"])
 def test_bad_outputs_rejected_before_computation(tmp_path, monkeypatch, capsys, outputs):
     def never(*args, **kwargs):
         raise AssertionError("the experiment ran")
@@ -487,3 +503,69 @@ def test_mistyped_custom_matrix_is_config_invalid(tmp_path, capsys, h0, key):
     err = capsys.readouterr().err
     assert key in err and "params.h0" in err
     assert not (tmp_path / "summary.json").exists()
+
+
+def _custom_with(h0_extra=None, params_extra=None):
+    cfg = custom_cfg({**OperatorMatrix(np.diag([0.0, 1.0])).to_json(), **(h0_extra or {})})
+    cfg["params"].update(params_extra or {})
+    return cfg
+
+
+UNKNOWN_KEYS = [
+    ({**CHAIN_CFG, "gama": 2.0}, "gama", "config"),
+    ({**CHAIN_CFG, "params": {"n_cells": 4, "disorder_strenght": 5.0}},
+     "disorder_strenght", "params"),
+    ({**HARMONIC_CFG, "params": {"n_sites": 2, "v_0": 0.1}}, "v_0", "params"),
+    ({**TRANSMON_CFG, "params": {**TRANSMON_CFG["params"], "seed": 1}}, "seed", "params"),
+    (_custom_with(params_extra={"w": {"dim": 1, "entries": [[0, 0]]}}), "w", "params"),
+    (_custom_with(h0_extra={"shape": [2, 2]}), "shape", "params.h0"),
+    ({**CHAIN_CFG, "partition": {"treshold": 0.5}}, "treshold", "partition"),
+    ({**CHAIN_CFG, "t_grid": {"t_max": 20.0, "npoints": 41}}, "npoints", "t_grid"),
+    ({**CHAIN_CFG, "tolerances": {"series_tolerance": 1e-10}}, "series_tolerance",
+     "tolerances"),
+    ({**CHAIN_CFG, "outputs": [{"path": "a.json", "fromat": "csv"}]}, "fromat", "outputs[0]"),
+]
+
+
+@pytest.mark.parametrize("cfg, key, section", UNKNOWN_KEYS,
+                         ids=["top", "chain", "harmonic", "transmon", "custom", "custom-h0",
+                              "partition", "t_grid", "tolerances", "outputs"])
+def test_unknown_config_key_is_config_invalid(tmp_path, monkeypatch, capsys, cfg, key,
+                                              section):
+    # a misspelled key must not leave the default it meant to override in force
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_leakage_experiment", never)
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert f"unknown key '{key}' in {section}" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+EVERY_KEY_CFG = {**CHAIN_CFG, "tolerances": {"series_tol": 1e-12}, "verify_instances": 1,
+                 "outputs": [{"kind": "leakage", "path": "series.json", "format": "json"}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--out", "{out}"],
+    ["verify"],
+    ["model"],
+    ["sweep", "--gamma-list", "10,30,100,300"],
+], ids=["run", "verify", "model", "sweep"])
+def test_config_with_every_top_level_key_serves_every_command(tmp_path, argv):
+    assert sorted(EVERY_KEY_CFG) == sorted([
+        "model", "params", "seed", "gamma", "partition", "t_grid", "tolerances", "outputs",
+        "verify_instances"])
+    cfg = write_cfg(tmp_path, EVERY_KEY_CFG)
+    assert main([argv[0], "--config", cfg, *(a.format(out=tmp_path) for a in argv[1:])]) == 0
+
+
+@pytest.mark.parametrize("cfg, matrices", [
+    ({"model": "chain", "params": {"n_cells": 4}}, build_chain(ChainSpec(n_cells=4))),
+    ({"model": "harmonic", "params": {"n_sites": 2}},
+     build_harmonic_chain(HarmonicChainSpec(n_sites=2))[:2]),
+], ids=["chain", "harmonic"])
+def test_omitted_params_take_the_spec_defaults(cfg, matrices):
+    inst, _ = cli.build_instance(cfg)
+    for got, want in zip((inst.h0, inst.v), matrices):
+        np.testing.assert_array_equal(got.entries, want.entries)

@@ -100,6 +100,8 @@ def test_operator_norm_matches_reference():
 @example(seed=5, rows=3, cols=7, complex_entries=False, exponent=150)
 @example(seed=5, rows=7, cols=3, complex_entries=False, exponent=200)
 @example(seed=5, rows=3, cols=7, complex_entries=True, exponent=300)
+@example(seed=5, rows=7, cols=3, complex_entries=True, exponent=-310)   # subnormal max|a|
+@example(seed=5, rows=3, cols=7, complex_entries=True, exponent=-320)
 @settings(deadline=None, max_examples=150)
 def test_operator_norm_matches_svd_oracle(seed, rows, cols, complex_entries, exponent):
     # squared, entries beyond about 1e+-154 leave the float64 range, so the
