@@ -46,9 +46,7 @@ from .models import (
     HarmonicChainSpec,
     TransmonSpec,
     build_chain,
-    chain_dispersion,
     build_harmonic_chain,
-    harmonic_chain_v_norm,
     transmon_bandgap,
     transmon_perturbation_norm,
 )
@@ -66,7 +64,7 @@ __all__ = [
     "LeakageReport", "SweepResult", "run_leakage_experiment",
     "gamma_scaling_sweep", "truncation_convergence_study",
     "ChainSpec", "HarmonicChainSpec", "TransmonSpec", "build_chain",
-    "chain_dispersion", "build_harmonic_chain", "harmonic_chain_v_norm",
+    "build_harmonic_chain",
     "transmon_bandgap", "transmon_perturbation_norm",
     "run_suite", "check_instance", "random_instance",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .errors import GammaBelowThreshold, NotConverged, ZeroGap
+from .errors import LeakageError
 from .operator_core import OperatorMatrix, operator_norm
 from .spectral_partition import SpectralPartition
 
@@ -115,10 +115,8 @@ def _gap_divisors(lam, g, out, eta):
     partition data are inconsistent."""
     diffs = lam[out, None] - lam[None, g]
     if diffs.size and np.abs(diffs).min() < eta / 2.0:
-        raise ZeroGap(
-            f"eigenvalue difference {np.abs(diffs).min():.3e} below eta/2 = {eta / 2:.3e}",
-            operation="solve_bloch_series",
-        )
+        raise LeakageError(
+            f"eigenvalue difference {np.abs(diffs).min():.3e} below eta/2 = {eta / 2:.3e}")
     return diffs
 
 
@@ -177,23 +175,15 @@ def solve_bloch_series(inst: ProblemInstance, tol: float = SERIES_TOL_DEFAULT) -
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    eta = inst.partition.gap
-    v_norm = inst.v_norm
-    threshold = bounds.gamma_threshold_bloch(v_norm, eta)
-    if inst.gamma <= threshold:
-        raise GammaBelowThreshold(
-            f"gamma = {inst.gamma:.6g} <= 4 pi ||V|| / eta = {threshold:.6g}",
-            operation="solve_bloch_series",
-        )
+    threshold = bounds.gamma_threshold_bloch(inst.v_norm, inst.partition.gap)
     x = inst.x
+    if not bounds._in_bloch_regime(x):
+        raise LeakageError(f"gamma = {inst.gamma:.6g} <= 4 pi ||V|| / eta = {threshold:.6g}")
 
     tails = bounds.catalan_tails(x, J_MAX)
     order = next((j for j, t in enumerate(tails) if t < tol), None)
     if order is None:
-        raise NotConverged(
-            f"Catalan tail still above tol = {tol:.1e} at order {J_MAX}",
-            operation="solve_bloch_series",
-        )
+        raise LeakageError(f"Catalan tail still above tol = {tol:.1e} at order {J_MAX}")
 
     terms = _series_terms(inst, order)
     omega = sum(t / inst.gamma**j for j, t in enumerate(terms))

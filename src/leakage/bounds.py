@@ -5,6 +5,11 @@ Everything here is a pure function of the dimensionless ratio
 evolution-distance bound epsilon(x), the Catalan numbers controlling the
 perturbative series, the Schrieffer-Wolff distance bound, and the eternal
 leakage bound with its 9*pi*x linear envelope.
+
+Each gamma regime is decided by one predicate in x, the domain of its
+formulas: ``4 pi x < 1`` for the Bloch series, ``delta(x) < sqrt(2) - 1``
+for Schrieffer-Wolff.  Every module asks these predicates; the gamma
+thresholds are only reported.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from .errors import OutOfDomain
+from .errors import LeakageError
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 
@@ -32,6 +37,16 @@ def gamma_threshold_sw(v_norm: float, eta: float) -> float:
     return 2.0 * math.pi / SQRT2_M1 * v_norm / eta
 
 
+def _in_bloch_regime(x: float) -> bool:
+    """The domain of delta(x) and epsilon(x), where the Bloch series converges."""
+    return 4.0 * math.pi * x < 1.0
+
+
+def _in_sw_regime(x: float) -> bool:
+    """The domain of the Schrieffer-Wolff distance bound."""
+    return _in_bloch_regime(x) and delta_of(x) < SQRT2_M1
+
+
 def delta_of(x: float) -> float:
     """Bound on ||Omega - 1||: (1 - sqrt(1 - 4 pi x))^2 / (4 pi x).
 
@@ -40,10 +55,10 @@ def delta_of(x: float) -> float:
     Monotone increasing, tending to 1 as 4 pi x -> 1.
     """
     if x < 0:
-        raise OutOfDomain(f"x = {x} must be nonnegative", operation="delta_of")
+        raise LeakageError(f"x = {x} must be nonnegative")
     u = 4.0 * math.pi * x
-    if u >= 1.0:
-        raise OutOfDomain(f"4 pi x = {u:.6g} >= 1", operation="delta_of")
+    if not _in_bloch_regime(x):
+        raise LeakageError(f"4 pi x = {u:.6g} >= 1")
     if x < _DELTA_SERIES_X:
         px = math.pi * x
         return px * (1.0 + 2.0 * px + 5.0 * px * px)
@@ -53,10 +68,10 @@ def delta_of(x: float) -> float:
 def epsilon_of(x: float) -> float:
     """Bound on the Bloch evolution distance: 1/sqrt(1 - 4 pi x) - 1."""
     if x < 0:
-        raise OutOfDomain(f"x = {x} must be nonnegative", operation="epsilon_of")
+        raise LeakageError(f"x = {x} must be nonnegative")
     u = 4.0 * math.pi * x
-    if u >= 1.0:
-        raise OutOfDomain(f"4 pi x = {u:.6g} >= 1", operation="epsilon_of")
+    if not _in_bloch_regime(x):
+        raise LeakageError(f"4 pi x = {u:.6g} >= 1")
     # expm1/log1p form stays accurate for tiny x
     return math.expm1(-0.5 * math.log1p(-u))
 
@@ -83,8 +98,8 @@ def catalan_tails(x: float, j_max: int) -> list:
     ``C_{j+1} / C_j < 4`` by ``t_n 4y / (1 - 4y)``: every tail is an
     upper bound on the true remainder, up to rounding.
     """
-    if 4.0 * math.pi * x >= 1.0:
-        raise OutOfDomain(f"4 pi x = {4 * math.pi * x:.6g} >= 1", operation="catalan_tails")
+    if not _in_bloch_regime(x):
+        raise LeakageError(f"4 pi x = {4 * math.pi * x:.6g} >= 1")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     y = math.pi * x
@@ -111,13 +126,10 @@ def sw_distance_bound(x: float) -> float:
     delta(x) < sqrt(2) - 1.  Always at least epsilon_of(x).
     """
     if x < 0:
-        raise OutOfDomain(f"x = {x} must be nonnegative", operation="sw_distance_bound")
-    u = 4.0 * math.pi * x
-    if u >= 1.0 or delta_of(x) >= SQRT2_M1:
-        raise OutOfDomain(
-            f"delta({x:.6g}) not below sqrt(2) - 1", operation="sw_distance_bound"
-        )
-    inner = math.sqrt(1.0 - u) - 2.0 * math.pi * x
+        raise LeakageError(f"x = {x} must be nonnegative")
+    if not _in_sw_regime(x):
+        raise LeakageError(f"delta({x:.6g}) not below sqrt(2) - 1")
+    inner = math.sqrt(1.0 - 4.0 * math.pi * x) - 2.0 * math.pi * x
     return 2.0 * (1.0 / math.sqrt(inner) - 1.0)
 
 
@@ -129,7 +141,7 @@ def harmonic_chain_bound(v0: float, omega: float, g: float) -> float:
     """
     eta = omega - 4.0 * g
     if eta <= 0:
-        raise OutOfDomain(f"omega - 4 g = {eta:.6g} <= 0", operation="harmonic_chain_bound")
+        raise LeakageError(f"omega - 4 g = {eta:.6g} <= 0")
     return epsilon_of(v0 / eta)
 
 
@@ -141,7 +153,7 @@ def transmon_leakage_bound(ej_over_ec: float, transparency_d: float) -> float:
     """
     from .models import transmon_bandgap, transmon_perturbation_norm
 
-    eta = transmon_bandgap(1, ej_over_ec)  # raises NonpositiveBandgap unless eta > 0
+    eta = transmon_bandgap(1, ej_over_ec)  # raises ValueError unless eta > 0
     v_norm = transmon_perturbation_norm(ej_over_ec, transparency_d)
     return epsilon_of(v_norm / eta)
 
@@ -179,11 +191,10 @@ def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:
     if v_norm < 0:
         raise ValueError("v_norm must be nonnegative")
     x = v_norm / (gamma * eta)
-    in_bloch = 4.0 * math.pi * x < 1.0
+    in_bloch = _in_bloch_regime(x)
     delta = delta_of(x) if in_bloch else None
     eps = epsilon_of(x) if in_bloch else None
-    in_sw = in_bloch and delta is not None and delta < SQRT2_M1
-    d_sw = sw_distance_bound(x) if in_sw else None
+    d_sw = sw_distance_bound(x) if _in_sw_regime(x) else None
     return BoundReport(
         v_norm=v_norm,
         gamma=gamma,

@@ -11,9 +11,10 @@ keys with a kind and a default and rejects any other key, so a misspelled
 key exits 2.  A model's ``params`` are the fields, types and defaults of its
 spec (``ChainSpec``, ``HarmonicChainSpec``, ``TransmonSpec``).
 
-Exit codes: 0 success, 2 invalid input (config, time grid, matrices,
-partition or bound arguments), 3 convergence or numerical failure
-(LAPACK's included), 4 bound violation or failed invariant.
+Exit codes follow one rule: 0 success; 2 for a ``ValueError``, which is
+bad input (config, time grid, matrices, partition or bound arguments); 3
+for a ``LeakageError`` or LAPACK's ``LinAlgError``, a computation on valid
+input that cannot go on; 4 for a bound violation or a failed invariant.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
 from .dynamics import gamma_scaling_sweep, run_leakage_experiment
-from .errors import ConfigInvalid, InvalidInput, LeakageError
+from .errors import LeakageError
 from .models import (
     ChainSpec,
     HarmonicChainSpec,
@@ -53,9 +54,9 @@ def _load_config(path: str) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read config {path}: {exc}", operation="run") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigInvalid("config must be an object", operation="run")
+        raise ValueError("config must be an object")
     return cfg
 
 
@@ -86,28 +87,29 @@ def _value(val, key: str, kind, where: str):
     if isinstance(kind, tuple):
         if val in kind:
             return val
-        raise ConfigInvalid(f"'{key}' in {where} must be one of {kind}, got {val!r}",
-                            operation="run")
+        raise ValueError(f"'{key}' in {where} must be one of {kind}, got {val!r}")
     if isinstance(kind, str):
         if isinstance(val, list) and all(
                 isinstance(pair, list) and len(pair) == 2 and all(
                     isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
                 for pair in val):
-            return val
-        raise ConfigInvalid(f"'{key}' in {where} must be a list of {kind} number pairs, "
-                            f"got {val!r}", operation="run")
+            if kind != "[lo, hi]":
+                return val  # matrix entries, which OperatorMatrix checks
+            # interval endpoints are read as every float field is
+            return [[_value(v, end, float, f"{inner}[{i}]") for end, v in zip(("lo", "hi"), pair)]
+                    for i, pair in enumerate(val)]
+        raise ValueError(f"'{key}' in {where} must be a list of {kind} number pairs, "
+                         f"got {val!r}")
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         try:
             val = float(val)
         except OverflowError:
-            raise ConfigInvalid(f"'{key}' in {where} must be finite, got an integer "
-                                "beyond the float range", operation="run") from None
+            raise ValueError(f"'{key}' in {where} must be finite, got an integer "
+                             "beyond the float range") from None
     if isinstance(val, bool) or not isinstance(val, kind):
-        raise ConfigInvalid(f"'{key}' in {where} must be {kind.__name__}, got {val!r}",
-                            operation="run")
+        raise ValueError(f"'{key}' in {where} must be {kind.__name__}, got {val!r}")
     if kind is float and not np.isfinite(val):
-        raise ConfigInvalid(f"'{key}' in {where} must be finite, got {val!r}",
-                            operation="run")
+        raise ValueError(f"'{key}' in {where} must be finite, got {val!r}")
     return val
 
 
@@ -117,7 +119,7 @@ def _field(obj: dict, key: str, schema: dict, where: str):
     if key in obj:
         return _value(obj[key], key, kind, where)
     if default is MISSING:
-        raise ConfigInvalid(f"missing '{key}' in {where}", operation="run")
+        raise ValueError(f"missing '{key}' in {where}")
     return default if default is None else _value(default, key, kind, where)
 
 
@@ -125,11 +127,11 @@ def _section(obj, where: str, schema: dict) -> dict:
     """Every key of ``schema`` read from the config section ``where``, which
     must be an object that holds no key ``schema`` does not declare."""
     if not isinstance(obj, dict):
-        raise ConfigInvalid(f"{where} must be an object, got {obj!r}", operation="run")
+        raise ValueError(f"{where} must be an object, got {obj!r}")
     for key in obj:
         if key not in schema:
-            raise ConfigInvalid(f"unknown key '{key}' in {where}, which takes "
-                                f"{', '.join(schema)}", operation="run")
+            raise ValueError(f"unknown key '{key}' in {where}, which takes "
+                             f"{', '.join(schema)}")
     return {key: _field(obj, key, schema, where) for key in schema}
 
 
@@ -150,8 +152,7 @@ def build_instance(cfg: dict):
     top = _section(cfg, "config", _TOP)
     model, params, rule = top["model"], top["params"], top["partition"]
     if rule["threshold"] is not None and rule["intervals"] is not None:
-        raise ConfigInvalid("partition takes 'threshold' or 'intervals', not both",
-                            operation="run")
+        raise ValueError("partition takes 'threshold' or 'intervals', not both")
     intervals = rule["intervals"]
     if model == "transmon":
         return None, TransmonSpec(**_params(params, TransmonSpec))
@@ -165,11 +166,10 @@ def build_instance(cfg: dict):
         matrices = _section(params, "params", _CUSTOM)
         for key, m in matrices.items():
             if m["dim"] < 1:
-                raise ConfigInvalid(f"'dim' in params.{key} must be positive, got "
-                                    f"{m['dim']}", operation="run")
+                raise ValueError(f"'dim' in params.{key} must be positive, got {m['dim']}")
         h0, v = (OperatorMatrix.from_json(m) for m in matrices.values())
     else:
-        raise ConfigInvalid(f"unknown model '{model}'", operation="run")
+        raise ValueError(f"unknown model '{model}'")
 
     eig = herm_eig(h0)
     if rule["threshold"] is not None:
@@ -177,15 +177,14 @@ def build_instance(cfg: dict):
     elif intervals is not None:
         part = partition_by_intervals(eig, intervals)
     else:
-        raise ConfigInvalid("partition must give 'threshold' or 'intervals'", operation="run")
+        raise ValueError("partition must give 'threshold' or 'intervals'")
     return ProblemInstance(h0, v, top["gamma"], part), None
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
     tg = _field(cfg, "t_grid", _TOP, "config")
     if tg["n_points"] < 1:
-        raise ConfigInvalid(f"t_grid needs n_points >= 1, got {tg['n_points']}",
-                            operation="run")
+        raise ValueError(f"t_grid needs n_points >= 1, got {tg['n_points']}")
     return np.linspace(0.0, tg["t_max"], tg["n_points"])
 
 
@@ -200,11 +199,9 @@ def _output_specs(cfg: dict, out_dir: Path) -> list:
         where, path = f"outputs[{i}]", spec["path"]
         target = (root / path).resolve()
         if Path(path).is_absolute() or root not in target.parents:
-            raise ConfigInvalid(f"{where} 'path' {path!r} must name a file under --out",
-                                operation="run")
+            raise ValueError(f"{where} 'path' {path!r} must name a file under --out")
         if target in taken:
-            raise ConfigInvalid(f"{where} 'path' {path!r} is the file of {taken[target]}",
-                                operation="run")
+            raise ValueError(f"{where} 'path' {path!r} is the file of {taken[target]}")
         taken[target] = where
         checked.append((path, spec["format"]))
     return checked
@@ -243,12 +240,12 @@ def cmd_run(args) -> int:
             inst, _time_grid(cfg), series_tol=series_tol
         )
         invariants = None
-        if inst.gamma > report.bounds.gamma_threshold_sw:
+        if report.bounds.d_sw_bound is not None:
             invariants = [r.to_json() for r in check_instance(inst, series_tol=series_tol)]
             if any(not r["passed"] for r in invariants):
                 exit_code = EXIT_VIOLATION
         sol = None
-        if inst.gamma > report.bounds.gamma_threshold_bloch:
+        if report.bounds.epsilon is not None:
             sol = solve_bloch_series(inst, tol=series_tol)
         summary.update(
             {
@@ -273,8 +270,8 @@ def cmd_verify(args) -> int:
     extras = [] if inst is None else [inst]
     n_instances = _field(cfg, "verify_instances", _TOP, "config")
     if n_instances < 0 or n_instances + len(extras) == 0:
-        raise ConfigInvalid(f"'verify_instances' = {n_instances} with {len(extras)} model "
-                            "instance(s) gives no suite to run", operation="verify")
+        raise ValueError(f"'verify_instances' = {n_instances} with {len(extras)} model "
+                         "instance(s) gives no suite to run")
     suite = run_suite(
         n_instances=n_instances,
         seed=_field(cfg, "seed", _TOP, "config"),
@@ -295,9 +292,7 @@ def cmd_bounds(args) -> int:
     elif None not in (args.v_norm, args.gamma, args.eta):
         report = bounds_mod.bound_report(args.v_norm, args.gamma, args.eta)
     else:
-        raise ConfigInvalid(
-            "give either --x or all of --v-norm/--gamma/--eta", operation="bounds"
-        )
+        raise ValueError("give either --x or all of --v-norm/--gamma/--eta")
     print(json.dumps(report.to_json(), indent=2))
     return EXIT_OK
 
@@ -306,12 +301,12 @@ def cmd_model(args) -> int:
     cfg = _load_config(args.config)
     inst, transmon = build_instance(cfg)
     if inst is None:
-        raise ConfigInvalid("transmon model has no matrices to emit", operation="model")
+        raise ValueError("transmon model has no matrices to emit")
     targets = {"h0": inst.h0, "v": inst.v, "partition": inst.partition}
     out = {}
     for w in (w.strip() for w in args.emit.split(",")):
         if w not in targets:
-            raise ConfigInvalid(f"unknown emit target '{w}'", operation="model")
+            raise ValueError(f"unknown emit target '{w}'")
         out[w] = targets[w].to_json()
     print(json.dumps(out))
     return EXIT_OK
@@ -321,7 +316,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     inst, transmon = build_instance(cfg)
     if inst is None:
-        raise ConfigInvalid("sweep needs a matrix model", operation="sweep")
+        raise ValueError("sweep needs a matrix model")
     gammas = [float(g) for g in args.gamma_list.split(",")]
     result = gamma_scaling_sweep(inst, gammas, _time_grid(cfg))
     print(json.dumps(result.to_json(), indent=2))
@@ -369,9 +364,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (LeakageError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, but LAPACK not converging is no input error
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bounds
 from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
-from .errors import DegenerateSweep, GroupNotPreserved, IndexOutOfRange
+from .errors import LeakageError
 from .operator_core import _gram, operator_norm
 from .schrieffer_wolff import sw_transform
 
@@ -114,8 +114,9 @@ def run_leakage_experiment(
     """Leakage of every block over the grid, optionally with the
     Bloch/Schrieffer-Wolff distance series, checked against the bounds.
 
-    Distance series require gamma above the respective thresholds and
-    are skipped (None) otherwise.  ``violations`` lists every point where
+    A distance series exists if and only if its bound does (``epsilon``
+    for ``d_Bloch``, the SW distance bound for ``d_SW``) and is None
+    otherwise.  ``violations`` lists every point where
     leakage or ``d_Bloch`` exceeds ``epsilon``, or ``d_SW`` exceeds the SW
     distance bound, labelled by kind.
     """
@@ -130,12 +131,12 @@ def run_leakage_experiment(
     report = bounds.bound_report(inst.v_norm, inst.gamma, inst.partition.gap)
 
     d_bloch = d_sw = None
-    if with_distances and inst.gamma > report.gamma_threshold_bloch:
+    if with_distances and report.epsilon is not None:
         bloch = solve_bloch_series(inst, tol=series_tol)
         u = evo.s    # eigenvectors of H in the H0 eigenbasis
         y = u.conj().T @ bloch.omega @ u
         y_inv_t = np.ascontiguousarray(np.linalg.inv(y).T)
-        if inst.gamma > report.gamma_threshold_sw:
+        if report.d_sw_bound is not None:
             x = u.conj().T @ sw_transform(inst, bloch).w @ u
             d_sw = np.zeros(times.size)
         d_bloch = np.zeros(times.size)
@@ -198,10 +199,7 @@ def gamma_scaling_sweep(template: ProblemInstance, gammas, t_grid) -> SweepResul
     ])
     usable = maxima > 0
     if usable.sum() < 4:
-        raise DegenerateSweep(
-            f"only {int(usable.sum())} usable sweep points",
-            operation="gamma_scaling_sweep",
-        )
+        raise ValueError(f"only {int(usable.sum())} usable sweep points")
     slope = float(np.polyfit(np.log(gam[usable]), np.log(maxima[usable]), 1)[0])
     return SweepResult(gammas=gam, max_leakages=maxima, slope=slope)
 
@@ -215,8 +213,7 @@ def truncation_convergence_study(builder, cutoffs, t_probe: float, k: int):
     under study.
     """
     if k < 0:
-        raise IndexOutOfRange(f"group index {k} is negative",
-                              operation="truncation_convergence_study")
+        raise ValueError(f"group index {k} is negative")
     cut = list(cutoffs)
     if any(b >= a for a, b in zip(cut[1:], cut)):
         raise ValueError("cutoffs must be strictly increasing")
@@ -226,19 +223,13 @@ def truncation_convergence_study(builder, cutoffs, t_probe: float, k: int):
         inst = builder(c)
         part = inst.partition
         if k >= part.n_groups:
-            raise GroupNotPreserved(
-                f"cutoff {c} leaves only {part.n_groups} groups, probe was {k}",
-                operation="truncation_convergence_study",
-            )
+            raise LeakageError(f"cutoff {c} leaves only {part.n_groups} groups, probe was {k}")
         interval = part.component_intervals[k]
         if ref_interval is None:
             ref_interval = interval
         else:
             drift = max(abs(interval[0] - ref_interval[0]), abs(interval[1] - ref_interval[1]))
             if drift > part.gap / 2.0:
-                raise GroupNotPreserved(
-                    f"group {k} interval moved by {drift:.3g} at cutoff {c}",
-                    operation="truncation_convergence_study",
-                )
+                raise LeakageError(f"group {k} interval moved by {drift:.3g} at cutoff {c}")
         values.append(_Evolution(inst).leakage(k, t_probe))
     return values

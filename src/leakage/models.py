@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveBandgap
 from .operator_core import OperatorMatrix
 from .rng import substream
 
@@ -104,26 +103,6 @@ def build_chain(spec: ChainSpec):
     )
 
 
-def chain_dispersion(k: float, g1: float, g2: float, g3: float):
-    """Three band energies at quasi-momentum ``k``, ascending.
-
-    Roots of the depressed cubic ``E^3 - E (g1^2+g2^2+g3^2)
-    - 2 g1 g2 g3 cos k = 0``, evaluated with the trigonometric formula
-    (the discriminant is nonpositive, so all roots are real).
-    """
-    p = -(g1 * g1 + g2 * g2 + g3 * g3)
-    q = -2.0 * g1 * g2 * g3 * math.cos(k)
-    if p == 0.0:
-        root = -np.cbrt(q)
-        return np.array([root, root, root])
-    amp = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (amp * p)  # = 3q/p * sqrt(-3/p) / 3
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg)
-    roots = amp * np.cos((phi - 2.0 * math.pi * np.arange(3)) / 3.0)
-    return np.sort(roots)
-
-
 def build_harmonic_chain(spec: HarmonicChainSpec):
     """Hamiltonian pair (H0, V) and band intervals for the oscillator chain.
 
@@ -164,15 +143,6 @@ def build_harmonic_chain(spec: HarmonicChainSpec):
     )
 
 
-def harmonic_chain_v_norm(spec: HarmonicChainSpec) -> float:
-    """Actual norm of the constructed ladder perturbation.
-
-    Closed form ``v0 * cos(pi / (fock_cutoff + 2))``: the ladder is a
-    tridiagonal 0/1 matrix on cutoff+1 levels, identity over sites.
-    """
-    return spec.v0 * math.cos(math.pi / (spec.fock_cutoff + 2))
-
-
 def transmon_bandgap(k: int, ej_over_ec: float) -> float:
     """Asymptotic k-th bandgap of the cosine-potential band structure,
     in units of the charge energy.
@@ -196,11 +166,8 @@ def transmon_bandgap(k: int, ej_over_ec: float) -> float:
     ) / (z * z)
     gap = term0 - term1 - term2
     if gap <= 0:
-        raise NonpositiveBandgap(
-            f"asymptotic bandgap {gap:.6g} not positive at k={k}, "
-            f"ej_over_ec={ej_over_ec}",
-            operation="transmon_bandgap",
-        )
+        raise ValueError(
+            f"asymptotic bandgap {gap:.6g} not positive at k={k}, ej_over_ec={ej_over_ec}")
     return gap
 
 

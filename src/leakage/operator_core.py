@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianInput, NotPositiveDefinite
+from .errors import LeakageError
 
 HERMITICITY_RTOL = 1e-12
 PSD_FLOOR = 1e-12
@@ -48,7 +48,7 @@ class OperatorMatrix:
             raise ValueError("entries must be finite, got a NaN or infinite entry")
         dev = np.abs(m - m.conj().T).max()
         if dev > HERMITICITY_RTOL * max(scale, 1e-300):
-            raise NonHermitianInput(
+            raise ValueError(
                 f"max|M - M^dag| = {dev:.3e} exceeds "
                 f"{HERMITICITY_RTOL:.0e} * max|M| = {HERMITICITY_RTOL * scale:.3e}"
             )
@@ -124,10 +124,7 @@ def inv_sqrt_psd(a: np.ndarray) -> np.ndarray:
     eig = herm_eig(OperatorMatrix(a))
     lam_min = eig.eigenvalues.min()
     if lam_min <= PSD_FLOOR:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam_min:.3e} <= floor {PSD_FLOOR:.0e}",
-            operation="inv_sqrt_psd",
-        )
+        raise LeakageError(f"smallest eigenvalue {lam_min:.3e} <= floor {PSD_FLOOR:.0e}")
     u = eig.eigenvectors
     r = (u * eig.eigenvalues ** -0.5) @ u.conj().T
     # symmetrize away roundoff

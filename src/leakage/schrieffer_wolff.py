@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds
 from .bloch_solver import BlochSolution, ProblemInstance
-from .errors import GammaBelowSWThreshold, SingularBlockGram
+from .errors import LeakageError
 from .operator_core import inv_sqrt_psd
 
 
@@ -34,16 +34,14 @@ class SWSolution:
 def sw_transform(inst: ProblemInstance, bloch: BlochSolution) -> SWSolution:
     """Polar-unitarize the wave operator and conjugate the Hamiltonian.
 
-    Requires gamma above the Schrieffer-Wolff threshold
-    ``2 pi / (sqrt(2) - 1) * ||V|| / eta``, equivalently
-    delta(x) < sqrt(2) - 1, so the Gram matrix stays safely invertible.
+    Requires delta(x) < sqrt(2) - 1, equivalently gamma above the
+    Schrieffer-Wolff threshold ``2 pi / (sqrt(2) - 1) * ||V|| / eta``, so
+    the Gram matrix stays safely invertible.
     """
-    threshold = bounds.gamma_threshold_sw(inst.v_norm, inst.partition.gap)
-    if inst.gamma <= threshold:
-        raise GammaBelowSWThreshold(
-            f"gamma = {inst.gamma:.6g} <= 2 pi/(sqrt(2)-1) ||V||/eta = {threshold:.6g}",
-            operation="sw_transform",
-        )
+    if not bounds._in_sw_regime(inst.x):
+        threshold = bounds.gamma_threshold_sw(inst.v_norm, inst.partition.gap)
+        raise LeakageError(
+            f"gamma = {inst.gamma:.6g} <= 2 pi/(sqrt(2)-1) ||V||/eta = {threshold:.6g}")
     omega = bloch.omega
     gram = omega.conj().T @ omega
     w = omega @ inv_sqrt_psd(0.5 * (gram + gram.conj().T))
@@ -67,9 +65,6 @@ def perturbed_projection(inst: ProblemInstance, bloch: BlochSolution, k: int) ->
     gram = cols.conj().T @ cols
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
-        raise SingularBlockGram(
-            f"block Gram matrix for group {k} has condition {cond:.3e}",
-            operation="perturbed_projection",
-        )
+        raise LeakageError(f"block Gram matrix for group {k} has condition {cond:.3e}")
     p = cols @ np.linalg.solve(gram, cols.conj().T)
     return 0.5 * (p + p.conj().T)

@@ -13,11 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NoGapFound,
-    OverlappingIntervals,
-    UncoveredEigenvalue,
-)
 from .operator_core import HermitianEigenSystem
 
 
@@ -83,18 +78,15 @@ def partition_by_threshold(eig: HermitianEigenSystem, split_threshold: float) ->
     more than ``split_threshold``.
 
     Degenerate eigenvalues are never separated since their difference is
-    zero.  Raises :class:`NoGapFound` when the whole spectrum clusters
-    into a single group.
+    zero.  Raises ``ValueError`` when the whole spectrum clusters into a
+    single group.
     """
     if split_threshold <= 0:
         raise ValueError("split_threshold must be positive")
     lam = eig.eigenvalues
     cuts = np.where(np.diff(lam) > split_threshold)[0]
     if cuts.size == 0:
-        raise NoGapFound(
-            f"no adjacent eigenvalue difference exceeds {split_threshold}",
-            operation="partition_by_threshold",
-        )
+        raise ValueError(f"no adjacent eigenvalue difference exceeds {split_threshold}")
     edges = np.concatenate([[0], cuts + 1, [lam.size]])
     groups = [np.arange(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
     return _finalize(eig, groups)
@@ -109,17 +101,14 @@ def partition_by_intervals(eig: HermitianEigenSystem, intervals) -> SpectralPart
     """
     ivs = [(float(lo), float(hi)) for lo, hi in intervals]
     if len(ivs) < 2:
-        raise NoGapFound("need at least two intervals", operation="partition_by_intervals")
+        raise ValueError("need at least two intervals")
     for lo, hi in ivs:
-        if hi < lo:
+        if not lo <= hi:  # NaN fails this too
             raise ValueError(f"malformed interval [{lo}, {hi}]")
     ordered = sorted(ivs)
     for (lo1, hi1), (lo2, hi2) in zip(ordered, ordered[1:]):
         if hi1 >= lo2:
-            raise OverlappingIntervals(
-                f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap",
-                operation="partition_by_intervals",
-            )
+            raise ValueError(f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap")
     lam = eig.eigenvalues
     groups = []
     for lo, hi in ivs:
@@ -127,12 +116,9 @@ def partition_by_intervals(eig: HermitianEigenSystem, intervals) -> SpectralPart
     covered = np.concatenate(groups) if groups else np.array([], dtype=int)
     if covered.size != lam.size:
         missing = np.setdiff1d(np.arange(lam.size), covered)
-        raise UncoveredEigenvalue(
-            f"eigenvalue {lam[missing[0]]:.6g} (index {missing[0]}) lies in no interval",
-            operation="partition_by_intervals",
-        )
+        raise ValueError(
+            f"eigenvalue {lam[missing[0]]:.6g} (index {missing[0]}) lies in no interval")
     groups = [g for g in groups if g.size]
     if len(groups) < 2:
-        raise NoGapFound("eigenvalues populate fewer than two intervals",
-                         operation="partition_by_intervals")
+        raise ValueError("eigenvalues populate fewer than two intervals")
     return _finalize(eig, groups)

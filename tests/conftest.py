@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from leakage import (
+    HarmonicChainSpec,
     OperatorMatrix,
     ProblemInstance,
     herm_eig,
@@ -61,6 +64,35 @@ def make_instance(seed, dim, n_groups, x=0.01, gamma=1.0, real=False):
     v = random_hermitian(rng, dim, real)
     v *= x * gamma * part.gap / operator_norm(v)
     return ProblemInstance(h0, OperatorMatrix(v), gamma, part)
+
+
+def chain_dispersion(k: float, g1: float, g2: float, g3: float):
+    """Three band energies at quasi-momentum ``k``, ascending.
+
+    Roots of the depressed cubic ``E^3 - E (g1^2+g2^2+g3^2)
+    - 2 g1 g2 g3 cos k = 0``, evaluated with the trigonometric formula
+    (the discriminant is nonpositive, so all roots are real).
+    """
+    p = -(g1 * g1 + g2 * g2 + g3 * g3)
+    q = -2.0 * g1 * g2 * g3 * math.cos(k)
+    if p == 0.0:
+        root = -np.cbrt(q)
+        return np.array([root, root, root])
+    amp = 2.0 * math.sqrt(-p / 3.0)
+    arg = 3.0 * q / (amp * p)  # = 3q/p * sqrt(-3/p) / 3
+    arg = min(1.0, max(-1.0, arg))
+    phi = math.acos(arg)
+    roots = amp * np.cos((phi - 2.0 * math.pi * np.arange(3)) / 3.0)
+    return np.sort(roots)
+
+
+def harmonic_chain_v_norm(spec: HarmonicChainSpec) -> float:
+    """Actual norm of the constructed ladder perturbation.
+
+    Closed form ``v0 * cos(pi / (fock_cutoff + 2))``: the ladder is a
+    tridiagonal 0/1 matrix on cutoff+1 levels, identity over sites.
+    """
+    return spec.v0 * math.cos(math.pi / (spec.fock_cutoff + 2))
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from leakage import (
 from leakage import bloch_solver
 from leakage.bloch_solver import J_MAX
 from leakage.bounds import catalan_tails
-from leakage.errors import GammaBelowThreshold, NotConverged, ZeroGap
+from leakage.errors import LeakageError
 from leakage.models import HarmonicChainSpec, build_harmonic_chain
 from leakage.spectral_partition import SpectralPartition
 
@@ -240,7 +240,7 @@ def test_v_norm_computed_once(monkeypatch):
 
 def test_gamma_below_threshold_raises():
     inst = make_instance(28, 6, 2, x=0.3)  # 4 pi x > 1 at gamma = 1
-    with pytest.raises(GammaBelowThreshold):
+    with pytest.raises(LeakageError, match=r"<= 4 pi \|\|V\|\| / eta"):
         solve_bloch_series(inst)
 
 
@@ -248,7 +248,7 @@ def test_not_converged_when_order_capped():
     # below the Bloch threshold (4 pi x = 0.8), but the Catalan tail at
     # order J_MAX is still 2.4e-9 > 1e-12
     inst = make_instance(29, 6, 2, x=0.8 / (4 * math.pi))
-    with pytest.raises(NotConverged, match=f"at order {J_MAX}"):
+    with pytest.raises(LeakageError, match=f"tail still above tol = 1.0e-12 at order {J_MAX}"):
         solve_bloch_series(inst, tol=1e-12)
     with pytest.raises(ValueError):
         solve_bloch_series(inst, tol=0.0)
@@ -263,7 +263,7 @@ def test_misdeclared_gap_raises_zero_gap():
         eig, honest.groups, 2.0, honest.component_intervals
     )
     v = OperatorMatrix(1e-3 * np.ones((3, 3)))
-    with pytest.raises(ZeroGap):
+    with pytest.raises(LeakageError, match="eigenvalue difference .* below eta/2 = 1.000e\\+00"):
         solve_bloch_series(ProblemInstance(h0, v, 1.0, lied))
 
 

@@ -14,7 +14,7 @@ from leakage.bounds import (
     harmonic_chain_bound,
     sw_distance_bound,
 )
-from leakage.errors import OutOfDomain
+from leakage.errors import LeakageError
 
 X_MAX = 1.0 / (4.0 * math.pi)
 
@@ -62,13 +62,14 @@ def test_series_branch_matches_extended_precision():
 def test_domain_edges():
     assert delta_of(0.0) == 0.0
     assert epsilon_of(0.0) == 0.0
-    for fn in (delta_of, epsilon_of, sw_distance_bound):
-        with pytest.raises(OutOfDomain):
+    for fn, edge in ((delta_of, "4 pi x = 1 >= 1"), (epsilon_of, "4 pi x = 1 >= 1"),
+                     (sw_distance_bound, r"not below sqrt\(2\) - 1")):
+        with pytest.raises(LeakageError, match="must be nonnegative"):
             fn(-1e-3)
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(LeakageError, match=edge):
             fn(X_MAX)
     # the sw bound dies earlier, at delta = sqrt(2) - 1
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(LeakageError, match=r"delta\(0.07\) not below sqrt\(2\) - 1"):
         sw_distance_bound(0.07)
     assert sw_distance_bound(0.065) > 0.0
 
@@ -189,7 +190,7 @@ def test_harmonic_chain_bound():
         0.010639393494278266, rel=1e-13
     )
     assert harmonic_chain_bound(0.01, 10.0, 1.0) == epsilon_of(0.01 / 6.0)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(LeakageError, match="omega - 4 g = 0 <= 0"):
         harmonic_chain_bound(0.01, 4.0, 1.0)
 
 

@@ -7,7 +7,7 @@ import pytest
 from leakage import OperatorMatrix, bounds, cli, dynamics
 from leakage.models import ChainSpec, HarmonicChainSpec, build_chain, build_harmonic_chain
 from leakage.cli import _time_grid, main
-from leakage.errors import ConfigInvalid, SingularBlockGram
+from leakage.errors import LeakageError
 
 CHAIN_CFG = {
     "model": "chain",
@@ -137,10 +137,10 @@ def test_run_non_hermitian_custom_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("cfg", [
-    {**CHAIN_CFG, "partition": {"threshold": 50.0}},                       # NoGapFound
-    {**CHAIN_CFG, "partition": {"intervals": [[-5, 1], [0, 5]]}},          # OverlappingIntervals
-    {**CHAIN_CFG, "partition": {"intervals": [[-100, -99], [99, 100]]}},   # UncoveredEigenvalue
-    {"model": "transmon", "params": {"ej_over_ec": 1.0, "transparency_d": 1e-3}},  # NonpositiveBandgap
+    {**CHAIN_CFG, "partition": {"threshold": 50.0}},                       # no gap
+    {**CHAIN_CFG, "partition": {"intervals": [[-5, 1], [0, 5]]}},          # intervals overlap
+    {**CHAIN_CFG, "partition": {"intervals": [[-100, -99], [99, 100]]}},   # uncovered eigenvalue
+    {"model": "transmon", "params": {"ej_over_ec": 1.0, "transparency_d": 1e-3}},  # bandgap <= 0
 ])
 def test_run_input_error_exit_code(tmp_path, cfg):
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
@@ -154,7 +154,7 @@ def test_run_input_error_exit_code(tmp_path, cfg):
     {"t_max": float("inf"), "n_points": 41},
 ], ids=["no-points", "negative-points", "nan-t-max", "inf-t-max"])
 def test_bad_time_grid_is_config_invalid(tmp_path, capsys, t_grid, command):
-    with pytest.raises(ConfigInvalid, match="t_grid"):
+    with pytest.raises(ValueError, match="t_grid"):
         _time_grid({"t_grid": t_grid})
     argv = {"run": ["--out", str(tmp_path)], "sweep": ["--gamma-list", "10,30,100,300"]}
     cfg = write_cfg(tmp_path, {**CHAIN_CFG, "t_grid": t_grid})
@@ -172,13 +172,13 @@ def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def _singular_block_gram(*args):
-    raise SingularBlockGram("fabricated", operation="perturbed_projection")
+    raise LeakageError("fabricated")
 
 
 @pytest.mark.parametrize("argv, sw_transform, code", [
     (["bounds", "--v-norm", "-0.01", "--gamma", "1", "--eta", "1"], None, 2),
     (["bounds", "--x", "-1"], None, 2),
-    (["sweep", "--config", "{cfg}", "--gamma-list", "10,30,100"], None, 2),  # DegenerateSweep
+    (["sweep", "--config", "{cfg}", "--gamma-list", "10,30,100"], None, 2),  # too few sweep points
     (["run", "--config", "{cfg}", "--out", "{out}"], _singular_block_gram, 3),
 ], ids=["negative-v-norm", "negative-x", "three-gammas", "singular-block-gram"])
 def test_exit_codes_by_failure_kind(
@@ -458,6 +458,20 @@ def test_mistyped_partition_intervals_are_config_invalid(tmp_path, capsys, inter
     cfg = write_cfg(tmp_path, {**CHAIN_CFG, "partition": {"intervals": intervals}})
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "'intervals' in partition" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("intervals", [
+    [[NAN, 10], [-10, 0]],
+    [[-INF, -0.5], [0.5, INF]],
+    [[-10, 0], [0.5, 10**400]],
+], ids=["nan", "infinite", "huge-int"])
+def test_non_finite_interval_endpoint_is_config_invalid(tmp_path, capsys, intervals):
+    # endpoints are read as every float field is, so the message names the field
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "partition": {"intervals": intervals}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "partition.intervals" in err and "must be finite" in err
     assert not (tmp_path / "summary.json").exists()
 
 

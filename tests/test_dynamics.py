@@ -28,7 +28,7 @@ from leakage import (
     truncation_convergence_study,
 )
 from leakage import bounds
-from leakage.errors import DegenerateSweep, GroupNotPreserved, IndexOutOfRange
+from leakage.errors import LeakageError
 
 from conftest import dense_projection, make_instance, to_original
 
@@ -140,6 +140,48 @@ def test_distances_skipped_below_threshold():
     assert rep.violations == ()
 
 
+def _refuses_gamma(call) -> bool:
+    """Whether ``call`` raises the LeakageError of a gamma outside its regime."""
+    try:
+        call()
+    except LeakageError as exc:
+        return "gamma = " in str(exc)
+    return False
+
+
+# two-level instances (H0 gap, coupling of V): in the first of each regime the
+# gamma threshold and the formula domain agree at +1 ulp, in the second they do not
+@pytest.mark.parametrize("regime, gap, coupling", [
+    ("bloch", 1.0, 0.07),
+    ("bloch", 3.0, 0.05),
+    ("sw", 1.0, 0.07),
+    ("sw", 4.192989824560427, 0.496525282845505),
+])
+@pytest.mark.parametrize("side", [-math.inf, math.inf], ids=["minus-ulp", "plus-ulp"])
+def test_series_exist_iff_their_bounds_do_at_the_thresholds(regime, gap, coupling, side):
+    threshold = {"bloch": bounds.gamma_threshold_bloch, "sw": bounds.gamma_threshold_sw}
+    gamma = math.nextafter(threshold[regime](coupling, gap), side)
+    h0 = OperatorMatrix(np.diag([0.0, gap]))
+    v = OperatorMatrix(coupling * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    inst = ProblemInstance(h0, v, gamma, partition_by_threshold(herm_eig(h0), 0.5))
+    report = bounds.bound_report(inst.v_norm, gamma, gap)
+    in_bloch, in_sw = report.epsilon is not None, report.d_sw_bound is not None
+
+    assert _refuses_gamma(lambda: solve_bloch_series(inst, tol=1e-6)) == (not in_bloch)
+    if regime == "sw":  # 4 pi x is near 0.83 there, where the series converges
+        bloch = solve_bloch_series(inst, tol=1e-6)
+        assert _refuses_gamma(lambda: sw_transform(inst, bloch)) == (not in_sw)
+    try:
+        rep = run_leakage_experiment(inst, np.linspace(0.0, 1.0, 3), series_tol=1e-6)
+    except LeakageError as exc:
+        # one ulp inside the Bloch threshold the series cannot converge by order J_MAX
+        assert regime == "bloch" and in_bloch and "Catalan tail" in str(exc)
+        return
+    assert rep.bounds == report
+    assert (rep.d_bloch_series is None) == (not in_bloch)
+    assert (rep.d_sw_series is None) == (not in_sw)
+
+
 def test_report_serialization(rabi_instance):
     times = np.linspace(0.0, 5.0, 6)
     rep = run_leakage_experiment(rabi_instance, times)
@@ -239,7 +281,7 @@ def test_leakage_decreases_with_gamma():
 
 def test_sweep_needs_enough_points():
     base = make_instance(54, 6, 2, x=0.02)
-    with pytest.raises(DegenerateSweep):
+    with pytest.raises(ValueError, match="only 3 usable sweep points"):
         gamma_scaling_sweep(base, [10.0, 20.0, 40.0], np.linspace(0.0, 5.0, 11))
 
 
@@ -259,7 +301,7 @@ def test_truncation_study_runs():
 def test_truncation_study_guards():
     with pytest.raises(ValueError):
         truncation_convergence_study(harmonic_builder, [5, 5], 10.0, 0)
-    with pytest.raises(GroupNotPreserved):
+    with pytest.raises(LeakageError, match="cutoff 3 leaves only 4 groups, probe was 5"):
         # probing a band that only exists at the larger cutoff
         truncation_convergence_study(harmonic_builder, [3, 5], 10.0, 5)
 
@@ -272,6 +314,6 @@ def test_truncation_study_rejects_negative_group(cutoffs):
         built.append(cutoff)
         return harmonic_builder(cutoff)
 
-    with pytest.raises(IndexOutOfRange, match=r"^\[dynamics\.truncation_convergence_study\]"):
+    with pytest.raises(ValueError, match="group index -1 is negative"):
         truncation_convergence_study(builder, cutoffs, 10.0, -1)
     assert built == []

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakage import OperatorMatrix, herm_eig, inv_sqrt_psd, operator_norm
-from leakage.errors import NonHermitianInput, NotPositiveDefinite
+from leakage.errors import LeakageError
 
 from conftest import random_hermitian
 
@@ -30,9 +30,9 @@ def test_rejects_non_finite_entries(bad):
 
 def test_hermitian_hint_is_checked():
     # the Hermiticity check once enabled by a hint now always runs at construction
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(ValueError, match=r"max\|M - M\^dag\| = .* exceeds"):
         OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(ValueError, match=r"max\|M - M\^dag\| = .* exceeds"):
         OperatorMatrix.from_json({"dim": 2, "entries": [[0, 0], [0, 1], [0, 1], [0, 0]]})
     # within tolerance: relative deviation 1e-13 passes
     m = np.array([[1.0, 1.0], [1.0 + 1e-13, 1.0]])
@@ -41,9 +41,9 @@ def test_hermitian_hint_is_checked():
 
 def test_herm_eig_rejects_non_hermitian_without_hint():
     # a non-Hermitian matrix is stopped before herm_eig or inv_sqrt_psd factor it
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(ValueError, match=r"max\|M - M\^dag\| = .* exceeds"):
         herm_eig(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(ValueError, match=r"max\|M - M\^dag\| = .* exceeds"):
         inv_sqrt_psd(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
@@ -147,5 +147,5 @@ def test_inv_sqrt_psd():
     r = inv_sqrt_psd(m)
     assert operator_norm(r @ m @ r - np.eye(6)) < 1e-11
     assert np.array_equal(r, r.conj().T)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(LeakageError, match="smallest eigenvalue .* <= floor 1e-12"):
         inv_sqrt_psd(np.diag([1.0, 0.0]))

@@ -13,7 +13,7 @@ from leakage import (
     sw_transform,
 )
 from leakage.bloch_solver import BlochSolution
-from leakage.errors import GammaBelowSWThreshold, SingularBlockGram
+from leakage.errors import LeakageError
 
 from conftest import dense_projection, make_instance, to_original
 
@@ -109,7 +109,7 @@ def test_below_sw_threshold_raises():
     lo = make_instance(45, 6, 2, x=0.07)
     donor = ProblemInstance(lo.h0, lo.v, 20.0, lo.partition)
     sol = solve_bloch_series(donor)
-    with pytest.raises(GammaBelowSWThreshold):
+    with pytest.raises(LeakageError, match=r"<= 2 pi/\(sqrt\(2\)-1\) \|\|V\|\|/eta"):
         sw_transform(lo, sol)
 
 
@@ -126,5 +126,5 @@ def test_singular_block_gram_detected():
         tail_bound=0.0,
         delta_bound=0.0,
     )
-    with pytest.raises(SingularBlockGram):
+    with pytest.raises(LeakageError, match="block Gram matrix for group 0"):
         perturbed_projection(inst, fake, 0)

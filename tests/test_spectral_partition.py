@@ -8,11 +8,6 @@ from leakage import (
     partition_by_intervals,
     partition_by_threshold,
 )
-from leakage.errors import (
-    NoGapFound,
-    OverlappingIntervals,
-    UncoveredEigenvalue,
-)
 
 from conftest import clustered_h0
 
@@ -30,7 +25,7 @@ def test_threshold_partition_basic():
 
 
 def test_threshold_partition_no_gap():
-    with pytest.raises(NoGapFound):
+    with pytest.raises(ValueError, match="no adjacent eigenvalue difference exceeds 0.5"):
         partition_by_threshold(diag_eig([0.0, 0.3, 0.6]), 0.5)
     with pytest.raises(ValueError):
         partition_by_threshold(diag_eig([0.0, 1.0]), 0.0)
@@ -51,13 +46,15 @@ def test_interval_partition_basic():
 
 def test_interval_partition_errors():
     eig = diag_eig([0.0, 1.0])
-    with pytest.raises(OverlappingIntervals):
+    with pytest.raises(ValueError, match=r"intervals \[-0.5, 0.6\] and \[0.4, 1.5\] overlap"):
         partition_by_intervals(eig, [(-0.5, 0.6), (0.4, 1.5)])
-    with pytest.raises(UncoveredEigenvalue):
+    with pytest.raises(ValueError, match=r"eigenvalue 1 \(index 1\) lies in no interval"):
         partition_by_intervals(eig, [(-0.5, 0.5), (2.0, 3.0)])
-    with pytest.raises(NoGapFound):
+    with pytest.raises(ValueError, match=r"malformed interval \[nan, 10.0\]"):
+        partition_by_intervals(eig, [(float("nan"), 10.0), (-10.0, -5.0)])
+    with pytest.raises(ValueError, match="need at least two intervals"):
         partition_by_intervals(eig, [(-0.5, 1.5)])
-    with pytest.raises(NoGapFound):
+    with pytest.raises(ValueError, match="eigenvalues populate fewer than two intervals"):
         # both eigenvalues in the first interval, second stays empty
         partition_by_intervals(eig, [(-0.5, 1.1), (1.2, 2.0)])
     with pytest.raises(ValueError):
