@@ -8,7 +8,6 @@ them against directly simulated dynamics on built-in models.
 
 from .operator_core import (
     OperatorMatrix,
-    HermitianEigenSystem,
     operator_norm,
     herm_eig,
     inv_sqrt_psd,
@@ -53,9 +52,8 @@ from .models import (
 from .verification import run_suite, check_instance, random_instance
 
 __all__ = [
-    "OperatorMatrix", "HermitianEigenSystem", "operator_norm", "herm_eig",
-    "inv_sqrt_psd", "SpectralPartition", "partition_by_threshold",
-    "partition_by_intervals",
+    "OperatorMatrix", "operator_norm", "herm_eig", "inv_sqrt_psd",
+    "SpectralPartition", "partition_by_threshold", "partition_by_intervals",
     "ProblemInstance", "BlochSolution", "solve_bloch_series",
     "SWSolution", "sw_transform", "perturbed_projection",
     "BoundReport", "bound_report", "delta_of", "epsilon_of", "catalan",

@@ -82,7 +82,7 @@ class ProblemInstance:
     def h_eig(self) -> np.ndarray:
         """H in the H0 eigenbasis, ``u^dag H u``, symmetrized; like ``h``,
         rebuilt on each read."""
-        u = self.partition.eig.eigenvectors
+        u = self.partition.eigenvectors
         h_eig = u.conj().T @ self.h @ u
         return 0.5 * (h_eig + h_eig.conj().T)
 
@@ -153,12 +153,12 @@ def _series_terms(inst: ProblemInstance, order: int) -> np.ndarray:
 
     def solve():
         part = inst.partition
-        u = part.eig.eigenvectors
+        u = part.eigenvectors
         v_eig = u.conj().T @ inst.v.entries @ u
         terms = np.zeros((order + 1, inst.dim, inst.dim), dtype=v_eig.dtype)
         terms[0] = np.eye(inst.dim)
         for g, out in part.blocks:
-            _fill_block_series(terms, part.eig.eigenvalues, v_eig, g, out, part.gap)
+            _fill_block_series(terms, part.eigenvalues, v_eig, g, out, part.gap)
         terms.setflags(write=False)
         return terms
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -61,7 +62,8 @@ def _load_config(path: str) -> dict:
 
 
 # kinds: a type, a tuple of the allowed values, a shape such as "[lo, hi]" for a
-# list of number pairs, a section, or a one-section list for a list of sections
+# list of number pairs, each number read as the float field the shape names, a
+# section, or a one-section list for a list of sections
 _PARTITION = {"threshold": (float, None), "intervals": ("[lo, hi]", None)}
 _T_GRID = {"t_max": (float, 200.0), "n_points": (int, 2001)}
 _TOLERANCES = {"series_tol": (float, SERIES_TOL_DEFAULT)}
@@ -93,10 +95,8 @@ def _value(val, key: str, kind, where: str):
                 isinstance(pair, list) and len(pair) == 2 and all(
                     isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
                 for pair in val):
-            if kind != "[lo, hi]":
-                return val  # matrix entries, which OperatorMatrix checks
-            # interval endpoints are read as every float field is
-            return [[_value(v, end, float, f"{inner}[{i}]") for end, v in zip(("lo", "hi"), pair)]
+            names = kind.strip("[]").split(", ")
+            return [[_value(v, name, float, f"{inner}[{i}]") for name, v in zip(names, pair)]
                     for i, pair in enumerate(val)]
         raise ValueError(f"'{key}' in {where} must be a list of {kind} number pairs, "
                          f"got {val!r}")
@@ -108,7 +108,7 @@ def _value(val, key: str, kind, where: str):
                              "beyond the float range") from None
     if isinstance(val, bool) or not isinstance(val, kind):
         raise ValueError(f"'{key}' in {where} must be {kind.__name__}, got {val!r}")
-    if kind is float and not np.isfinite(val):
+    if kind is float and not math.isfinite(val):
         raise ValueError(f"'{key}' in {where} must be finite, got {val!r}")
     return val
 
@@ -143,6 +143,19 @@ def _params(params, spec_cls) -> dict:
                                        for f in fields(spec_cls) if f.name != "seed"})
 
 
+def _matrix(m: dict, where: str) -> OperatorMatrix:
+    """The ``custom`` matrix ``m``: ``dim**2`` row-major ``[re, im]`` pairs,
+    float64 when every imaginary part is 0 and complex128 otherwise."""
+    n, pairs = m["dim"], m["entries"]
+    if n < 1:
+        raise ValueError(f"'dim' in {where} must be positive, got {n}")
+    if len(pairs) != n * n:
+        raise ValueError(f"'entries' in {where} must hold dim**2 = {n * n} [re, im] pairs, "
+                         f"got {len(pairs)}")
+    z = np.array(pairs, dtype=float).view(complex).reshape(n, n)
+    return OperatorMatrix(z if z.imag.any() else z.real)
+
+
 def build_instance(cfg: dict):
     """Model matrices + partition from a config; None for formula-only models.
 
@@ -164,10 +177,7 @@ def build_instance(cfg: dict):
         intervals = bands if intervals is None else intervals
     elif model == "custom":
         matrices = _section(params, "params", _CUSTOM)
-        for key, m in matrices.items():
-            if m["dim"] < 1:
-                raise ValueError(f"'dim' in params.{key} must be positive, got {m['dim']}")
-        h0, v = (OperatorMatrix.from_json(m) for m in matrices.values())
+        h0, v = (_matrix(m, f"params.{key}") for key, m in matrices.items())
     else:
         raise ValueError(f"unknown model '{model}'")
 
@@ -191,7 +201,8 @@ def _time_grid(cfg: dict) -> np.ndarray:
 def _output_specs(cfg: dict, out_dir: Path) -> list:
     """``(path, format)`` of each ``outputs`` entry, checked before any
     computation: a ``path`` that resolves to a file under ``out_dir`` other
-    than ``summary.json`` and every other entry's file."""
+    than ``summary.json`` and every other entry's file, and that is neither
+    a directory nor below an existing file."""
     root = out_dir.resolve()
     taken = {(root / "summary.json").resolve(): "the summary"}
     checked = []
@@ -200,6 +211,8 @@ def _output_specs(cfg: dict, out_dir: Path) -> list:
         target = (root / path).resolve()
         if Path(path).is_absolute() or root not in target.parents:
             raise ValueError(f"{where} 'path' {path!r} must name a file under --out")
+        if target.is_dir() or any(p.exists() and not p.is_dir() for p in target.parents):
+            raise ValueError(f"{where} 'path' {path!r} is a directory or lies below a file")
         if target in taken:
             raise ValueError(f"{where} 'path' {path!r} is the file of {taken[target]}")
         taken[target] = where
@@ -222,7 +235,11 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {str(out_dir)!r} cannot be made a directory: "
+                         f"{exc.strerror}") from None
     outputs = _output_specs(cfg, out_dir)
     inst, transmon = build_instance(cfg)
     series_tol = _field(cfg, "tolerances", _TOP, "config")["series_tol"]

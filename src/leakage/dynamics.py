@@ -188,8 +188,11 @@ class SweepResult:
 
 def gamma_scaling_sweep(template: ProblemInstance, gammas, t_grid) -> SweepResult:
     """Max leakage versus gamma and the least-squares slope of the
-    log-log relation (expected close to -1)."""
+    log-log relation (expected close to -1); each gamma may appear once."""
     gam = np.sort(np.asarray(gammas, dtype=float))
+    repeated = gam[1:][gam[1:] == gam[:-1]]
+    if repeated.size:
+        raise ValueError(f"gamma {float(repeated[0])!r} appears more than once in the sweep")
     maxima = np.array([
         run_leakage_experiment(
             ProblemInstance(template.h0, template.v, float(g), template.partition),

@@ -22,11 +22,6 @@ HERMITICITY_RTOL = 1e-12
 PSD_FLOOR = 1e-12
 
 
-def _real_or_complex_copy(a) -> np.ndarray:
-    """One copy of ``a``: float64 if real, complex128 if complex."""
-    return np.array(a, dtype=complex if np.iscomplexobj(a) else float)
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Read-only square Hermitian matrix: a checked model input.
@@ -38,7 +33,7 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _real_or_complex_copy(self.entries)
+        m = np.array(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"entries must be a square matrix, got shape {m.shape}")
         m.setflags(write=False)
@@ -63,32 +58,6 @@ class OperatorMatrix:
         flat = self.entries.reshape(-1)
         return {"dim": n, "entries": [[float(z.real), float(z.imag)] for z in flat]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "OperatorMatrix":
-        n = int(obj["dim"])
-        flat = np.array([complex(re, im) for re, im in obj["entries"]])
-        if flat.size != n * n:
-            raise ValueError(f"expected {n * n} entries, got {flat.size}")
-        if not flat.imag.any():
-            flat = flat.real
-        return OperatorMatrix(flat.reshape(n, n))
-
-
-@dataclass(frozen=True)
-class HermitianEigenSystem:
-    """Eigendecomposition M = U diag(lambda) U^dag with ascending eigenvalues."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float).copy()
-        u = _real_or_complex_copy(self.eigenvectors)
-        lam.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", u)
-
 
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value of ``a``: ``max|a|`` times the root of the top
@@ -111,21 +80,21 @@ def _gram(b: np.ndarray) -> np.ndarray:
     return b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b
 
 
-def herm_eig(m: OperatorMatrix) -> HermitianEigenSystem:
-    """Spectral decomposition of a Hermitian matrix, checked as such when
-    ``m`` was built."""
+def herm_eig(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh``'s ``(eigenvalues, eigenvectors)``, made read-only, of a Hermitian
+    matrix, checked as such when ``m`` was built."""
     lam, u = np.linalg.eigh(m.entries)
-    return HermitianEigenSystem(lam, u)
+    lam.setflags(write=False)
+    u.setflags(write=False)
+    return lam, u
 
 
 def inv_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite array, as a
     Hermitian array."""
-    eig = herm_eig(OperatorMatrix(a))
-    lam_min = eig.eigenvalues.min()
-    if lam_min <= PSD_FLOOR:
-        raise LeakageError(f"smallest eigenvalue {lam_min:.3e} <= floor {PSD_FLOOR:.0e}")
-    u = eig.eigenvectors
-    r = (u * eig.eigenvalues ** -0.5) @ u.conj().T
+    lam, u = herm_eig(OperatorMatrix(a))
+    if lam[0] <= PSD_FLOOR:
+        raise LeakageError(f"smallest eigenvalue {lam[0]:.3e} <= floor {PSD_FLOOR:.0e}")
+    r = (u * lam ** -0.5) @ u.conj().T
     # symmetrize away roundoff
     return 0.5 * (r + r.conj().T)

@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator_core import HermitianEigenSystem
-
 
 @dataclass(frozen=True)
 class SpectralPartition:
     """Disjoint grouping of the eigenvalues of H0.
 
-    ``groups`` partitions the eigenvalue indices of ``eig`` (ascending
+    ``eigenvalues`` and ``eigenvectors`` are the read-only pair ``herm_eig``
+    returns for H0; ``groups`` partitions the eigenvalue indices (ascending
     order); ``gap`` is the minimum distance between eigenvalues in
     distinct groups, computed from the actual eigenvalues rather than
     from any user-supplied intervals.  ``blocks`` holds, per group, the
@@ -28,7 +27,8 @@ class SpectralPartition:
     as coordinate blocks of the H0 eigenbasis, computed once here.
     """
 
-    eig: HermitianEigenSystem
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     groups: tuple
     gap: float
     component_intervals: tuple
@@ -45,7 +45,7 @@ class SpectralPartition:
 
     @property
     def dim(self) -> int:
-        return self.eig.eigenvalues.size
+        return self.eigenvalues.size
 
     def to_json(self) -> dict:
         return {
@@ -55,12 +55,12 @@ class SpectralPartition:
         }
 
 
-def _finalize(eig: HermitianEigenSystem, groups) -> SpectralPartition:
-    lam = eig.eigenvalues
+def _finalize(eig: tuple, groups) -> SpectralPartition:
+    lam = eig[0]
     intervals = tuple((float(lam[g].min()), float(lam[g].max())) for g in groups)
     gap = _true_gap(lam, groups)
     groups = tuple(np.asarray(g, dtype=int) for g in groups)
-    return SpectralPartition(eig, groups, gap, intervals)
+    return SpectralPartition(*eig, groups, gap, intervals)
 
 
 def _true_gap(lam, groups) -> float:
@@ -73,9 +73,10 @@ def _true_gap(lam, groups) -> float:
     return float(gap)
 
 
-def partition_by_threshold(eig: HermitianEigenSystem, split_threshold: float) -> SpectralPartition:
-    """Split the sorted spectrum wherever adjacent eigenvalues differ by
-    more than ``split_threshold``.
+def partition_by_threshold(eig: tuple, split_threshold: float) -> SpectralPartition:
+    """Split the sorted spectrum of ``eig``, the ``(eigenvalues,
+    eigenvectors)`` pair of ``herm_eig``, wherever adjacent eigenvalues
+    differ by more than ``split_threshold``.
 
     Degenerate eigenvalues are never separated since their difference is
     zero.  Raises ``ValueError`` when the whole spectrum clusters into a
@@ -83,7 +84,7 @@ def partition_by_threshold(eig: HermitianEigenSystem, split_threshold: float) ->
     """
     if split_threshold <= 0:
         raise ValueError("split_threshold must be positive")
-    lam = eig.eigenvalues
+    lam = eig[0]
     cuts = np.where(np.diff(lam) > split_threshold)[0]
     if cuts.size == 0:
         raise ValueError(f"no adjacent eigenvalue difference exceeds {split_threshold}")
@@ -92,7 +93,7 @@ def partition_by_threshold(eig: HermitianEigenSystem, split_threshold: float) ->
     return _finalize(eig, groups)
 
 
-def partition_by_intervals(eig: HermitianEigenSystem, intervals) -> SpectralPartition:
+def partition_by_intervals(eig: tuple, intervals) -> SpectralPartition:
     """Group eigenvalues by membership in explicitly given disjoint intervals.
 
     Every eigenvalue must fall inside exactly one interval.  The gap is
@@ -109,7 +110,7 @@ def partition_by_intervals(eig: HermitianEigenSystem, intervals) -> SpectralPart
     for (lo1, hi1), (lo2, hi2) in zip(ordered, ordered[1:]):
         if hi1 >= lo2:
             raise ValueError(f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap")
-    lam = eig.eigenvalues
+    lam = eig[0]
     groups = []
     for lo, hi in ivs:
         groups.append(np.where((lam >= lo) & (lam <= hi))[0])

@@ -45,13 +45,13 @@ def clustered_h0(rng, dim, n_groups, spread=0.15, min_sep=1.3, max_sep=2.5, real
 def to_original(inst, m):
     """``u m u^dag``: an operator of the H0 eigenbasis, where the package
     keeps every derived operator, in the original basis of H0 and V."""
-    u = inst.partition.eig.eigenvectors
+    u = inst.partition.eigenvectors
     return u @ m @ u.conj().T
 
 
 def dense_projection(inst, k):
     """P_k in the original basis, built from the eigenvectors of group k."""
-    u_k = inst.partition.eig.eigenvectors[:, inst.partition.groups[k]]
+    u_k = inst.partition.eigenvectors[:, inst.partition.groups[k]]
     return u_k @ u_k.conj().T
 
 

@@ -62,7 +62,7 @@ def test_deep_series_matches_eigenprojection_wave_operator(n_sites, fock_cutoff)
     inst = ProblemInstance(h0, v, 1.0, part)
     sol = solve_bloch_series(inst)
     assert part.n_groups == fock_cutoff + 1 and sol.order > 30
-    u = part.eig.eigenvectors
+    u = part.eigenvectors
     _, s = np.linalg.eigh(u.conj().T @ inst.h @ u)
     exact = np.zeros((inst.dim, inst.dim), dtype=complex)
     for g in part.groups:
@@ -89,8 +89,8 @@ def test_sylvester_solution_residual():
 def test_first_order_term_entrywise():
     inst = make_instance(23, 7, 2, x=0.01)
     part = inst.partition
-    u = part.eig.eigenvectors
-    lam = part.eig.eigenvalues
+    u = part.eigenvectors
+    lam = part.eigenvalues
     t_eig = solve_bloch_series(inst).omega_terms[1]
     v_eig = u.conj().T @ inst.v.entries @ u
     # independent formula: -V_ab / (lam_a - lam_b) across groups, 0 inside
@@ -260,7 +260,7 @@ def test_misdeclared_gap_raises_zero_gap():
     honest = partition_by_threshold(eig, 0.3)
     # overstate the gap: actual cross-group distance 0.4 < claimed 2.0 / 2
     lied = SpectralPartition(
-        eig, honest.groups, 2.0, honest.component_intervals
+        *eig, honest.groups, 2.0, honest.component_intervals
     )
     v = OperatorMatrix(1e-3 * np.ones((3, 3)))
     with pytest.raises(LeakageError, match="eigenvalue difference .* below eta/2 = 1.000e\\+00"):

@@ -175,19 +175,26 @@ def _singular_block_gram(*args):
     raise LeakageError("fabricated")
 
 
-@pytest.mark.parametrize("argv, sw_transform, code", [
-    (["bounds", "--v-norm", "-0.01", "--gamma", "1", "--eta", "1"], None, 2),
-    (["bounds", "--x", "-1"], None, 2),
-    (["sweep", "--config", "{cfg}", "--gamma-list", "10,30,100"], None, 2),  # too few sweep points
-    (["run", "--config", "{cfg}", "--out", "{out}"], _singular_block_gram, 3),
-], ids=["negative-v-norm", "negative-x", "three-gammas", "singular-block-gram"])
+@pytest.mark.parametrize("argv, sw_transform, code, err", [
+    (["bounds", "--v-norm", "-0.01", "--gamma", "1", "--eta", "1"], None, 2, "v_norm"),
+    (["bounds", "--x", "-1"], None, 2, "v_norm"),
+    (["sweep", "--config", "{cfg}", "--gamma-list", "10,30,100"], None, 2,
+     "only 3 usable sweep points"),
+    (["sweep", "--config", "{cfg}", "--gamma-list", "10,10,10,10"], None, 2,
+     "gamma 10.0 appears more than once"),
+    (["run", "--config", "{cfg}", "--out", "{cfg}"], None, 2, "--out"),      # an existing file
+    (["run", "--config", "{cfg}", "--out", "{cfg}/sub"], None, 2, "--out"),  # below a file
+    (["run", "--config", "{cfg}", "--out", "{out}"], _singular_block_gram, 3, "fabricated"),
+], ids=["negative-v-norm", "negative-x", "three-gammas", "repeated-gamma", "out-is-a-file",
+        "out-below-a-file", "singular-block-gram"])
 def test_exit_codes_by_failure_kind(
-        tmp_path, monkeypatch, argv, sw_transform, code):
+        tmp_path, monkeypatch, capsys, argv, sw_transform, code, err):
     # 4 is left for a bound violation or a failed invariant
     if sw_transform is not None:
         monkeypatch.setattr(dynamics, "sw_transform", sw_transform)
     cfg = write_cfg(tmp_path, CHAIN_CFG)
     assert main([arg.format(cfg=cfg, out=tmp_path) for arg in argv]) == code
+    assert err in capsys.readouterr().err
 
 
 def test_model_emit(tmp_path, capsys):
@@ -399,9 +406,10 @@ def test_integer_config_fields_run(tmp_path):
     [{"path": "a.json"}, {"path": "a.json", "format": "csv"}],
     [{"path": "a.csv", "format": "csv"}, {"path": "sub/../a.csv"}],
     [{"path": "a.json", "kind": "distance"}],
+    [{"path": "cfg.json/s.json"}],
 ], ids=["no-path", "int-path", "empty-path", "yaml", "upper-csv", "null-format",
         "bare-string", "not-a-list", "summary", "dotted-summary", "duplicate",
-        "dotted-duplicate", "other-kind"])
+        "dotted-duplicate", "other-kind", "below-a-file"])
 def test_bad_outputs_rejected_before_computation(tmp_path, monkeypatch, capsys, outputs):
     def never(*args, **kwargs):
         raise AssertionError("the experiment ran")
@@ -433,6 +441,18 @@ def test_outputs_outside_out_dir_rejected(tmp_path, monkeypatch, capsys, path):
     assert "outputs[0]" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
     assert list(out.iterdir()) == []
+
+
+def test_outputs_naming_a_directory_rejected(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_leakage_experiment", never)
+    (tmp_path / "sub").mkdir()
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "outputs": [{"path": "sub"}]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "outputs[0]" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_outputs_in_subdirectory_of_out_dir(tmp_path):
@@ -509,8 +529,10 @@ def test_non_finite_custom_matrix_is_input_error(tmp_path, capsys):
     ({"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [1, None]]}, "entries"),
     ({"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [False, 0]]}, "entries"),
     ({"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [1, 0, 0]]}, "entries"),
+    ({"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [10**400, 0]]}, "params.h0.entries[3]"),
+    ({"dim": 2, "entries": [[0, 0], [0, 0], [1, 0]]}, "entries"),
 ], ids=["float-dim", "bool-dim", "zero-dim", "no-dim", "number-entries", "no-entries",
-        "flat-entries", "null-part", "bool-part", "triple"])
+        "flat-entries", "null-part", "bool-part", "triple", "huge-int-part", "three-pairs"])
 def test_mistyped_custom_matrix_is_config_invalid(tmp_path, capsys, h0, key):
     assert main(["run", "--config", write_cfg(tmp_path, custom_cfg(h0)),
                  "--out", str(tmp_path)]) == 2

@@ -6,9 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leakage import OperatorMatrix, herm_eig, inv_sqrt_psd, operator_norm
+from leakage.cli import build_instance
 from leakage.errors import LeakageError
 
 from conftest import random_hermitian
+
+
+def read_custom_v(v_json):
+    """``v_json`` read as the ``v`` of a ``custom`` config, by the reader that
+    every command uses, next to an H0 of the same dim."""
+    h0 = OperatorMatrix(np.diag(np.arange(float(v_json["dim"])))).to_json()
+    inst, _ = build_instance({"model": "custom", "params": {"h0": h0, "v": v_json}})
+    return inst.v
 
 
 def test_rejects_non_square():
@@ -25,7 +34,7 @@ def test_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="finite"):
         OperatorMatrix(m)
     with pytest.raises(ValueError, match="finite"):
-        OperatorMatrix.from_json({"dim": 1, "entries": [[bad, 0.0]]})
+        read_custom_v({"dim": 1, "entries": [[bad, 0.0]]})
 
 
 def test_hermitian_hint_is_checked():
@@ -33,7 +42,7 @@ def test_hermitian_hint_is_checked():
     with pytest.raises(ValueError, match=r"max\|M - M\^dag\| = .* exceeds"):
         OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match=r"max\|M - M\^dag\| = .* exceeds"):
-        OperatorMatrix.from_json({"dim": 2, "entries": [[0, 0], [0, 1], [0, 1], [0, 0]]})
+        read_custom_v({"dim": 2, "entries": [[0, 0], [0, 1], [0, 1], [0, 0]]})
     # within tolerance: relative deviation 1e-13 passes
     m = np.array([[1.0, 1.0], [1.0 + 1e-13, 1.0]])
     OperatorMatrix(m)
@@ -61,7 +70,7 @@ def test_json_round_trip_exact():
     rng = np.random.default_rng(3)
     m = OperatorMatrix(random_hermitian(rng, 5))
     blob = json.dumps(m.to_json())
-    back = OperatorMatrix.from_json(json.loads(blob))
+    back = read_custom_v(json.loads(blob))
     assert np.array_equal(back.entries, m.entries)
 
 
@@ -70,17 +79,12 @@ def test_dtype_is_float64_when_real_complex128_when_complex():
     assert OperatorMatrix(np.eye(2, dtype=np.float32)).entries.dtype == np.float64
     assert OperatorMatrix(np.eye(2, dtype=np.complex64)).entries.dtype == np.complex128
     real = OperatorMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    assert herm_eig(real).eigenvectors.dtype == np.float64
+    assert herm_eig(real)[1].dtype == np.float64
     assert inv_sqrt_psd(real.entries).dtype == np.float64
-    back = OperatorMatrix.from_json(json.loads(json.dumps(real.to_json())))
+    back = read_custom_v(json.loads(json.dumps(real.to_json())))
     assert back.entries.dtype == np.float64 and np.array_equal(back.entries, real.entries)
     one_imag = {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 1e-300], [1.0, 0.0]]}
-    assert OperatorMatrix.from_json(one_imag).entries.dtype == np.complex128
-
-
-def test_from_json_size_mismatch():
-    with pytest.raises(ValueError):
-        OperatorMatrix.from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})
+    assert read_custom_v(one_imag).entries.dtype == np.complex128
 
 
 def test_operator_norm_matches_reference():
@@ -134,10 +138,18 @@ def test_operator_norm_rejects_non_finite(bad, dtype):
 def test_herm_eig_reconstructs():
     rng = np.random.default_rng(1)
     m = OperatorMatrix(random_hermitian(rng, 8))
-    eig = herm_eig(m)
-    assert np.all(np.diff(eig.eigenvalues) >= 0)
-    rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
+    lam, u = herm_eig(m)
+    assert np.all(np.diff(lam) >= 0)
+    rebuilt = (u * lam) @ u.conj().T
     assert operator_norm(rebuilt - m.entries) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_herm_eig_arrays_are_read_only(dtype):
+    lam, u = herm_eig(OperatorMatrix(np.diag([2.0, 1.0]).astype(dtype)))
+    for a in (lam, u):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5.0
 
 
 def test_inv_sqrt_psd():

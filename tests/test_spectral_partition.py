@@ -65,7 +65,7 @@ def test_gap_is_brute_force_minimum():
     rng = np.random.default_rng(11)
     h0 = clustered_h0(rng, 12, 3)
     part = partition_by_threshold(herm_eig(h0), 0.5)
-    lam = part.eig.eigenvalues
+    lam = part.eigenvalues
     expected = min(
         abs(lam[a] - lam[b])
         for ga in range(part.n_groups)
@@ -85,13 +85,21 @@ def test_projections_resolve_identity_and_commute():
     for g, out in part.blocks:
         # (g, out) partitions the indices: P_k and Q_k = 1 - P_k as index blocks
         assert np.array_equal(np.sort(np.concatenate([g, out])), np.arange(10))
-        u = part.eig.eigenvectors[:, g]
+        u = part.eigenvectors[:, g]
         p = u @ u.conj().T
         assert operator_norm(p @ p - p) < 1e-12
         assert operator_norm(p - p.conj().T) < 1e-13
         assert operator_norm(p @ h0.entries - h0.entries @ p) < 1e-11
         total += p
     assert operator_norm(total - np.eye(10)) < 1e-12
+
+
+def test_eigensystem_is_read_only():
+    part = partition_by_threshold(diag_eig([0.0, 1.0, 1.2]), 0.5)
+    for a in (part.eigenvalues, part.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5.0
+    assert part.eigenvalues[0] == 0.0 and abs(part.eigenvectors[0, 0]) == 1.0
 
 
 def test_partition_json():
