@@ -12,6 +12,7 @@ import numpy as np
 from leakage import (
     OperatorMatrix,
     ProblemInstance,
+    delta_of,
     herm_eig,
     partition_by_threshold,
     run_leakage_experiment,
@@ -28,7 +29,7 @@ def main():
 
     sol = solve_bloch_series(inst, tol=1e-14)
     print(f"Bloch series: truncation order {sol.order}, "
-          f"tail bound {sol.tail_bound:.2e}, delta bound {sol.delta_bound:.5f}")
+          f"tail bound {sol.tail_bound:.2e}, delta bound {delta_of(inst.x):.5f}")
     print("H_Bloch diagonal:", np.round(np.diag(sol.h_bloch).real, 8))
 
     sw = sw_transform(inst, sol)

@@ -30,8 +30,6 @@ from .bounds import (
     epsilon_of,
     catalan,
     sw_distance_bound,
-    harmonic_chain_bound,
-    transmon_leakage_bound,
 )
 from .dynamics import (
     LeakageReport,
@@ -48,6 +46,8 @@ from .models import (
     build_harmonic_chain,
     transmon_bandgap,
     transmon_perturbation_norm,
+    harmonic_chain_bound,
+    transmon_leakage_bound,
 )
 from .verification import run_suite, check_instance, random_instance
 

@@ -106,21 +106,9 @@ class BlochSolution:
     h_bloch: np.ndarray
     order: int                  # truncation order J
     tail_bound: float
-    delta_bound: float
 
 
-def _gap_divisors(lam, g, out, eta):
-    """Eigenvalue differences ``lam[out, None] - lam[None, g]`` dividing the
-    Sylvester solution on the off-block; any below eta/2 means the
-    partition data are inconsistent."""
-    diffs = lam[out, None] - lam[None, g]
-    if diffs.size and np.abs(diffs).min() < eta / 2.0:
-        raise LeakageError(
-            f"eigenvalue difference {np.abs(diffs).min():.3e} below eta/2 = {eta / 2:.3e}")
-    return diffs
-
-
-def _fill_block_series(terms_eig, lam, v_eig, g, out, eta):
+def _fill_block_series(terms_eig, lam, v_eig, g, out):
     """Write the off-block columns ``Omega^(j)[out, g]``, j = 1..J, of
     ``terms_eig`` (shape (J+1, dim, dim), H0 eigenbasis).
 
@@ -131,7 +119,7 @@ def _fill_block_series(terms_eig, lam, v_eig, g, out, eta):
     GEMM against the stacked Z_{j-2}..Z_0.
     """
     order, b = terms_eig.shape[0] - 1, len(g)
-    diffs = _gap_divisors(lam, g, out, eta)
+    diffs = lam[out, None] - lam[None, g]   # each at least the gap eta in size
     off_block = np.ix_(out, g)
     v_oo, v_go = v_eig[np.ix_(out, out)], v_eig[np.ix_(g, out)]
     cols = np.empty((len(out), order * b), dtype=v_eig.dtype)
@@ -158,7 +146,7 @@ def _series_terms(inst: ProblemInstance, order: int) -> np.ndarray:
         terms = np.zeros((order + 1, inst.dim, inst.dim), dtype=v_eig.dtype)
         terms[0] = np.eye(inst.dim)
         for g, out in part.blocks:
-            _fill_block_series(terms, part.eigenvalues, v_eig, g, out, part.gap)
+            _fill_block_series(terms, part.eigenvalues, v_eig, g, out)
         terms.setflags(write=False)
         return terms
 
@@ -193,7 +181,6 @@ def solve_bloch_series(inst: ProblemInstance, tol: float = SERIES_TOL_DEFAULT) -
         h_bloch=_assemble(inst, omega),
         order=order,
         tail_bound=tails[order],
-        delta_bound=bounds.delta_of(x),
     )
 
 

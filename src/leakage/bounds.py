@@ -133,31 +133,6 @@ def sw_distance_bound(x: float) -> float:
     return 2.0 * (1.0 / math.sqrt(inner) - 1.0)
 
 
-def harmonic_chain_bound(v0: float, omega: float, g: float) -> float:
-    """Leakage bound for the coupled-band oscillator chain.
-
-    ``(1 - 4 pi v0 / (omega - 4 g))^(-1/2) - 1`` in the weak-coupling
-    regime omega > 4 g; equals ``epsilon_of(v0 / (omega - 4 g))``.
-    """
-    eta = omega - 4.0 * g
-    if eta <= 0:
-        raise LeakageError(f"omega - 4 g = {eta:.6g} <= 0")
-    return epsilon_of(v0 / eta)
-
-
-def transmon_leakage_bound(ej_over_ec: float, transparency_d: float) -> float:
-    """Leakage bound for a transmon with a finite-transparency barrier.
-
-    Combines the asymptotic k = 1 bandgap with the perturbation-norm
-    bound ``E_J D / (8 (1 - D/2))``; both in units of the charge energy.
-    """
-    from .models import transmon_bandgap, transmon_perturbation_norm
-
-    eta = transmon_bandgap(1, ej_over_ec)  # raises ValueError unless eta > 0
-    v_norm = transmon_perturbation_norm(ej_over_ec, transparency_d)
-    return epsilon_of(v_norm / eta)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """All scalar bounds evaluated for one (||V||, gamma, eta) triple.

@@ -39,6 +39,7 @@ from .models import (
     TransmonSpec,
     build_chain,
     build_harmonic_chain,
+    transmon_leakage_bound,
 )
 from .operator_core import OperatorMatrix, herm_eig
 from .spectral_partition import partition_by_intervals, partition_by_threshold
@@ -235,27 +236,28 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     out_dir = Path(args.out or ".")
+    no_dir = f"--out {str(out_dir)!r} cannot be made a directory"
+    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        raise ValueError(f"{no_dir}: a file lies at or above it")
+    outputs = _output_specs(cfg, out_dir)
+    inst, transmon = build_instance(cfg)
+    times = None if inst is None else _time_grid(cfg)
+    series_tol = _field(cfg, "tolerances", _TOP, "config")["series_tol"]
+    # made only once the whole config has been read, so bad input leaves no directory
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValueError(f"--out {str(out_dir)!r} cannot be made a directory: "
-                         f"{exc.strerror}") from None
-    outputs = _output_specs(cfg, out_dir)
-    inst, transmon = build_instance(cfg)
-    series_tol = _field(cfg, "tolerances", _TOP, "config")["series_tol"]
+        raise ValueError(f"{no_dir}: {exc.strerror}") from None
 
     summary: dict = {"config": cfg}
     exit_code = EXIT_OK
     if transmon is not None:
-        bound = bounds_mod.transmon_leakage_bound(
+        summary["transmon_leakage_bound"] = transmon_leakage_bound(
             transmon.ej_over_ec, transmon.transparency_d
         )
-        summary["transmon_leakage_bound"] = bound
         summary["bounds"] = None
     else:
-        report = run_leakage_experiment(
-            inst, _time_grid(cfg), series_tol=series_tol
-        )
+        report = run_leakage_experiment(inst, times, series_tol=series_tol)
         invariants = None
         if report.bounds.d_sw_bound is not None:
             invariants = [r.to_json() for r in check_instance(inst, series_tol=series_tol)]
@@ -269,7 +271,7 @@ def cmd_run(args) -> int:
                 "bounds": report.bounds.to_json(),
                 "max_leakage": report.max_leakage,
                 "series_order": None if sol is None else sol.order,
-                "delta": None if sol is None else sol.delta_bound,
+                "delta": report.bounds.delta,
                 "violations": [list(v) for v in report.violations],
                 "invariants": invariants,
             }

@@ -48,8 +48,11 @@ class LeakageReport:
     d_bloch_series: np.ndarray | None  # per-time ||e^-itH - e^-itH_Bloch||
     d_sw_series: np.ndarray | None
     bounds: bounds.BoundReport
-    max_leakage: float
     violations: tuple                  # (kind, block or None, t); kind: leakage, d_bloch, d_sw
+
+    @property
+    def max_leakage(self) -> float:
+        return float(self.per_block_leakage.max())
 
     def to_json(self) -> dict:
         return {
@@ -165,7 +168,6 @@ def run_leakage_experiment(
         d_bloch_series=d_bloch,
         d_sw_series=d_sw,
         bounds=report,
-        max_leakage=float(leak.max()),
         violations=tuple(violations),
     )
 

@@ -4,6 +4,8 @@ Three systems exercise the bound machinery: a tight-binding ring with a
 three-site unit cell and diagonal disorder, a Fock-truncated chain of
 coupled oscillators with a band-coupling ladder perturbation, and the
 transmon band structure treated at the level of its asymptotic formulas.
+The oscillator chain and the transmon each have a closed-form leakage
+bound, epsilon(x) at the model's own ``x``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import epsilon_of
+from .errors import LeakageError
 from .operator_core import OperatorMatrix
 from .rng import substream
 
@@ -178,3 +182,26 @@ def transmon_perturbation_norm(ej_over_ec: float, transparency_d: float) -> floa
     """
     d = transparency_d
     return ej_over_ec * d / (8.0 * (1.0 - d / 2.0))
+
+
+def harmonic_chain_bound(v0: float, omega: float, g: float) -> float:
+    """Leakage bound for the coupled-band oscillator chain.
+
+    ``(1 - 4 pi v0 / (omega - 4 g))^(-1/2) - 1`` in the weak-coupling
+    regime omega > 4 g; equals ``epsilon_of(v0 / (omega - 4 g))``.
+    """
+    eta = omega - 4.0 * g
+    if eta <= 0:
+        raise LeakageError(f"omega - 4 g = {eta:.6g} <= 0")
+    return epsilon_of(v0 / eta)
+
+
+def transmon_leakage_bound(ej_over_ec: float, transparency_d: float) -> float:
+    """Leakage bound for a transmon with a finite-transparency barrier.
+
+    Combines the asymptotic k = 1 bandgap with the perturbation-norm
+    bound ``E_J D / (8 (1 - D/2))``; both in units of the charge energy.
+    """
+    eta = transmon_bandgap(1, ej_over_ec)  # raises ValueError unless eta > 0
+    v_norm = transmon_perturbation_norm(ej_over_ec, transparency_d)
+    return epsilon_of(v_norm / eta)

@@ -1,10 +1,10 @@
 """Coarse-graining of the spectrum of the drift Hamiltonian.
 
-Groups the eigenvalues of H0 into disjoint components and computes the
-spectral gap eta.  In the eigenbasis of H0, the basis every derived
-operator is kept in, the projection P_k and its complement Q_k are the
-coordinate blocks ``(g, out)`` of group k, which the partition holds
-once; no dense projector is built.
+Groups the eigenvalues of H0 into disjoint components, from which the
+partition derives the spectral gap eta.  In the eigenbasis of H0, the
+basis every derived operator is kept in, the projection P_k and its
+complement Q_k are the coordinate blocks ``(g, out)`` of group k, which
+the partition holds once; no dense projector is built.
 """
 
 from __future__ import annotations
@@ -20,24 +20,40 @@ class SpectralPartition:
 
     ``eigenvalues`` and ``eigenvectors`` are the read-only pair ``herm_eig``
     returns for H0; ``groups`` partitions the eigenvalue indices (ascending
-    order); ``gap`` is the minimum distance between eigenvalues in
-    distinct groups, computed from the actual eigenvalues rather than
-    from any user-supplied intervals.  ``blocks`` holds, per group, the
-    index pair ``(g, out)`` of the group and its complement: P_k and Q_k
-    as coordinate blocks of the H0 eigenbasis, computed once here.
+    order).  The rest is derived from these: ``gap``, the minimum distance
+    between eigenvalues in distinct groups, by brute force over every
+    cross-group pair; ``component_intervals``, each group's eigenvalue
+    range; ``blocks``, per group the index pair ``(g, out)`` of the group
+    and its complement: P_k and Q_k as coordinate blocks of the H0
+    eigenbasis.  Fewer than two groups, groups that do not partition the
+    indices, or a gap that is not positive raise ``ValueError``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     groups: tuple
-    gap: float
-    component_intervals: tuple
+    gap: float = field(init=False)
+    component_intervals: tuple = field(init=False)
     blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        lam = self.eigenvalues
+        groups = tuple(np.asarray(g, dtype=int) for g in self.groups)
+        if len(groups) < 2:
+            raise ValueError(f"a partition needs at least two groups, got {len(groups)}")
+        if not np.array_equal(np.sort(np.concatenate(groups)), np.arange(self.dim)):
+            raise ValueError(f"groups must hold each index 0..{self.dim - 1} exactly once")
+        gap = float(min(np.abs(lam[a][:, None] - lam[b][None, :]).min()
+                        for i, a in enumerate(groups) for b in groups[i + 1 :]))
+        if not gap > 0:
+            raise ValueError(f"gap {gap:.3g} between groups is not positive")
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "component_intervals",
+                           tuple((float(lam[g].min()), float(lam[g].max())) for g in groups))
         # np.delete, not np.setdiff1d: the latter imports numpy.ma (~10 ms) on first use
-        blocks = tuple((g, np.delete(np.arange(self.dim), g)) for g in self.groups)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks",
+                           tuple((g, np.delete(np.arange(self.dim), g)) for g in groups))
 
     @property
     def n_groups(self) -> int:
@@ -53,24 +69,6 @@ class SpectralPartition:
             "gap": self.gap,
             "intervals": [[lo, hi] for lo, hi in self.component_intervals],
         }
-
-
-def _finalize(eig: tuple, groups) -> SpectralPartition:
-    lam = eig[0]
-    intervals = tuple((float(lam[g].min()), float(lam[g].max())) for g in groups)
-    gap = _true_gap(lam, groups)
-    groups = tuple(np.asarray(g, dtype=int) for g in groups)
-    return SpectralPartition(*eig, groups, gap, intervals)
-
-
-def _true_gap(lam, groups) -> float:
-    # brute force over all cross-group eigenvalue pairs
-    gap = np.inf
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            d = np.abs(lam[groups[a]][:, None] - lam[groups[b]][None, :]).min()
-            gap = min(gap, d)
-    return float(gap)
 
 
 def partition_by_threshold(eig: tuple, split_threshold: float) -> SpectralPartition:
@@ -90,7 +88,7 @@ def partition_by_threshold(eig: tuple, split_threshold: float) -> SpectralPartit
         raise ValueError(f"no adjacent eigenvalue difference exceeds {split_threshold}")
     edges = np.concatenate([[0], cuts + 1, [lam.size]])
     groups = [np.arange(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    return _finalize(eig, groups)
+    return SpectralPartition(*eig, groups)
 
 
 def partition_by_intervals(eig: tuple, intervals) -> SpectralPartition:
@@ -122,4 +120,4 @@ def partition_by_intervals(eig: tuple, intervals) -> SpectralPartition:
     groups = [g for g in groups if g.size]
     if len(groups) < 2:
         raise ValueError("eigenvalues populate fewer than two intervals")
-    return _finalize(eig, groups)
+    return SpectralPartition(*eig, groups)

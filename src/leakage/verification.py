@@ -113,7 +113,7 @@ def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT
 
     sol = solve_bloch_series(inst, tol=series_tol)
     omega = sol.omega
-    delta = sol.delta_bound
+    delta = bounds.delta_of(x)
 
     # Bloch equation residuals on the columns c = Omega[:, g] of Omega_k:
     # H Omega_k = Omega_k H Omega_k reads h_eig c = c h_eig[g] c, and

@@ -11,7 +11,6 @@ from leakage import (
     herm_eig,
     operator_norm,
     partition_by_intervals,
-    partition_by_threshold,
     solve_bloch_series,
 )
 from leakage import bloch_solver
@@ -19,7 +18,6 @@ from leakage.bloch_solver import J_MAX
 from leakage.bounds import catalan_tails
 from leakage.errors import LeakageError
 from leakage.models import HarmonicChainSpec, build_harmonic_chain
-from leakage.spectral_partition import SpectralPartition
 
 from conftest import dense_projection, make_instance, to_original
 
@@ -138,8 +136,7 @@ def test_catalan_majorant_and_delta():
     ratio = np.pi * inst.v_norm / inst.partition.gap
     for j, term in enumerate(sol.omega_terms):
         assert operator_norm(term) <= ratio**j * catalan(j) + 1e-12
-    assert operator_norm(sol.omega - np.eye(10)) <= sol.delta_bound + 1e-9
-    assert sol.delta_bound == pytest.approx(delta_of(inst.x), rel=1e-14)
+    assert operator_norm(sol.omega - np.eye(10)) <= delta_of(inst.x) + 1e-9
     assert sol.tail_bound == pytest.approx(catalan_tails(inst.x, sol.order)[sol.order], rel=1e-12)
     assert sol.tail_bound < 1e-12
 
@@ -252,19 +249,6 @@ def test_not_converged_when_order_capped():
         solve_bloch_series(inst, tol=1e-12)
     with pytest.raises(ValueError):
         solve_bloch_series(inst, tol=0.0)
-
-
-def test_misdeclared_gap_raises_zero_gap():
-    h0 = OperatorMatrix(np.diag([0.0, 0.4, 1.0]))
-    eig = herm_eig(h0)
-    honest = partition_by_threshold(eig, 0.3)
-    # overstate the gap: actual cross-group distance 0.4 < claimed 2.0 / 2
-    lied = SpectralPartition(
-        *eig, honest.groups, 2.0, honest.component_intervals
-    )
-    v = OperatorMatrix(1e-3 * np.ones((3, 3)))
-    with pytest.raises(LeakageError, match="eigenvalue difference .* below eta/2 = 1.000e\\+00"):
-        solve_bloch_series(ProblemInstance(h0, v, 1.0, lied))
 
 
 def test_instance_validation():

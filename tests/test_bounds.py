@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakage import bound_report, catalan, delta_of, epsilon_of
+from leakage import bound_report, catalan, delta_of, epsilon_of, harmonic_chain_bound
 from leakage.bounds import (
     SQRT2_M1,
     catalan_tails,
     gamma_threshold_bloch,
     gamma_threshold_sw,
-    harmonic_chain_bound,
     sw_distance_bound,
 )
 from leakage.errors import LeakageError

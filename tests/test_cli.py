@@ -156,10 +156,11 @@ def test_run_input_error_exit_code(tmp_path, cfg):
 def test_bad_time_grid_is_config_invalid(tmp_path, capsys, t_grid, command):
     with pytest.raises(ValueError, match="t_grid"):
         _time_grid({"t_grid": t_grid})
-    argv = {"run": ["--out", str(tmp_path)], "sweep": ["--gamma-list", "10,30,100,300"]}
+    argv = {"run": ["--out", str(tmp_path / "new")], "sweep": ["--gamma-list", "10,30,100,300"]}
     cfg = write_cfg(tmp_path, {**CHAIN_CFG, "t_grid": t_grid})
     assert main([command, "--config", cfg, *argv[command]]) == 2
     assert "t_grid" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -185,16 +186,21 @@ def _singular_block_gram(*args):
     (["run", "--config", "{cfg}", "--out", "{cfg}"], None, 2, "--out"),      # an existing file
     (["run", "--config", "{cfg}", "--out", "{cfg}/sub"], None, 2, "--out"),  # below a file
     (["run", "--config", "{cfg}", "--out", "{out}"], _singular_block_gram, 3, "fabricated"),
+    (["run", "--config", "{typo}", "--out", "{out}/new/a/b"], None, 2,
+     "unknown key 'disorder_strenght'"),                                   # leaves no --out
 ], ids=["negative-v-norm", "negative-x", "three-gammas", "repeated-gamma", "out-is-a-file",
-        "out-below-a-file", "singular-block-gram"])
+        "out-below-a-file", "singular-block-gram", "misspelled-key-new-out"])
 def test_exit_codes_by_failure_kind(
         tmp_path, monkeypatch, capsys, argv, sw_transform, code, err):
     # 4 is left for a bound violation or a failed invariant
     if sw_transform is not None:
         monkeypatch.setattr(dynamics, "sw_transform", sw_transform)
     cfg = write_cfg(tmp_path, CHAIN_CFG)
-    assert main([arg.format(cfg=cfg, out=tmp_path) for arg in argv]) == code
+    typo = write_cfg(tmp_path, {**CHAIN_CFG, "params": {"n_cells": 4, "disorder_strenght": 0.01}},
+                     "typo.json")
+    assert main([arg.format(cfg=cfg, typo=typo, out=tmp_path) for arg in argv]) == code
     assert err in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 def test_model_emit(tmp_path, capsys):
@@ -439,8 +445,7 @@ def test_outputs_outside_out_dir_rejected(tmp_path, monkeypatch, capsys, path):
     cfg = write_cfg(tmp_path, {**CHAIN_CFG, "outputs": [{"path": path}]})
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert "outputs[0]" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
-    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_outputs_naming_a_directory_rejected(tmp_path, monkeypatch, capsys):

@@ -124,7 +124,6 @@ def test_singular_block_gram_detected():
         h_bloch=omega,
         order=0,
         tail_bound=0.0,
-        delta_bound=0.0,
     )
     with pytest.raises(LeakageError, match="block Gram matrix for group 0"):
         perturbed_projection(inst, fake, 0)

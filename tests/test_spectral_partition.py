@@ -3,6 +3,7 @@ import pytest
 
 from leakage import (
     OperatorMatrix,
+    SpectralPartition,
     herm_eig,
     operator_norm,
     partition_by_intervals,
@@ -64,17 +65,39 @@ def test_interval_partition_errors():
 def test_gap_is_brute_force_minimum():
     rng = np.random.default_rng(11)
     h0 = clustered_h0(rng, 12, 3)
-    part = partition_by_threshold(herm_eig(h0), 0.5)
-    lam = part.eigenvalues
+    eig = herm_eig(h0)
+    built = partition_by_threshold(eig, 0.5)
+    lam = built.eigenvalues
     expected = min(
         abs(lam[a] - lam[b])
-        for ga in range(part.n_groups)
-        for gb in range(part.n_groups)
+        for ga in range(built.n_groups)
+        for gb in range(built.n_groups)
         if ga != gb
-        for a in part.groups[ga]
-        for b in part.groups[gb]
+        for a in built.groups[ga]
+        for b in built.groups[gb]
     )
-    assert part.gap == pytest.approx(expected, rel=1e-14)
+    # a partition built by hand from the same groups derives the same data
+    by_hand = SpectralPartition(*eig, [list(g) for g in built.groups])
+    for part in (built, by_hand):
+        assert part.gap == pytest.approx(expected, rel=1e-14)
+    assert by_hand.gap == built.gap
+    assert by_hand.component_intervals == built.component_intervals
+    for (g, out), (g_built, out_built) in zip(by_hand.blocks, built.blocks, strict=True):
+        assert np.array_equal(g, g_built) and np.array_equal(out, out_built)
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([[0], [1, 2, 3]], "gap 0 between groups is not positive"),
+    ([[0, 1, 2, 3]], "at least two groups, got 1"),
+    ([[0, 1, 2], [2, 3]], "each index 0..3 exactly once"),
+    ([[0, 1], [3]], "each index 0..3 exactly once"),
+    ([[0, 1, 2], [3, 4]], "each index 0..3 exactly once"),
+], ids=["split-degenerate", "single-group", "shared-index", "missing-index",
+        "index-out-of-range"])
+def test_hand_built_partition_rejected(groups, message):
+    # eigenvalue 0 is threefold: splitting it leaves no gap between the groups
+    with pytest.raises(ValueError, match=message):
+        SpectralPartition(*diag_eig([0.0, 0.0, 0.0, 2.0]), groups)
 
 
 def test_projections_resolve_identity_and_commute():
