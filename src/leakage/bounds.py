@@ -38,7 +38,10 @@ def gamma_threshold_sw(v_norm: float, eta: float) -> float:
 
 
 def _in_bloch_regime(x: float) -> bool:
-    """The domain of delta(x) and epsilon(x), where the Bloch series converges."""
+    """The domain of delta(x) and epsilon(x), where the Bloch series converges;
+    a negative or NaN ``x`` lies outside every domain and is bad input."""
+    if not x >= 0:
+        raise ValueError(f"x = {x} must be nonnegative")
     return 4.0 * math.pi * x < 1.0
 
 
@@ -54,8 +57,6 @@ def delta_of(x: float) -> float:
     closed form is 0/0 there, resolved by its series pi*x + 2(pi*x)^2 + ...).
     Monotone increasing, tending to 1 as 4 pi x -> 1.
     """
-    if x < 0:
-        raise LeakageError(f"x = {x} must be nonnegative")
     u = 4.0 * math.pi * x
     if not _in_bloch_regime(x):
         raise LeakageError(f"4 pi x = {u:.6g} >= 1")
@@ -67,8 +68,6 @@ def delta_of(x: float) -> float:
 
 def epsilon_of(x: float) -> float:
     """Bound on the Bloch evolution distance: 1/sqrt(1 - 4 pi x) - 1."""
-    if x < 0:
-        raise LeakageError(f"x = {x} must be nonnegative")
     u = 4.0 * math.pi * x
     if not _in_bloch_regime(x):
         raise LeakageError(f"4 pi x = {u:.6g} >= 1")
@@ -125,8 +124,6 @@ def sw_distance_bound(x: float) -> float:
     2 * (1 / sqrt(sqrt(1 - 4 pi x) - 2 pi x) - 1), valid while
     delta(x) < sqrt(2) - 1.  Always at least epsilon_of(x).
     """
-    if x < 0:
-        raise LeakageError(f"x = {x} must be nonnegative")
     if not _in_sw_regime(x):
         raise LeakageError(f"delta({x:.6g}) not below sqrt(2) - 1")
     inner = math.sqrt(1.0 - 4.0 * math.pi * x) - 2.0 * math.pi * x

@@ -6,10 +6,12 @@ experiment), ``verify`` (invariant suite), ``bounds`` (scalar formulas),
 flows from the config seed through labeled sub-streams, so outputs are
 deterministic functions of (config, seed).
 
-A config is read by one reader, ``_section``: each section declares its
-keys with a kind and a default and rejects any other key, so a misspelled
-key exits 2.  A model's ``params`` are the fields, types and defaults of its
-spec (``ChainSpec``, ``HarmonicChainSpec``, ``TransmonSpec``).
+``main`` reads a config once, through ``build_instance``, and every
+subcommand reads the config as read that it returns.  One reader,
+``_section``, reads each section: it declares the section's keys with a kind
+and a default and rejects any other key, so a misspelled key exits 2.  A
+model's ``params`` are the fields, types and defaults of its spec
+(``ChainSpec``, ``HarmonicChainSpec``, ``TransmonSpec``).
 
 Exit codes follow one rule: 0 success; 2 for a ``ValueError``, which is
 bad input (config, time grid, matrices, partition or bound arguments); 3
@@ -76,6 +78,8 @@ _TOP = {"model": (str, MISSING), "params": (dict, {}), "seed": (int, 0),
         "outputs": ([_OUTPUT], []), "verify_instances": (int, 100)}
 _MATRIX = {"dim": (int, MISSING), "entries": ("[re, im]", MISSING)}
 _CUSTOM = {"h0": (_MATRIX, MISSING), "v": (_MATRIX, MISSING)}
+_MODELS = {"chain": ChainSpec, "harmonic": HarmonicChainSpec, "transmon": TransmonSpec,
+           "custom": _CUSTOM}
 
 
 def _value(val, key: str, kind, where: str):
@@ -114,34 +118,34 @@ def _value(val, key: str, kind, where: str):
     return val
 
 
-def _field(obj: dict, key: str, schema: dict, where: str):
-    """``obj[key]``, or else its default, read as ``schema`` declares it."""
-    kind, default = schema[key]
-    if key in obj:
-        return _value(obj[key], key, kind, where)
-    if default is MISSING:
-        raise ValueError(f"missing '{key}' in {where}")
-    return default if default is None else _value(default, key, kind, where)
-
-
 def _section(obj, where: str, schema: dict) -> dict:
     """Every key of ``schema`` read from the config section ``where``, which
-    must be an object that holds no key ``schema`` does not declare."""
+    must be an object that holds no key ``schema`` does not declare; a key it
+    omits takes its default, read as a given value would be."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be an object, got {obj!r}")
     for key in obj:
         if key not in schema:
             raise ValueError(f"unknown key '{key}' in {where}, which takes "
                              f"{', '.join(schema)}")
-    return {key: _field(obj, key, schema, where) for key in schema}
+    read = {}
+    for key, (kind, default) in schema.items():
+        if key in obj:
+            read[key] = _value(obj[key], key, kind, where)
+        elif default is MISSING:
+            raise ValueError(f"missing '{key}' in {where}")
+        else:
+            read[key] = default if default is None else _value(default, key, kind, where)
+    return read
 
 
-def _params(params, spec_cls) -> dict:
-    """Model ``params`` read by the fields, annotated types and defaults of the
-    model's spec; the chain's ``seed`` is the config's own."""
-    types = get_type_hints(spec_cls)
-    return _section(params, "params", {f.name: (types[f.name], f.default)
-                                       for f in fields(spec_cls) if f.name != "seed"})
+def _params(params, spec) -> dict:
+    """Model ``params`` read by a section schema, or by the fields, annotated
+    types and defaults of a model spec; the chain's ``seed`` is the config's own."""
+    if not isinstance(spec, dict):
+        types = get_type_hints(spec)
+        spec = {f.name: (types[f.name], f.default) for f in fields(spec) if f.name != "seed"}
+    return _section(params, "params", spec)
 
 
 def _matrix(m: dict, where: str) -> OperatorMatrix:
@@ -158,29 +162,31 @@ def _matrix(m: dict, where: str) -> OperatorMatrix:
 
 
 def build_instance(cfg: dict):
-    """Model matrices + partition from a config; None for formula-only models.
+    """The model's ``ProblemInstance`` (None for the formula-only transmon) and
+    the config as read: every section with its defaults filled in, ``params``
+    as the model's spec reads them.
 
     Every section is read here, also those only some subcommands use, so no
     subcommand runs on a config that holds a key nothing reads.
     """
-    top = _section(cfg, "config", _TOP)
-    model, params, rule = top["model"], top["params"], top["partition"]
+    config = _section(cfg, "config", _TOP)
+    model, rule = config["model"], config["partition"]
     if rule["threshold"] is not None and rule["intervals"] is not None:
         raise ValueError("partition takes 'threshold' or 'intervals', not both")
+    if model not in _MODELS:
+        raise ValueError(f"unknown model '{model}'")
+    config["params"] = params = _params(config["params"], _MODELS[model])
     intervals = rule["intervals"]
     if model == "transmon":
-        return None, TransmonSpec(**_params(params, TransmonSpec))
+        TransmonSpec(**params)  # checks the values
+        return None, config
     if model == "chain":
-        h0, v = build_chain(ChainSpec(**_params(params, ChainSpec), seed=top["seed"]))
+        h0, v = build_chain(ChainSpec(**params, seed=config["seed"]))
     elif model == "harmonic":
-        spec = HarmonicChainSpec(**_params(params, HarmonicChainSpec))
-        h0, v, bands = build_harmonic_chain(spec)
+        h0, v, bands = build_harmonic_chain(HarmonicChainSpec(**params))
         intervals = bands if intervals is None else intervals
-    elif model == "custom":
-        matrices = _section(params, "params", _CUSTOM)
-        h0, v = (_matrix(m, f"params.{key}") for key, m in matrices.items())
     else:
-        raise ValueError(f"unknown model '{model}'")
+        h0, v = (_matrix(m, f"params.{key}") for key, m in params.items())
 
     eig = herm_eig(h0)
     if rule["threshold"] is not None:
@@ -189,25 +195,24 @@ def build_instance(cfg: dict):
         part = partition_by_intervals(eig, intervals)
     else:
         raise ValueError("partition must give 'threshold' or 'intervals'")
-    return ProblemInstance(h0, v, top["gamma"], part), None
+    return ProblemInstance(h0, v, config["gamma"], part), config
 
 
-def _time_grid(cfg: dict) -> np.ndarray:
-    tg = _field(cfg, "t_grid", _TOP, "config")
-    if tg["n_points"] < 1:
-        raise ValueError(f"t_grid needs n_points >= 1, got {tg['n_points']}")
-    return np.linspace(0.0, tg["t_max"], tg["n_points"])
+def _time_grid(t_grid: dict) -> np.ndarray:
+    if t_grid["n_points"] < 1:
+        raise ValueError(f"t_grid needs n_points >= 1, got {t_grid['n_points']}")
+    return np.linspace(0.0, t_grid["t_max"], t_grid["n_points"])
 
 
-def _output_specs(cfg: dict, out_dir: Path) -> list:
+def _output_specs(outputs: list, out_dir: Path) -> list:
     """``(path, format)`` of each ``outputs`` entry, checked before any
-    computation: a ``path`` that resolves to a file under ``out_dir`` other
+    leakage is computed: a ``path`` that resolves to a file under ``out_dir`` other
     than ``summary.json`` and every other entry's file, and that is neither
     a directory nor below an existing file."""
     root = out_dir.resolve()
     taken = {(root / "summary.json").resolve(): "the summary"}
     checked = []
-    for i, spec in enumerate(_field(cfg, "outputs", _TOP, "config")):
+    for i, spec in enumerate(outputs):
         where, path = f"outputs[{i}]", spec["path"]
         target = (root / path).resolve()
         if Path(path).is_absolute() or root not in target.parents:
@@ -231,30 +236,24 @@ def _write_outputs(specs: list, out_dir: Path, report):
             path.write_text(json.dumps(report.to_json(), indent=2))
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+def cmd_run(args, inst, config) -> int:
     out_dir = Path(args.out or ".")
     no_dir = f"--out {str(out_dir)!r} cannot be made a directory"
     if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
         raise ValueError(f"{no_dir}: a file lies at or above it")
-    outputs = _output_specs(cfg, out_dir)
-    inst, transmon = build_instance(cfg)
-    times = None if inst is None else _time_grid(cfg)
-    series_tol = _field(cfg, "tolerances", _TOP, "config")["series_tol"]
+    outputs = _output_specs(config["outputs"], out_dir)
+    times = None if inst is None else _time_grid(config["t_grid"])
+    series_tol = config["tolerances"]["series_tol"]
     # made only once the whole config has been read, so bad input leaves no directory
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"{no_dir}: {exc.strerror}") from None
 
-    summary: dict = {"config": cfg}
+    summary: dict = {"config": config}
     exit_code = EXIT_OK
-    if transmon is not None:
-        summary["transmon_leakage_bound"] = transmon_leakage_bound(
-            transmon.ej_over_ec, transmon.transparency_d
-        )
+    if inst is None:
+        summary["transmon_leakage_bound"] = transmon_leakage_bound(**config["params"])
         summary["bounds"] = None
     else:
         report = run_leakage_experiment(inst, times, series_tol=series_tol)
@@ -283,20 +282,14 @@ def cmd_run(args) -> int:
     return exit_code
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    inst, transmon = build_instance(cfg)
+def cmd_verify(args, inst, config) -> int:
     extras = [] if inst is None else [inst]
-    n_instances = _field(cfg, "verify_instances", _TOP, "config")
+    n_instances = config["verify_instances"]
     if n_instances < 0 or n_instances + len(extras) == 0:
         raise ValueError(f"'verify_instances' = {n_instances} with {len(extras)} model "
                          "instance(s) gives no suite to run")
-    suite = run_suite(
-        n_instances=n_instances,
-        seed=_field(cfg, "seed", _TOP, "config"),
-        extra_instances=extras,
-        series_tol=_field(cfg, "tolerances", _TOP, "config")["series_tol"],
-    )
+    suite = run_suite(n_instances=n_instances, seed=config["seed"], extra_instances=extras,
+                      series_tol=config["tolerances"]["series_tol"])
     for name, worst in sorted(suite.worst_by_name().items()):
         status = "PASS" if worst.passed else "FAIL"
         print(f"{status} {name}: measured {worst.measured:.3e} allowed {worst.allowed:.3e}")
@@ -316,11 +309,7 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_model(args) -> int:
-    cfg = _load_config(args.config)
-    inst, transmon = build_instance(cfg)
-    if inst is None:
-        raise ValueError("transmon model has no matrices to emit")
+def cmd_model(args, inst, config) -> int:
     targets = {"h0": inst.h0, "v": inst.v, "partition": inst.partition}
     out = {}
     for w in (w.strip() for w in args.emit.split(",")):
@@ -331,13 +320,9 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    inst, transmon = build_instance(cfg)
-    if inst is None:
-        raise ValueError("sweep needs a matrix model")
+def cmd_sweep(args, inst, config) -> int:
     gammas = [float(g) for g in args.gamma_list.split(",")]
-    result = gamma_scaling_sweep(inst, gammas, _time_grid(cfg))
+    result = gamma_scaling_sweep(inst, gammas, _time_grid(config["t_grid"]))
     print(json.dumps(result.to_json(), indent=2))
     return EXIT_OK
 
@@ -364,7 +349,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-norm", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("model", help="emit model matrices as JSON")
     p.add_argument("--config", required=True)
@@ -382,7 +366,15 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "bounds":
+            return cmd_bounds(args)
+        cfg = _load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            cfg["seed"] = args.seed
+        inst, config = build_instance(cfg)
+        if inst is None and args.command in ("model", "sweep"):
+            raise ValueError(f"{args.command} needs a matrix model, not the transmon")
+        return args.func(args, inst, config)
     except (LeakageError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, but LAPACK not converging is no input error
         print(f"error: {exc}", file=sys.stderr)

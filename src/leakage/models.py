@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import epsilon_of
-from .errors import LeakageError
 from .operator_core import OperatorMatrix
 from .rng import substream
 
@@ -192,7 +191,7 @@ def harmonic_chain_bound(v0: float, omega: float, g: float) -> float:
     """
     eta = omega - 4.0 * g
     if eta <= 0:
-        raise LeakageError(f"omega - 4 g = {eta:.6g} <= 0")
+        raise ValueError(f"omega - 4 g = {eta:.6g} <= 0")
     return epsilon_of(v0 / eta)
 
 

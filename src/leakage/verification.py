@@ -219,13 +219,6 @@ class SuiteReport:
                 agg[r.name] = r
         return agg
 
-    def to_json(self) -> dict:
-        return {
-            "n_instances": self.n_instances,
-            "all_passed": self.all_passed,
-            "worst": {k: v.to_json() for k, v in self.worst_by_name().items()},
-        }
-
 
 def run_suite(
     n_instances: int = 100,

@@ -62,9 +62,12 @@ def test_domain_edges():
     assert delta_of(0.0) == 0.0
     assert epsilon_of(0.0) == 0.0
     for fn, edge in ((delta_of, "4 pi x = 1 >= 1"), (epsilon_of, "4 pi x = 1 >= 1"),
-                     (sw_distance_bound, r"not below sqrt\(2\) - 1")):
-        with pytest.raises(LeakageError, match="must be nonnegative"):
-            fn(-1e-3)
+                     (sw_distance_bound, r"not below sqrt\(2\) - 1"),
+                     (lambda x: catalan_tails(x, 3), "4 pi x = 1 >= 1")):
+        # an x outside every domain is bad input; one past a regime edge is not
+        for bad in (-1e-3, -0.01, math.nan):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                fn(bad)
         with pytest.raises(LeakageError, match=edge):
             fn(X_MAX)
     # the sw bound dies earlier, at delta = sqrt(2) - 1
@@ -189,7 +192,7 @@ def test_harmonic_chain_bound():
         0.010639393494278266, rel=1e-13
     )
     assert harmonic_chain_bound(0.01, 10.0, 1.0) == epsilon_of(0.01 / 6.0)
-    with pytest.raises(LeakageError, match="omega - 4 g = 0 <= 0"):
+    with pytest.raises(ValueError, match="omega - 4 g = 0 <= 0"):
         harmonic_chain_bound(0.01, 4.0, 1.0)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from leakage import OperatorMatrix, bounds, cli, dynamics
 from leakage.models import ChainSpec, HarmonicChainSpec, build_chain, build_harmonic_chain
-from leakage.cli import _time_grid, main
+from leakage.cli import main
 from leakage.errors import LeakageError
 
 CHAIN_CFG = {
@@ -154,8 +154,6 @@ def test_run_input_error_exit_code(tmp_path, cfg):
     {"t_max": float("inf"), "n_points": 41},
 ], ids=["no-points", "negative-points", "nan-t-max", "inf-t-max"])
 def test_bad_time_grid_is_config_invalid(tmp_path, capsys, t_grid, command):
-    with pytest.raises(ValueError, match="t_grid"):
-        _time_grid({"t_grid": t_grid})
     argv = {"run": ["--out", str(tmp_path / "new")], "sweep": ["--gamma-list", "10,30,100,300"]}
     cfg = write_cfg(tmp_path, {**CHAIN_CFG, "t_grid": t_grid})
     assert main([command, "--config", cfg, *argv[command]]) == 2
@@ -395,7 +393,8 @@ def test_integer_config_fields_run(tmp_path):
     cfg = {**CHAIN_CFG, "verify_instances": 1, "seed": 2}
     assert main(["verify", "--config", write_cfg(tmp_path, cfg, "verify.json")]) == 0
     # an integer inside the float64 range reads as that float
-    assert _time_grid({"t_grid": {"t_max": 10**308, "n_points": 2}})[-1] == 1e308
+    _, config = cli.build_instance({**CHAIN_CFG, "t_grid": {"t_max": 10**308, "n_points": 2}})
+    assert config["t_grid"]["t_max"] == 1e308
 
 
 @pytest.mark.parametrize("outputs", [
@@ -610,3 +609,26 @@ def test_omitted_params_take_the_spec_defaults(cfg, matrices):
     inst, _ = cli.build_instance(cfg)
     for got, want in zip((inst.h0, inst.v), matrices):
         np.testing.assert_array_equal(got.entries, want.entries)
+
+
+def test_build_instance_returns_the_config_as_read():
+    # a chain config that omits tolerances, outputs and the g* params gets their defaults
+    _, config = cli.build_instance(CHAIN_CFG)
+    assert config == {
+        "model": "chain", "params": {"n_cells": 4, "g1": 1.0, "g2": 1.5, "g3": 2.0,
+                                     "disorder_strength": 0.01},
+        "seed": 0, "gamma": 1.0, "partition": {"threshold": 0.5, "intervals": None},
+        "t_grid": {"t_max": 20.0, "n_points": 41}, "tolerances": {"series_tol": 1e-12},
+        "outputs": [], "verify_instances": 100}
+    inst, config = cli.build_instance(TRANSMON_CFG)
+    assert inst is None and config["params"] == TRANSMON_CFG["params"]
+
+
+def test_summary_records_the_config_as_read(tmp_path):
+    cfg = {**CHAIN_CFG, "outputs": [{"path": "series.csv", "format": "csv"}]}
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    _, config = cli.build_instance(cfg)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["config"] == json.loads(json.dumps(config))
+    assert summary["config"]["outputs"] == [
+        {"path": "series.csv", "format": "csv", "kind": "leakage"}]

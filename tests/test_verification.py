@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -7,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakage import (
+    OperatorMatrix,
+    ProblemInstance,
+    SpectralPartition,
     check_instance,
+    herm_eig,
     operator_norm,
     random_instance,
     run_suite,
@@ -16,7 +19,7 @@ from leakage import (
 from leakage.rng import substream
 from leakage.verification import haar_unitary
 
-from conftest import make_instance
+from conftest import clustered_h0, make_instance, random_hermitian
 
 
 def test_haar_unitary_is_unitary():
@@ -65,10 +68,8 @@ def test_suite_deterministic_and_serializable():
     b = run_suite(n_instances=3, seed=5)
     assert a.all_passed
     assert [r.measured for r in a.results] == [r.measured for r in b.results]
-    blob = a.to_json()
-    json.dumps(blob)
-    assert blob["all_passed"] is True
-    assert blob["n_instances"] == 3
+    assert a.all_passed is True
+    assert a.n_instances == 3
 
 
 def test_suite_counts_extras():
@@ -88,6 +89,24 @@ def test_suite_rejects_negative_count():
 @settings(deadline=None, max_examples=40)
 def test_every_invariant_passes_on_random_instances(seed, dim, n_groups, x, real):
     results = check_instance(make_instance(seed, dim, n_groups, x=x, real=real))
+    assert [r.name for r in results if not r.passed] == []
+    assert len(results) == 19
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 16), step=st.sampled_from([2, 3]),
+       x=st.floats(1e-3, 0.02), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_every_invariant_passes_on_interleaved_partitions(seed, dim, step, x, real):
+    # group k holds levels k, k + step, ...: the groups' spectral ranges overlap,
+    # and the gap is the smallest spacing of adjacent levels
+    rng = np.random.default_rng(seed)
+    h0 = clustered_h0(rng, dim, dim, spread=0.0, min_sep=1.0, max_sep=2.0, real=real)
+    part = SpectralPartition(*herm_eig(h0), [np.arange(k, dim, step) for k in range(step)])
+    v = random_hermitian(rng, dim, real)
+    v *= x * part.gap / operator_norm(v)
+    inst = ProblemInstance(h0, OperatorMatrix(v), 1.0, part)
+    assert inst.x == pytest.approx(x, rel=1e-12)
+    results = check_instance(inst)
     assert [r.name for r in results if not r.passed] == []
     assert len(results) == 19
 
