@@ -22,6 +22,9 @@ from .errors import LeakageError
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 
+#: how far a measured value may exceed its bound before it counts as a violation
+SLACK = 1e-9
+
 #: series branch switch-over for delta(x); below this the closed form is
 #: dominated by cancellation in 1 - sqrt(1 - 4 pi x)
 _DELTA_SERIES_X = 1e-8
@@ -45,6 +48,13 @@ def _in_bloch_regime(x: float) -> bool:
     return 4.0 * math.pi * x < 1.0
 
 
+def _bloch_u(x: float) -> float:
+    """``4 pi x``, refused with ``LeakageError`` outside the Bloch regime."""
+    if not _in_bloch_regime(x):
+        raise LeakageError(f"4 pi x = {4.0 * math.pi * x:.6g} >= 1")
+    return 4.0 * math.pi * x
+
+
 def _in_sw_regime(x: float) -> bool:
     """The domain of the Schrieffer-Wolff distance bound."""
     return _in_bloch_regime(x) and delta_of(x) < SQRT2_M1
@@ -57,9 +67,7 @@ def delta_of(x: float) -> float:
     closed form is 0/0 there, resolved by its series pi*x + 2(pi*x)^2 + ...).
     Monotone increasing, tending to 1 as 4 pi x -> 1.
     """
-    u = 4.0 * math.pi * x
-    if not _in_bloch_regime(x):
-        raise LeakageError(f"4 pi x = {u:.6g} >= 1")
+    u = _bloch_u(x)
     if x < _DELTA_SERIES_X:
         px = math.pi * x
         return px * (1.0 + 2.0 * px + 5.0 * px * px)
@@ -68,9 +76,7 @@ def delta_of(x: float) -> float:
 
 def epsilon_of(x: float) -> float:
     """Bound on the Bloch evolution distance: 1/sqrt(1 - 4 pi x) - 1."""
-    u = 4.0 * math.pi * x
-    if not _in_bloch_regime(x):
-        raise LeakageError(f"4 pi x = {u:.6g} >= 1")
+    u = _bloch_u(x)
     # expm1/log1p form stays accurate for tiny x
     return math.expm1(-0.5 * math.log1p(-u))
 
@@ -97,8 +103,7 @@ def catalan_tails(x: float, j_max: int) -> list:
     ``C_{j+1} / C_j < 4`` by ``t_n 4y / (1 - 4y)``: every tail is an
     upper bound on the true remainder, up to rounding.
     """
-    if not _in_bloch_regime(x):
-        raise LeakageError(f"4 pi x = {4 * math.pi * x:.6g} >= 1")
+    _bloch_u(x)
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     y = math.pi * x

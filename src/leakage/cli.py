@@ -244,18 +244,18 @@ def cmd_run(args, inst, config) -> int:
     outputs = _output_specs(config["outputs"], out_dir)
     times = None if inst is None else _time_grid(config["t_grid"])
     series_tol = config["tolerances"]["series_tol"]
-    # made only once the whole config has been read, so bad input leaves no directory
+    summary: dict = {"config": config}
+    if inst is None:
+        summary["transmon_leakage_bound"] = transmon_leakage_bound(**config["params"])
+        summary["bounds"] = None
+    # made once the config is read and the bound evaluated, so bad input leaves no directory
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"{no_dir}: {exc.strerror}") from None
 
-    summary: dict = {"config": config}
     exit_code = EXIT_OK
-    if inst is None:
-        summary["transmon_leakage_bound"] = transmon_leakage_bound(**config["params"])
-        summary["bounds"] = None
-    else:
+    if inst is not None:
         report = run_leakage_experiment(inst, times, series_tol=series_tol)
         invariants = None
         if report.bounds.d_sw_bound is not None:

@@ -33,10 +33,8 @@ import numpy as np
 from . import bounds
 from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
 from .errors import LeakageError
-from .operator_core import _gram, operator_norm
+from .operator_core import _gram_top, operator_norm
 from .schrieffer_wolff import sw_transform
-
-VIOLATION_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ class _Evolution:
         if sg_conj.size == 0 or sout_t.size == 0:
             return 0.0
         bt = _product(sg_conj, np.exp(-1j * t * self.lam)[:, None] * sout_t)
-        return math.sqrt(np.linalg.svd(_gram(bt), compute_uv=False)[0])
+        return math.sqrt(_gram_top(bt))
 
 
 def _product(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -154,12 +152,12 @@ def run_leakage_experiment(
 
     violations = []
     if report.epsilon is not None:
-        bad = np.argwhere(leak > report.epsilon + VIOLATION_SLACK)
+        bad = np.argwhere(leak > report.epsilon + bounds.SLACK)
         violations = [("leakage", int(k), float(times[j])) for k, j in bad]
     for kind, series, allowed in (("d_bloch", d_bloch, report.epsilon),
                                   ("d_sw", d_sw, report.d_sw_bound)):
         if series is not None and allowed is not None:
-            bad = np.flatnonzero(series > allowed + VIOLATION_SLACK)
+            bad = np.flatnonzero(series > allowed + bounds.SLACK)
             violations += [(kind, None, float(times[j])) for j in bad]
 
     return LeakageReport(

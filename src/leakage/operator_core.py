@@ -7,7 +7,7 @@ it is a plain ``np.ndarray``.  All are dense, float64 when the input is
 real and complex128 when it is complex, so real Hamiltonians stay in
 real arithmetic end to end.  Dimensions are at desk scale (up to a few
 thousand), so exact factorizations are always affordable: ``eigh``, and
-``eigvalsh`` of a scaled Gram matrix for operator norms.
+the Hermitian eigensolver on a Gram matrix for every top singular value.
 """
 
 from __future__ import annotations
@@ -72,12 +72,13 @@ def operator_norm(a: np.ndarray) -> float:
     # the float64 view, as complex / float overflows when the scale is subnormal
     b = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else float)
     b = (b.view(np.float64) / scale).view(b.dtype)
-    return float(scale * np.sqrt(max(np.linalg.eigvalsh(_gram(b))[-1], 0.0)))
+    return float(scale * np.sqrt(_gram_top(b)))
 
 
-def _gram(b: np.ndarray) -> np.ndarray:
-    """Gram matrix of ``b`` on its smaller side: its top eigenvalue is ``||b||^2``."""
-    return b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b
+def _gram_top(b: np.ndarray) -> float:
+    """``||b||^2``: the top eigenvalue of b's small-side Gram, by the Hermitian solver."""
+    gram = b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b
+    return np.linalg.svd(gram, compute_uv=False, hermitian=True)[0]
 
 
 def herm_eig(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:

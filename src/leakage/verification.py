@@ -20,13 +20,12 @@ import numpy as np
 
 from . import bounds
 from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
+from .bounds import SLACK
 from .dynamics import _Evolution
 from .operator_core import OperatorMatrix, herm_eig, operator_norm
 from .schrieffer_wolff import sw_transform
 from .spectral_partition import partition_by_threshold
 from .rng import substream
-
-SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,8 @@ def random_instance(
     dim: int | None = None,
     n_groups: int | None = None,
     x_target: float | None = None,
-    gamma: float = 1.0,
 ) -> ProblemInstance:
-    """Random gapped instance with bound argument close to ``x_target``.
+    """Random gapped instance at gamma 1 with bound argument close to ``x_target``.
 
     Eigenvalue clusters are separated by at least 1 and at most 0.3
     wide, so a split threshold of 0.5 always recovers them.
@@ -78,8 +76,8 @@ def random_instance(
     part = partition_by_threshold(herm_eig(h0), 0.5)
     v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     v = 0.5 * (v + v.conj().T)
-    v *= x_target * gamma * part.gap / operator_norm(v)
-    return ProblemInstance(h0, OperatorMatrix(v), gamma, part)
+    v *= x_target * part.gap / operator_norm(v)
+    return ProblemInstance(h0, OperatorMatrix(v), 1.0, part)
 
 
 def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT):
@@ -129,16 +127,16 @@ def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT
         )
     record("bloch_equation_residuals", worst, res_tol)
 
-    # series closeness and Neumann-chain inequalities
+    # series closeness and Neumann chain; Omega's norms come from mu = eig(Omega^dag Omega) - 1,
+    # read from Omega^dag Omega - 1 itself so that the small |mu| keep their relative accuracy
+    gram = omega.conj().T @ omega
+    mu = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T) - eye)
+    inv_root = (1.0 + mu.min()) ** -0.5
     record("omega_minus_identity_le_delta", operator_norm(omega - eye), delta + SLACK)
-    omega_inv = np.linalg.inv(omega)
-    record("omega_norm_le_1_plus_delta", operator_norm(omega), 1.0 + delta + SLACK)
-    record("omega_inv_norm", operator_norm(omega_inv), 1.0 / (1.0 - delta) + SLACK)
-    record(
-        "omega_inv_minus_identity",
-        operator_norm(omega_inv - eye),
-        delta / (1.0 - delta) + SLACK,
-    )
+    record("omega_norm_le_1_plus_delta", math.sqrt(1.0 + mu.max()), 1.0 + delta + SLACK)
+    record("omega_inv_norm", inv_root, 1.0 / (1.0 - delta) + SLACK)
+    record("omega_inv_minus_identity", operator_norm(np.linalg.inv(omega) - eye),
+           delta / (1.0 - delta) + SLACK)
 
     # Catalan majorant per computed order
     worst_excess = 0.0
@@ -155,16 +153,14 @@ def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT
     record("h_bloch_isospectral", np.abs(spec_hb - spec_h).max(), 1e-8 * h_norm)
 
     # Schrieffer-Wolff chain
-    gram = omega.conj().T @ omega
-    record("gram_minus_identity", operator_norm(gram - eye), 2 * delta + delta**2 + SLACK)
+    record("gram_minus_identity", np.abs(mu).max(), 2 * delta + delta**2 + SLACK)
     sw = sw_transform(inst, sol)
     w = sw.w
     root_inv_bound = (1.0 - 2 * delta - delta**2) ** -0.5
-    gram_eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    record("gram_inv_sqrt_norm", gram_eigs.min() ** -0.5, root_inv_bound + SLACK)
+    record("gram_inv_sqrt_norm", inv_root, root_inv_bound + SLACK)
     record(
         "gram_inv_sqrt_minus_identity",
-        max(abs(gram_eigs.min() ** -0.5 - 1.0), abs(gram_eigs.max() ** -0.5 - 1.0)),
+        max(abs(inv_root - 1.0), abs((1.0 + mu.max()) ** -0.5 - 1.0)),
         root_inv_bound - 1.0 + SLACK,
     )
     record(

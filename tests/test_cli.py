@@ -186,8 +186,10 @@ def _singular_block_gram(*args):
     (["run", "--config", "{cfg}", "--out", "{out}"], _singular_block_gram, 3, "fabricated"),
     (["run", "--config", "{typo}", "--out", "{out}/new/a/b"], None, 2,
      "unknown key 'disorder_strenght'"),                                   # leaves no --out
+    (["run", "--config", "{transmon}", "--out", "{out}/new"], None, 2, "bandgap"),
 ], ids=["negative-v-norm", "negative-x", "three-gammas", "repeated-gamma", "out-is-a-file",
-        "out-below-a-file", "singular-block-gram", "misspelled-key-new-out"])
+        "out-below-a-file", "singular-block-gram", "misspelled-key-new-out",
+        "transmon-bandgap-new-out"])
 def test_exit_codes_by_failure_kind(
         tmp_path, monkeypatch, capsys, argv, sw_transform, code, err):
     # 4 is left for a bound violation or a failed invariant
@@ -196,7 +198,12 @@ def test_exit_codes_by_failure_kind(
     cfg = write_cfg(tmp_path, CHAIN_CFG)
     typo = write_cfg(tmp_path, {**CHAIN_CFG, "params": {"n_cells": 4, "disorder_strenght": 0.01}},
                      "typo.json")
-    assert main([arg.format(cfg=cfg, typo=typo, out=tmp_path) for arg in argv]) == code
+    # E_J / E_C = 1 lies outside the transmon bandgap formula's domain
+    transmon = write_cfg(tmp_path, {"model": "transmon",
+                                    "params": {"ej_over_ec": 1.0, "transparency_d": 1e-3}},
+                         "transmon.json")
+    argv = [arg.format(cfg=cfg, typo=typo, transmon=transmon, out=tmp_path) for arg in argv]
+    assert main(argv) == code
     assert err in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
 

@@ -14,6 +14,7 @@ from leakage import (
     operator_norm,
     random_instance,
     run_suite,
+    solve_bloch_series,
     verification,
 )
 from leakage.rng import substream
@@ -93,22 +94,48 @@ def test_every_invariant_passes_on_random_instances(seed, dim, n_groups, x, real
     assert len(results) == 19
 
 
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 16), step=st.sampled_from([2, 3]),
-       x=st.floats(1e-3, 0.02), real=st.booleans())
-@settings(deadline=None, max_examples=40)
-def test_every_invariant_passes_on_interleaved_partitions(seed, dim, step, x, real):
-    # group k holds levels k, k + step, ...: the groups' spectral ranges overlap,
-    # and the gap is the smallest spacing of adjacent levels
+def _interleaved_instance(seed, dim, step, x, real):
+    """Group k holds levels k, k + step, ...: the groups' spectral ranges overlap,
+    and the gap is the smallest spacing of adjacent levels."""
     rng = np.random.default_rng(seed)
     h0 = clustered_h0(rng, dim, dim, spread=0.0, min_sep=1.0, max_sep=2.0, real=real)
     part = SpectralPartition(*herm_eig(h0), [np.arange(k, dim, step) for k in range(step)])
     v = random_hermitian(rng, dim, real)
     v *= x * part.gap / operator_norm(v)
-    inst = ProblemInstance(h0, OperatorMatrix(v), 1.0, part)
+    return ProblemInstance(h0, OperatorMatrix(v), 1.0, part)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 16), step=st.sampled_from([2, 3]),
+       x=st.floats(1e-3, 0.02), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_every_invariant_passes_on_interleaved_partitions(seed, dim, step, x, real):
+    inst = _interleaved_instance(seed, dim, step, x, real)
     assert inst.x == pytest.approx(x, rel=1e-12)
     results = check_instance(inst)
     assert [r.name for r in results if not r.passed] == []
     assert len(results) == 19
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 16),
+       groups=st.sampled_from(["clusters", 2, 3]), x=st.floats(1e-3, 0.03), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_omega_norms_from_the_gram_spectrum_match_dense_norms(seed, dim, groups, x, real):
+    # ||Omega||, ||Omega^-1|| and ||Omega^dag Omega - 1|| are read from the
+    # eigenvalues of Omega^dag Omega; the oracle takes each norm of its dense matrix
+    if groups == "clusters":
+        inst = make_instance(seed, dim, 3, x=x, real=real)
+    else:
+        inst = _interleaved_instance(seed, dim, groups, x, real)
+    measured = {r.name: r.measured for r in check_instance(inst)}
+    omega = solve_bloch_series(inst).omega
+    oracle = {
+        "omega_norm_le_1_plus_delta": operator_norm(omega),
+        "omega_inv_norm": operator_norm(np.linalg.inv(omega)),
+        "gram_minus_identity": operator_norm(omega.conj().T @ omega - np.eye(inst.dim)),
+    }
+    for name, value in oracle.items():
+        assert measured[name] == pytest.approx(value, rel=1e-12), name
+    assert measured["omega_inv_norm"] == measured["gram_inv_sqrt_norm"]
 
 
 def _off_block(inst, m, scale=1e-6):
