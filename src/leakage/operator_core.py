@@ -75,10 +75,14 @@ def operator_norm(a: np.ndarray) -> float:
     return float(scale * np.sqrt(_gram_top(b)))
 
 
+def _gram(b: np.ndarray) -> np.ndarray:
+    """b's Gram matrix on its smaller side."""
+    return b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b
+
+
 def _gram_top(b: np.ndarray) -> float:
     """``||b||^2``: the top eigenvalue of b's small-side Gram, by the Hermitian solver."""
-    gram = b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b
-    return np.linalg.svd(gram, compute_uv=False, hermitian=True)[0]
+    return np.linalg.svd(_gram(b), compute_uv=False, hermitian=True)[0]
 
 
 def herm_eig(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:

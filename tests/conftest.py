@@ -7,6 +7,7 @@ from leakage import (
     HarmonicChainSpec,
     OperatorMatrix,
     ProblemInstance,
+    SpectralPartition,
     herm_eig,
     operator_norm,
     partition_by_threshold,
@@ -64,6 +65,17 @@ def make_instance(seed, dim, n_groups, x=0.01, gamma=1.0, real=False):
     v = random_hermitian(rng, dim, real)
     v *= x * gamma * part.gap / operator_norm(v)
     return ProblemInstance(h0, OperatorMatrix(v), gamma, part)
+
+
+def interleaved_instance(seed, dim, step, x, real):
+    """Group k holds levels k, k + step, ...: the groups' spectral ranges overlap,
+    and the gap is the smallest spacing of adjacent levels."""
+    rng = np.random.default_rng(seed)
+    h0 = clustered_h0(rng, dim, dim, spread=0.0, min_sep=1.0, max_sep=2.0, real=real)
+    part = SpectralPartition(*herm_eig(h0), [np.arange(k, dim, step) for k in range(step)])
+    v = random_hermitian(rng, dim, real)
+    v *= x * part.gap / operator_norm(v)
+    return ProblemInstance(h0, OperatorMatrix(v), 1.0, part)
 
 
 def chain_dispersion(k: float, g1: float, g2: float, g3: float):

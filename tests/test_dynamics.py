@@ -30,7 +30,7 @@ from leakage import (
 from leakage import bounds
 from leakage.errors import LeakageError
 
-from conftest import dense_projection, make_instance, to_original
+from conftest import dense_projection, interleaved_instance, make_instance, to_original
 
 
 def rabi_leakage(t, v=0.05):
@@ -283,6 +283,30 @@ def test_sweep_needs_enough_points():
     base = make_instance(54, 6, 2, x=0.02)
     with pytest.raises(ValueError, match="only 3 usable sweep points"):
         gamma_scaling_sweep(base, [10.0, 20.0, 40.0], np.linspace(0.0, 5.0, 11))
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12),
+       groups=st.sampled_from(["clusters", "singletons", 2, 3]), real=st.booleans(),
+       t_start=st.sampled_from([0.0, 0.7]), n_points=st.integers(1, 40))
+@settings(deadline=None, max_examples=80)
+def test_sweep_maxima_equal_the_full_scan(seed, dim, groups, real, t_start, n_points):
+    # the sweep reads each maximum through a screen that skips points; the maximum
+    # must still be the very float a scan of every (block, t) gives.  Singleton
+    # groups have 1x1 Grams, where the screen's bound is tight
+    if groups == "clusters":
+        inst = make_instance(seed, dim, 3, x=0.02, real=real)
+    elif groups == "singletons":
+        inst = make_instance(seed, dim, dim, x=0.02, real=real)
+        assert all(g.size == 1 for g in inst.partition.groups)
+    else:
+        inst = interleaved_instance(seed, dim, groups, 0.02, real)
+    if t_start == 0.0:
+        n_points = max(n_points, 2)   # a grid of t = 0 alone leaves no usable maximum
+    times = np.linspace(t_start, 40.0, n_points)
+    res = gamma_scaling_sweep(inst, [0.5, 2.0, 8.0, 32.0], times)
+    for g, screened in zip(res.gammas, res.max_leakages):
+        inst_g = ProblemInstance(inst.h0, inst.v, float(g), inst.partition)
+        assert screened == run_leakage_experiment(inst_g, times, with_distances=False).max_leakage
 
 
 def harmonic_builder(cutoff):

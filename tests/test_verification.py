@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakage import (
-    OperatorMatrix,
-    ProblemInstance,
-    SpectralPartition,
     check_instance,
-    herm_eig,
     operator_norm,
     random_instance,
     run_suite,
@@ -20,7 +16,7 @@ from leakage import (
 from leakage.rng import substream
 from leakage.verification import haar_unitary
 
-from conftest import clustered_h0, make_instance, random_hermitian
+from conftest import interleaved_instance, make_instance
 
 
 def test_haar_unitary_is_unitary():
@@ -94,22 +90,11 @@ def test_every_invariant_passes_on_random_instances(seed, dim, n_groups, x, real
     assert len(results) == 19
 
 
-def _interleaved_instance(seed, dim, step, x, real):
-    """Group k holds levels k, k + step, ...: the groups' spectral ranges overlap,
-    and the gap is the smallest spacing of adjacent levels."""
-    rng = np.random.default_rng(seed)
-    h0 = clustered_h0(rng, dim, dim, spread=0.0, min_sep=1.0, max_sep=2.0, real=real)
-    part = SpectralPartition(*herm_eig(h0), [np.arange(k, dim, step) for k in range(step)])
-    v = random_hermitian(rng, dim, real)
-    v *= x * part.gap / operator_norm(v)
-    return ProblemInstance(h0, OperatorMatrix(v), 1.0, part)
-
-
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 16), step=st.sampled_from([2, 3]),
        x=st.floats(1e-3, 0.02), real=st.booleans())
 @settings(deadline=None, max_examples=40)
 def test_every_invariant_passes_on_interleaved_partitions(seed, dim, step, x, real):
-    inst = _interleaved_instance(seed, dim, step, x, real)
+    inst = interleaved_instance(seed, dim, step, x, real)
     assert inst.x == pytest.approx(x, rel=1e-12)
     results = check_instance(inst)
     assert [r.name for r in results if not r.passed] == []
@@ -125,7 +110,7 @@ def test_omega_norms_from_the_gram_spectrum_match_dense_norms(seed, dim, groups,
     if groups == "clusters":
         inst = make_instance(seed, dim, 3, x=x, real=real)
     else:
-        inst = _interleaved_instance(seed, dim, groups, x, real)
+        inst = interleaved_instance(seed, dim, groups, x, real)
     measured = {r.name: r.measured for r in check_instance(inst)}
     omega = solve_bloch_series(inst).omega
     oracle = {
