@@ -35,6 +35,7 @@ from .dynamics import (
     LeakageReport,
     SweepResult,
     run_leakage_experiment,
+    max_leakage,
     gamma_scaling_sweep,
     truncation_convergence_study,
 )
@@ -59,7 +60,7 @@ __all__ = [
     "BoundReport", "bound_report", "delta_of", "epsilon_of", "catalan",
     "sw_distance_bound",
     "harmonic_chain_bound", "transmon_leakage_bound",
-    "LeakageReport", "SweepResult", "run_leakage_experiment",
+    "LeakageReport", "SweepResult", "run_leakage_experiment", "max_leakage",
     "gamma_scaling_sweep", "truncation_convergence_study",
     "ChainSpec", "HarmonicChainSpec", "TransmonSpec", "build_chain",
     "build_harmonic_chain",

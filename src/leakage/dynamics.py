@@ -1,4 +1,4 @@
-"""Simulated dynamics: leakage time series, evolution distances, sweeps.
+"""Simulated dynamics: leakage series and maxima, evolution distances, sweeps.
 
 All propagators come from one Hermitian eigendecomposition of H carried
 out in the eigenbasis of H0, the basis every derived operator is kept
@@ -7,7 +7,8 @@ in, where the partition projections are coordinate masks.  With
 is the top singular value of the off-block ``B = S_out D S_g^dag``,
 ``D = diag(e^{-i lam t})``.  It is read from the Gram matrix of B on its
 smaller side, and for a real S the product is one real GEMM on the
-interleaved real and imaginary parts of ``D S_out^T``.
+interleaved real and imaginary parts of ``D S_out^T``.  ``max_leakage``
+reads the grid maximum exactly at the points a Schatten-8 screen leaves open.
 The non-Hermitian Bloch generator is never exponentiated directly; its
 evolution is obtained through the similarity with H.
 
@@ -36,7 +37,7 @@ from .errors import LeakageError
 from .operator_core import _gram, _gram_top, operator_norm
 from .schrieffer_wolff import sw_transform
 
-# gamma_scaling_sweep's screen margin: its products' roundoff is ~n^2 eps, 1e-9 at n = 3000
+# max_leakage's screen margin: its products' roundoff is ~n^2 eps, 1e-9 at n = 3000
 _SCREEN_MARGIN = 1e-8
 
 
@@ -96,28 +97,8 @@ class _Evolution:
         relative accuracy near machine epsilon.
         """
         sg_conj, sout_t = self._factors[k]
-        if sg_conj.size == 0 or sout_t.size == 0:
-            return 0.0
         bt = _product(sg_conj, np.exp(-1j * t * self.lam)[:, None] * sout_t)
         return math.sqrt(_gram_top(bt))
-
-    def max_leakage(self, times) -> float:
-        """``max_{k,t} leakage(k, t)`` over the grid, read exactly only where the
-        Schatten-8 screen of ``gamma_scaling_sweep`` leaves it open."""
-        screen = []
-        for t in np.asarray(times, dtype=float):
-            phase = np.exp(-1j * t * self.lam)[:, None]
-            for k, (sg_conj, sout_t) in enumerate(self._factors):
-                gram = _gram(_product(sg_conj, phase * sout_t))
-                s = np.abs(gram).max() or 1.0   # 1.0 for a zero Gram
-                u = s * np.linalg.norm(np.linalg.matrix_power(gram / s, 4)) ** 0.25
-                screen.append((u, k, t))
-        best = 0.0
-        for u, k, t in sorted(screen, reverse=True):
-            if math.sqrt(u * (1.0 + _SCREEN_MARGIN)) <= best:
-                break
-            best = max(best, self.leakage(k, t))
-        return best
 
 
 def _product(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -130,11 +111,10 @@ def _product(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def run_leakage_experiment(
     inst: ProblemInstance,
     t_grid,
-    with_distances: bool = True,
     series_tol: float = SERIES_TOL_DEFAULT,
 ) -> LeakageReport:
-    """Leakage of every block over the grid, optionally with the
-    Bloch/Schrieffer-Wolff distance series, checked against the bounds.
+    """Leakage of every block over the grid and the Bloch/Schrieffer-Wolff
+    distance series, checked against the bounds.
 
     A distance series exists if and only if its bound does (``epsilon``
     for ``d_Bloch``, the SW distance bound for ``d_SW``) and is None
@@ -144,16 +124,12 @@ def run_leakage_experiment(
     """
     times = np.asarray(t_grid, dtype=float)
     evo = _Evolution(inst)
-    n_groups = inst.partition.n_groups
-    leak = np.zeros((n_groups, times.size))
-    for j, t in enumerate(times):
-        for k in range(n_groups):
-            leak[k, j] = evo.leakage(k, t)
+    leak = np.array([[evo.leakage(k, t) for t in times] for k in range(inst.partition.n_groups)])
 
     report = bounds.bound_report(inst.v_norm, inst.gamma, inst.partition.gap)
 
     d_bloch = d_sw = None
-    if with_distances and report.epsilon is not None:
+    if report.epsilon is not None:
         bloch = solve_bloch_series(inst, tol=series_tol)
         u = evo.s    # eigenvectors of H in the H0 eigenbasis
         y = u.conj().T @ bloch.omega @ u
@@ -191,6 +167,35 @@ def run_leakage_experiment(
     )
 
 
+def max_leakage(inst: ProblemInstance, t_grid) -> float:
+    """``max_{k,t} ||Q_k e^{-itH} P_k||`` over the grid, 0.0 for an empty one:
+    the very float ``run_leakage_experiment(inst, t_grid).max_leakage`` gives.
+
+    A screen bounds the Gram G that ``leakage(k, t)`` reads, with
+    ``s = max|G|``: ``||G|| <= s ||(G/s)^4||_F^(1/4) = u``, the Schatten-8
+    norm (Bhatia, *Matrix Analysis*, 1997, ch. IV); ``||G/s|| >= 1`` keeps
+    ``(G/s)^4`` clear of underflow.  Points are read by ``leakage(k, t)`` in
+    descending ``u`` until ``sqrt(u (1 + 1e-8)) <= best``, the relative margin
+    covering the screen's roundoff: every value returned is a read, and
+    every point skipped has a leakage of at most the best read.
+    """
+    evo = _Evolution(inst)
+    screen = []
+    for t in np.asarray(t_grid, dtype=float):
+        phase = np.exp(-1j * t * evo.lam)[:, None]
+        for k, (sg_conj, sout_t) in enumerate(evo._factors):
+            gram = _gram(_product(sg_conj, phase * sout_t))
+            s = np.abs(gram).max() or 1.0   # 1.0 for a zero Gram
+            u = s * np.linalg.norm(np.linalg.matrix_power(gram / s, 4)) ** 0.25
+            screen.append((u, k, t))
+    best = 0.0
+    for u, k, t in sorted(screen, reverse=True):
+        if math.sqrt(u * (1.0 + _SCREEN_MARGIN)) <= best:
+            break
+        best = max(best, evo.leakage(k, t))
+    return best
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Per-gamma leakage maxima and the fitted log-log slope."""
@@ -208,25 +213,15 @@ class SweepResult:
 
 
 def gamma_scaling_sweep(template: ProblemInstance, gammas, t_grid) -> SweepResult:
-    """Max leakage versus gamma and the least-squares slope of the
-    log-log relation (expected close to -1); each gamma may appear once.
-
-    Each maximum is the float ``run_leakage_experiment(...).max_leakage``
-    gives.  A screen bounds the Gram G that ``leakage(k, t)`` reads, with
-    ``s = max|G|``: ``||G|| <= s ||(G/s)^4||_F^(1/4) = u``, the Schatten-8
-    norm (Bhatia, *Matrix Analysis*, 1997, ch. IV); ``||G/s|| >= 1`` keeps
-    ``(G/s)^4`` clear of underflow.  Points are read by ``leakage(k, t)`` in
-    descending ``u`` until ``sqrt(u (1 + 1e-8)) <= best``, the relative margin
-    covering the screen's roundoff: every value returned is a read, and
-    every point skipped has a leakage of at most the best read.
-    """
+    """``max_leakage`` versus gamma and the least-squares slope of the
+    log-log relation (expected close to -1); each gamma may appear once."""
     gam = np.sort(np.asarray(gammas, dtype=float))
     repeated = gam[1:][gam[1:] == gam[:-1]]
     if repeated.size:
         raise ValueError(f"gamma {float(repeated[0])!r} appears more than once in the sweep")
     maxima = np.array([
-        _Evolution(ProblemInstance(template.h0, template.v, float(g), template.partition))
-        .max_leakage(t_grid)
+        max_leakage(ProblemInstance(template.h0, template.v, float(g), template.partition),
+                    t_grid)
         for g in gam
     ])
     usable = maxima > 0

@@ -26,7 +26,7 @@ class SpectralPartition:
     range; ``blocks``, per group the index pair ``(g, out)`` of the group
     and its complement: P_k and Q_k as coordinate blocks of the H0
     eigenbasis.  Fewer than two groups, groups that do not partition the
-    indices, or a gap that is not positive raise ``ValueError``.
+    indices, an empty group, or a gap that is not positive raise ``ValueError``.
     """
 
     eigenvalues: np.ndarray
@@ -41,6 +41,9 @@ class SpectralPartition:
         groups = tuple(np.asarray(g, dtype=int) for g in self.groups)
         if len(groups) < 2:
             raise ValueError(f"a partition needs at least two groups, got {len(groups)}")
+        for k, g in enumerate(groups):
+            if g.size == 0:
+                raise ValueError(f"group {k} is empty")
         if not np.array_equal(np.sort(np.concatenate(groups)), np.arange(self.dim)):
             raise ValueError(f"groups must hold each index 0..{self.dim - 1} exactly once")
         gap = float(min(np.abs(lam[a][:, None] - lam[b][None, :]).min()
@@ -109,10 +112,8 @@ def partition_by_intervals(eig: tuple, intervals) -> SpectralPartition:
         if hi1 >= lo2:
             raise ValueError(f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap")
     lam = eig[0]
-    groups = []
-    for lo, hi in ivs:
-        groups.append(np.where((lam >= lo) & (lam <= hi))[0])
-    covered = np.concatenate(groups) if groups else np.array([], dtype=int)
+    groups = [np.where((lam >= lo) & (lam <= hi))[0] for lo, hi in ivs]
+    covered = np.concatenate(groups)
     if covered.size != lam.size:
         missing = np.setdiff1d(np.arange(lam.size), covered)
         raise ValueError(

@@ -186,7 +186,8 @@ def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT
     worst = max(operator_norm(h_eig @ pt - pt @ h_eig) for pt in sw.perturbed_projections)
     record("perturbed_projection_commutes", worst, 1e-9 * h_norm)
 
-    # linear eternal bound on sampled times, valid for every gamma
+    # linear eternal bound on sampled times, valid for every gamma; a full scan rather
+    # than max_leakage, as the benchmark pins its SVD count (ROADMAP item 3)
     linear = 9.0 * math.pi * x
     if linear <= 2.0:
         times = np.linspace(0.0, 50.0, 21)
@@ -226,9 +227,10 @@ def run_suite(
     if n_instances < 0:
         raise ValueError(f"n_instances must be nonnegative, got {n_instances}")
     rng = substream(seed, "invariant-suite")
+    extras = tuple(extra_instances)   # read once: it may be a one-shot iterator
     results = []
     for _ in range(n_instances):
         results.extend(check_instance(random_instance(rng), series_tol=series_tol))
-    for inst in extra_instances:
+    for inst in extras:
         results.extend(check_instance(inst, series_tol=series_tol))
-    return SuiteReport(tuple(results), n_instances + len(tuple(extra_instances)))
+    return SuiteReport(tuple(results), n_instances + len(extras))

@@ -20,6 +20,7 @@ from leakage import (
     epsilon_of,
     gamma_scaling_sweep,
     herm_eig,
+    max_leakage,
     partition_by_intervals,
     partition_by_threshold,
     run_leakage_experiment,
@@ -41,7 +42,7 @@ def rabi_leakage(t, v=0.05):
 
 def test_leakage_two_level_closed_form(rabi_instance):
     times = [0.0, 0.3, 1.0, 3.7, 10.0, 55.5]
-    leak = run_leakage_experiment(rabi_instance, times, with_distances=False).per_block_leakage
+    leak = run_leakage_experiment(rabi_instance, times).per_block_leakage
     for j, t in enumerate(times):
         ref = rabi_leakage(t)
         for k in range(2):
@@ -65,7 +66,7 @@ def dense_leakage(inst, t):
 @settings(deadline=None, max_examples=60)
 def test_leakage_matches_dense_expm_on_random_instances(seed, dim, n_groups, x, real, t):
     inst = make_instance(seed, dim, min(n_groups, dim), x=x, real=real)
-    leak = run_leakage_experiment(inst, [t], with_distances=False).per_block_leakage[:, 0]
+    leak = run_leakage_experiment(inst, [t]).per_block_leakage[:, 0]
     assert np.abs(leak - dense_leakage(inst, t)).max() < 1e-12
 
 
@@ -76,7 +77,7 @@ def test_leakage_reads_both_gram_sides(real):
     inst = make_instance(0, 9, 3, x=0.03, real=real)
     assert [len(g) for g, _ in inst.partition.blocks] == [6, 2, 1]
     times = [0.7, 3.1, 12.0]
-    leak = run_leakage_experiment(inst, times, with_distances=False).per_block_leakage
+    leak = run_leakage_experiment(inst, times).per_block_leakage
     for j, t in enumerate(times):
         assert np.abs(leak[:, j] - dense_leakage(inst, t)).max() < 1e-12
     assert leak.min() > 1e-4
@@ -86,7 +87,7 @@ def test_leakage_reads_both_gram_sides(real):
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 def test_leakage_vanishes_at_time_zero(seed, dim, n_groups, real):
     inst = make_instance(seed, dim, n_groups, x=0.03, real=real)
-    leak = run_leakage_experiment(inst, [0.0], with_distances=False).per_block_leakage
+    leak = run_leakage_experiment(inst, [0.0]).per_block_leakage
     assert leak.max() <= 1e-15
 
 
@@ -290,9 +291,9 @@ def test_sweep_needs_enough_points():
        t_start=st.sampled_from([0.0, 0.7]), n_points=st.integers(1, 40))
 @settings(deadline=None, max_examples=80)
 def test_sweep_maxima_equal_the_full_scan(seed, dim, groups, real, t_start, n_points):
-    # the sweep reads each maximum through a screen that skips points; the maximum
-    # must still be the very float a scan of every (block, t) gives.  Singleton
-    # groups have 1x1 Grams, where the screen's bound is tight
+    # max_leakage reads the grid maximum through a screen that skips points; it must
+    # still be the very float a scan of every (block, t) gives, and the sweep reports it
+    # per gamma.  Singleton groups have 1x1 Grams, where the screen's bound is tight
     if groups == "clusters":
         inst = make_instance(seed, dim, 3, x=0.02, real=real)
     elif groups == "singletons":
@@ -304,9 +305,11 @@ def test_sweep_maxima_equal_the_full_scan(seed, dim, groups, real, t_start, n_po
         n_points = max(n_points, 2)   # a grid of t = 0 alone leaves no usable maximum
     times = np.linspace(t_start, 40.0, n_points)
     res = gamma_scaling_sweep(inst, [0.5, 2.0, 8.0, 32.0], times)
-    for g, screened in zip(res.gammas, res.max_leakages):
+    for g, swept in zip(res.gammas, res.max_leakages):
         inst_g = ProblemInstance(inst.h0, inst.v, float(g), inst.partition)
-        assert screened == run_leakage_experiment(inst_g, times, with_distances=False).max_leakage
+        screened = max_leakage(inst_g, times)
+        assert screened == run_leakage_experiment(inst_g, times).max_leakage
+        assert swept == screened
 
 
 def harmonic_builder(cutoff):

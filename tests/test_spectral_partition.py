@@ -92,8 +92,9 @@ def test_gap_is_brute_force_minimum():
     ([[0, 1, 2], [2, 3]], "each index 0..3 exactly once"),
     ([[0, 1], [3]], "each index 0..3 exactly once"),
     ([[0, 1, 2], [3, 4]], "each index 0..3 exactly once"),
+    ([[0, 1, 2], [], [3]], "group 1 is empty"),
 ], ids=["split-degenerate", "single-group", "shared-index", "missing-index",
-        "index-out-of-range"])
+        "index-out-of-range", "empty-group"])
 def test_hand_built_partition_rejected(groups, message):
     # eigenvalue 0 is threefold: splitting it leaves no gap between the groups
     with pytest.raises(ValueError, match=message):

@@ -76,6 +76,16 @@ def test_suite_counts_extras():
     assert rep.n_instances == 3
 
 
+def test_suite_counts_a_one_shot_iterator_of_extras():
+    # the suite reads its extras once: an iterator counts as many instances as it yields
+    rng = np.random.default_rng(63)
+    extras = [random_instance(rng, dim=6, n_groups=2, x_target=0.01) for _ in range(2)]
+    rep = run_suite(n_instances=0, seed=0, extra_instances=iter(extras))
+    assert rep.n_instances == 2
+    assert [r.measured for r in rep.results] == [
+        r.measured for inst in extras for r in check_instance(inst)]
+
+
 def test_suite_rejects_negative_count():
     with pytest.raises(ValueError):
         run_suite(n_instances=-1)
