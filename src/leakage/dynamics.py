@@ -8,7 +8,9 @@ is the top singular value of the off-block ``B = S_out D S_g^dag``,
 ``D = diag(e^{-i lam t})``.  It is read from the Gram matrix of B on its
 smaller side, and for a real S the product is one real GEMM on the
 interleaved real and imaginary parts of ``D S_out^T``.  ``max_leakage``
-reads the grid maximum exactly at the points a Schatten-8 screen leaves open.
+reads the grid maximum exactly at the points that no Cholesky test
+certifies to lie at or below the best value read: one on the smaller
+diagonal block of ``U = S D S^dag``, by unitarity, and one on the Gram.
 The non-Hermitian Bloch generator is never exponentiated directly; its
 evolution is obtained through the similarity with H.
 
@@ -34,10 +36,11 @@ import numpy as np
 from . import bounds
 from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
 from .errors import LeakageError
-from .operator_core import _gram, _gram_top, operator_norm
+from .operator_core import _gram, _top, operator_norm
 from .schrieffer_wolff import sw_transform
 
-# max_leakage's screen margin: its products' roundoff is ~n^2 eps, 1e-9 at n = 3000
+# max_leakage's relative margin on its threshold tau: it covers the relative roundoff of
+# forming, factoring and reading a point's Gram, below 2 n^2 eps (7e-9 at n = 4000)
 _SCREEN_MARGIN = 1e-8
 
 
@@ -54,7 +57,7 @@ class LeakageReport:
 
     @property
     def max_leakage(self) -> float:
-        return float(self.per_block_leakage.max())
+        return float(self.per_block_leakage.max(initial=0.0))
 
     def to_json(self) -> dict:
         return {
@@ -96,9 +99,12 @@ class _Evolution:
         small-side Gram of ``B^T = conj(S_g) (D S_out^T)``, which keeps its
         relative accuracy near machine epsilon.
         """
+        return math.sqrt(_top(self.gram(k, np.exp(-1j * t * self.lam)[:, None])))
+
+    def gram(self, k: int, phase: np.ndarray) -> np.ndarray:
+        """The Gram ``leakage`` reads for block k, at the column ``phase`` of D."""
         sg_conj, sout_t = self._factors[k]
-        bt = _product(sg_conj, np.exp(-1j * t * self.lam)[:, None] * sout_t)
-        return math.sqrt(_gram_top(bt))
+        return _gram(_product(sg_conj, phase * sout_t))
 
 
 def _product(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -171,29 +177,81 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
     """``max_{k,t} ||Q_k e^{-itH} P_k||`` over the grid, 0.0 for an empty one:
     the very float ``run_leakage_experiment(inst, t_grid).max_leakage`` gives.
 
-    A screen bounds the Gram G that ``leakage(k, t)`` reads, with
-    ``s = max|G|``: ``||G|| <= s ||(G/s)^4||_F^(1/4) = u``, the Schatten-8
-    norm (Bhatia, *Matrix Analysis*, 1997, ch. IV); ``||G/s|| >= 1`` keeps
-    ``(G/s)^4`` clear of underflow.  Points are read by ``leakage(k, t)`` in
-    descending ``u`` until ``sqrt(u (1 + 1e-8)) <= best``, the relative margin
-    covering the screen's roundoff: every value returned is a read, and
-    every point skipped has a leakage of at most the best read.
+    One pass over (t, k) keeps ``best``, the largest value read, and tests
+    each point against ``tau = best^2 (1 - 1e-8)`` by Cholesky, which
+    succeeds on a positive definite matrix and fails on one that is not,
+    up to its backward error (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., SIAM 2002, ch. 10).  A point that neither test
+    certifies is read as ``sqrt`` of the top eigenvalue of the Gram G that
+    ``leakage(k, t)`` reads, so every value returned is a read.
+
+    - **Unitarity.**  ``U = S D S^dag`` is unitary, so its columns g give
+      ``U[g,g]^dag U[g,g] + B^dag B = I`` for ``B = U[out,g]``, and its rows
+      out give ``B B^dag + U[out,out] U[out,out]^dag = I``.  So with
+      ``A = U[c,c]``, c the smaller of g and out, ``||B||^2 = 1 - smin(A)^2``.
+      The first test factors ``A^dag A - (1 - tau + delta) I``, with A formed
+      as ``A^T = conj(S_c) (D S_c^T)`` like ``B^T``: for a real S, ``4 n c^2``
+      flops against ``4 n |g| |out|``.
+    - **The Gram.**  The second test factors ``tau I - G``; a point that
+      fails it is read from that same G.
+    - **The floor delta.**  The first test's roundoff is absolute.  Let
+      ``r = sqrt(|g| |out|)`` and ``eta = ||S^dag S - I||`` for the computed
+      S.  Each product entry is an inner product, off by at most
+      ``gamma_m |x|^T |y|`` with ``gamma_m ~ m eps / 2`` (Higham ch. 3; at most
+      doubled for complex data).  In units of ``||B||^2`` the errors are:
+      ``2 eta + 8 eps`` in the identity, for the computed S and phases;
+      ``||dA|| <= (n + 2) c eps`` in A, which moves ``smin(A)^2`` by twice
+      that; ``(c + 2) c eps`` in ``A^dag A``; ``(c + 1) c eps`` in Cholesky,
+      whose ``R^dag R = M + E`` has ``|E| <= gamma_{c+1} |R^dag| |R|`` and so
+      ``||E|| <= (c + 1) eps tr(R^dag R)``; and ``2 (n + 2) r eps`` in the read
+      the test stands in for, whose ``B^T`` is off by ``(n + 2) r eps``.  The
+      Frobenius norm ``eta_hat`` of the computed ``S^dag S - I`` is off from
+      eta by at most ``n^2 eps``.  With ``2c <= n`` all of this is below
+      ``delta = (n + 2)(3c + 2r + 2n + 4) eps + 3 eta_hat``.  The first test
+      runs only while ``tau > 4 delta``: below that it could certify less
+      than 3/4 of tau, and every point goes to the scale-free second test.
+    - **Skipped points.**  A first-test success gives ``||B||^2 <= tau -
+      2 (n + 2) r eps``, so the read's ``B^T`` has norm at most ``sqrt(tau)``
+      (as ``tau <= 1``).  A second-test success bounds the read's own G by
+      ``tau (1 + (c + 1) c eps)``.  What remains is relative roundoff in
+      forming, factoring and reading G, below ``2 n^2 eps`` (7e-9 at
+      n = 4000), which the ``1e-8`` in tau covers: every point skipped has a
+      computed leakage of at most ``best``.
     """
     evo = _Evolution(inst)
-    screen = []
+    n = evo.lam.size
+    eps = np.finfo(float).eps
+    eta_hat = np.linalg.norm(evo.s.conj().T @ evo.s - np.eye(n))
+    diagonal_blocks = []   # per block: conj(S_c), S_c^T and delta
+    for g, out in inst.partition.blocks:
+        c = g if g.size <= out.size else out
+        terms = 3 * c.size + 2 * math.sqrt(g.size * out.size) + 2 * n + 4
+        diagonal_blocks.append((evo.s[c].conj(), np.ascontiguousarray(evo.s[c].T),
+                                (n + 2) * terms * eps + 3.0 * eta_hat))
+    best = 0.0
     for t in np.asarray(t_grid, dtype=float):
         phase = np.exp(-1j * t * evo.lam)[:, None]
-        for k, (sg_conj, sout_t) in enumerate(evo._factors):
-            gram = _gram(_product(sg_conj, phase * sout_t))
-            s = np.abs(gram).max() or 1.0   # 1.0 for a zero Gram
-            u = s * np.linalg.norm(np.linalg.matrix_power(gram / s, 4)) ** 0.25
-            screen.append((u, k, t))
-    best = 0.0
-    for u, k, t in sorted(screen, reverse=True):
-        if math.sqrt(u * (1.0 + _SCREEN_MARGIN)) <= best:
-            break
-        best = max(best, evo.leakage(k, t))
+        for k, (c_conj, c_t, delta) in enumerate(diagonal_blocks):
+            tau = best * best * (1.0 - _SCREEN_MARGIN)
+            if tau > 4.0 * delta:
+                a_gram = _gram(_product(c_conj, phase * c_t))
+                if _cholesky_succeeds(a_gram, 1.0 - tau + delta):
+                    continue
+            gram = evo.gram(k, phase)
+            if _cholesky_succeeds(-gram, -tau):
+                continue
+            best = max(best, math.sqrt(_top(gram)))
     return best
+
+
+def _cholesky_succeeds(m: np.ndarray, shift: float) -> bool:
+    """Whether Cholesky factors the Hermitian ``m - shift I``; shifts ``m`` in place."""
+    m.reshape(-1)[:: m.shape[0] + 1] -= shift
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

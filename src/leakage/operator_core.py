@@ -72,7 +72,7 @@ def operator_norm(a: np.ndarray) -> float:
     # the float64 view, as complex / float overflows when the scale is subnormal
     b = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else float)
     b = (b.view(np.float64) / scale).view(b.dtype)
-    return float(scale * np.sqrt(_gram_top(b)))
+    return float(scale * np.sqrt(_top(_gram(b))))
 
 
 def _gram(b: np.ndarray) -> np.ndarray:
@@ -80,9 +80,10 @@ def _gram(b: np.ndarray) -> np.ndarray:
     return b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b
 
 
-def _gram_top(b: np.ndarray) -> float:
-    """``||b||^2``: the top eigenvalue of b's small-side Gram, by the Hermitian solver."""
-    return np.linalg.svd(_gram(b), compute_uv=False, hermitian=True)[0]
+def _top(gram: np.ndarray) -> float:
+    """The top eigenvalue of a Gram matrix, ``||b||^2`` for ``_gram(b)``, by the
+    Hermitian solver."""
+    return np.linalg.svd(gram, compute_uv=False, hermitian=True)[0]
 
 
 def herm_eig(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from leakage import (
     HarmonicChainSpec,
     OperatorMatrix,
     ProblemInstance,
+    SpectralPartition,
     build_chain,
     build_harmonic_chain,
     epsilon_of,
@@ -287,29 +288,43 @@ def test_sweep_needs_enough_points():
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12),
-       groups=st.sampled_from(["clusters", "singletons", 2, 3]), real=st.booleans(),
+       groups=st.sampled_from(["clusters", "singletons", "lopsided", 2, 3]), real=st.booleans(),
        t_start=st.sampled_from([0.0, 0.7]), n_points=st.integers(1, 40))
 @settings(deadline=None, max_examples=80)
 def test_sweep_maxima_equal_the_full_scan(seed, dim, groups, real, t_start, n_points):
-    # max_leakage reads the grid maximum through a screen that skips points; it must
-    # still be the very float a scan of every (block, t) gives, and the sweep reports it
-    # per gamma.  Singleton groups have 1x1 Grams, where the screen's bound is tight
+    # max_leakage skips the points its Cholesky tests certify; it must still be the very
+    # float a scan of every (block, t) gives, and the sweep reports it per gamma.  At
+    # gamma 1e4 and 1e6 the squared leakage nears or falls below the first test's
+    # roundoff floor.  Singleton groups have 1x1 blocks, and a lopsided split makes
+    # the larger group's test factor its complement's diagonal block
     if groups == "clusters":
         inst = make_instance(seed, dim, 3, x=0.02, real=real)
     elif groups == "singletons":
         inst = make_instance(seed, dim, dim, x=0.02, real=real)
         assert all(g.size == 1 for g in inst.partition.groups)
+    elif groups == "lopsided":
+        base = interleaved_instance(seed, dim, dim, 0.02, real)
+        cut = dim // 3
+        part = SpectralPartition(*herm_eig(base.h0), [np.arange(cut), np.arange(cut, dim)])
+        inst = ProblemInstance(base.h0, base.v, 1.0, part)
     else:
         inst = interleaved_instance(seed, dim, groups, 0.02, real)
     if t_start == 0.0:
         n_points = max(n_points, 2)   # a grid of t = 0 alone leaves no usable maximum
     times = np.linspace(t_start, 40.0, n_points)
-    res = gamma_scaling_sweep(inst, [0.5, 2.0, 8.0, 32.0], times)
+    res = gamma_scaling_sweep(inst, [0.5, 2.0, 8.0, 32.0, 1e4, 1e6], times)
     for g, swept in zip(res.gammas, res.max_leakages):
         inst_g = ProblemInstance(inst.h0, inst.v, float(g), inst.partition)
         screened = max_leakage(inst_g, times)
         assert screened == run_leakage_experiment(inst_g, times).max_leakage
         assert swept == screened
+
+
+def test_empty_grid_has_maximum_zero():
+    inst = make_instance(55, 6, 2)
+    report = run_leakage_experiment(inst, [])
+    assert report.max_leakage == max_leakage(inst, []) == 0.0
+    assert json.loads(json.dumps(report.to_json()))["max_leakage"] == 0.0
 
 
 def harmonic_builder(cutoff):
