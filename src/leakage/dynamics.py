@@ -5,12 +5,16 @@ out in the eigenbasis of H0, the basis every derived operator is kept
 in, where the partition projections are coordinate masks.  With
 ``H = S diag(lam) S^dag`` there, the leakage ``||Q_k e^{-itH} P_k||``
 is the top singular value of the off-block ``B = S_out D S_g^dag``,
-``D = diag(e^{-i lam t})``.  It is read from the Gram matrix of B on its
-smaller side, and for a real S the product is one real GEMM on the
-interleaved real and imaginary parts of ``D S_out^T``.  ``max_leakage``
-reads the grid maximum exactly at the points that no Cholesky test
-certifies to lie at or below the best value read: one on the smaller
-diagonal block of ``U = S D S^dag``, by unitarity, and one on the Gram.
+``D = diag(e^{-i lam t})``.  D goes on the smaller of the two factors:
+the product is formed as ``B = S_out (D S_g^dag)`` when ``|g| <= |out|``
+and as ``B^T = conj(S_g) (D S_out^T)`` otherwise, with the phased factor
+held in complex arithmetic from the start.  It is read from the Gram
+matrix of that product on its smaller side, and for a real S the product
+is one real GEMM on the interleaved real and imaginary parts of the phased
+factor.  ``max_leakage`` reads the grid maximum exactly at the points that
+no Cholesky test certifies to lie at or below the best value read: one on
+the smaller diagonal block of ``U = S D S^dag``, by unitarity, and one on
+the Gram.
 The non-Hermitian Bloch generator is never exponentiated directly; its
 evolution is obtained through the similarity with H.
 
@@ -39,8 +43,9 @@ from .errors import LeakageError
 from .operator_core import _gram, _top, operator_norm
 from .schrieffer_wolff import sw_transform
 
-# max_leakage's relative margin on its threshold tau: it covers the relative roundoff of
-# forming, factoring and reading a point's Gram, below 2 n^2 eps (7e-9 at n = 4000)
+# relative margin of the screens that skip an exact read: on max_leakage's threshold tau, and
+# on check_instance's Catalan majorants; it covers the relative roundoff of forming, factoring
+# and reading a Gram, below 2 n^2 eps (7e-9 at n = 4000)
 _SCREEN_MARGIN = 1e-8
 
 
@@ -89,22 +94,33 @@ class _Evolution:
 
     def __init__(self, inst: ProblemInstance):
         self.lam, self.s = np.linalg.eigh(inst.h_eig)
-        # per block, conj(S_g) and a C-contiguous S_out^T, the two factors of B^T
-        self._factors = [(self.s[g].conj(), np.ascontiguousarray(self.s[out].T))
-                         for g, out in inst.partition.blocks]
+        # per block, the factors of B or B^T (see leakage); the one D multiplies is held
+        # C-contiguous and complex, so that the phase product casts nothing per (block, t)
+        self._factors = [
+            (self.s[out], _complex(self.s[g].conj().T)) if g.size <= out.size
+            else (self.s[g].conj(), _complex(self.s[out].T))
+            for g, out in inst.partition.blocks
+        ]
 
     def leakage(self, k: int, t: float) -> float:
         """``||Q_k e^{-itH} P_k||``: the top singular value of the off-block
         ``B = S_out D S_g^dag`` with ``D = diag(e^{-i lam t})``, read from the
-        small-side Gram of ``B^T = conj(S_g) (D S_out^T)``, which keeps its
-        relative accuracy near machine epsilon.
+        small-side Gram of ``B = S_out (D S_g^dag)`` if ``|g| <= |out|`` and of
+        ``B^T = conj(S_g) (D S_out^T)`` otherwise, which keeps its relative
+        accuracy near machine epsilon.
         """
         return math.sqrt(_top(self.gram(k, np.exp(-1j * t * self.lam)[:, None])))
 
     def gram(self, k: int, phase: np.ndarray) -> np.ndarray:
         """The Gram ``leakage`` reads for block k, at the column ``phase`` of D."""
-        sg_conj, sout_t = self._factors[k]
-        return _gram(_product(sg_conj, phase * sout_t))
+        left, right = self._factors[k]
+        return _gram(_product(left, phase * right))
+
+
+def _complex(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-contiguous complex128 array; for a real ``a``, ``z * _complex(a)``
+    is bit-identical to ``z * a``, without the cast on every product."""
+    return np.ascontiguousarray(a, dtype=np.complex128)
 
 
 def _product(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -139,7 +155,7 @@ def run_leakage_experiment(
         bloch = solve_bloch_series(inst, tol=series_tol)
         u = evo.s    # eigenvectors of H in the H0 eigenbasis
         y = u.conj().T @ bloch.omega @ u
-        y_inv_t = np.ascontiguousarray(np.linalg.inv(y).T)
+        y_inv_t = _complex(np.linalg.inv(y).T)
         if report.d_sw_bound is not None:
             x = u.conj().T @ sw_transform(inst, bloch).w @ u
             d_sw = np.zeros(times.size)
@@ -190,8 +206,8 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
       out give ``B B^dag + U[out,out] U[out,out]^dag = I``.  So with
       ``A = U[c,c]``, c the smaller of g and out, ``||B||^2 = 1 - smin(A)^2``.
       The first test factors ``A^dag A - (1 - tau + delta) I``, with A formed
-      as ``A^T = conj(S_c) (D S_c^T)`` like ``B^T``: for a real S, ``4 n c^2``
-      flops against ``4 n |g| |out|``.
+      as ``A^T = conj(S_c) (D S_c^T)``: for a real S, ``4 n c^2`` flops
+      against ``4 n |g| |out|``.
     - **The Gram.**  The second test factors ``tau I - G``; a point that
       fails it is read from that same G.
     - **The floor delta.**  The first test's roundoff is absolute.  Let
@@ -204,14 +220,16 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
       that; ``(c + 2) c eps`` in ``A^dag A``; ``(c + 1) c eps`` in Cholesky,
       whose ``R^dag R = M + E`` has ``|E| <= gamma_{c+1} |R^dag| |R|`` and so
       ``||E|| <= (c + 1) eps tr(R^dag R)``; and ``2 (n + 2) r eps`` in the read
-      the test stands in for, whose ``B^T`` is off by ``(n + 2) r eps``.  The
-      Frobenius norm ``eta_hat`` of the computed ``S^dag S - I`` is off from
-      eta by at most ``n^2 eps``.  With ``2c <= n`` all of this is below
+      the test stands in for, whose product is off by ``(n + 2) r eps`` in
+      either orientation, its entries being inner products of length n of
+      rows of S.  The Frobenius norm ``eta_hat`` of the computed
+      ``S^dag S - I`` is off from eta by at most ``n^2 eps``.  With
+      ``2c <= n`` all of this is below
       ``delta = (n + 2)(3c + 2r + 2n + 4) eps + 3 eta_hat``.  The first test
       runs only while ``tau > 4 delta``: below that it could certify less
       than 3/4 of tau, and every point goes to the scale-free second test.
     - **Skipped points.**  A first-test success gives ``||B||^2 <= tau -
-      2 (n + 2) r eps``, so the read's ``B^T`` has norm at most ``sqrt(tau)``
+      2 (n + 2) r eps``, so the read's product has norm at most ``sqrt(tau)``
       (as ``tau <= 1``).  A second-test success bounds the read's own G by
       ``tau (1 + (c + 1) c eps)``.  What remains is relative roundoff in
       forming, factoring and reading G, below ``2 n^2 eps`` (7e-9 at
@@ -226,7 +244,7 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
     for g, out in inst.partition.blocks:
         c = g if g.size <= out.size else out
         terms = 3 * c.size + 2 * math.sqrt(g.size * out.size) + 2 * n + 4
-        diagonal_blocks.append((evo.s[c].conj(), np.ascontiguousarray(evo.s[c].T),
+        diagonal_blocks.append((evo.s[c].conj(), _complex(evo.s[c].T),
                                 (n + 2) * terms * eps + 3.0 * eta_hat))
     best = 0.0
     for t in np.asarray(t_grid, dtype=float):

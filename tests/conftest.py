@@ -8,8 +8,10 @@ from leakage import (
     OperatorMatrix,
     ProblemInstance,
     SpectralPartition,
+    build_harmonic_chain,
     herm_eig,
     operator_norm,
+    partition_by_intervals,
     partition_by_threshold,
 )
 
@@ -76,6 +78,14 @@ def interleaved_instance(seed, dim, step, x, real):
     v = random_hermitian(rng, dim, real)
     v *= x * part.gap / operator_norm(v)
     return ProblemInstance(h0, OperatorMatrix(v), 1.0, part)
+
+
+def deep_harmonic_instance():
+    """The 8-site harmonic chain at Fock cutoff 15 and v0 0.3: dim 128 in 16 bands of
+    8 levels, summed to Bloch order 42."""
+    spec = HarmonicChainSpec(n_sites=8, omega=10.0, g=1.0, fock_cutoff=15, v0=0.3)
+    h0, v, intervals = build_harmonic_chain(spec)
+    return ProblemInstance(h0, v, 1.0, partition_by_intervals(herm_eig(h0), intervals))
 
 
 def chain_dispersion(k: float, g1: float, g2: float, g3: float):

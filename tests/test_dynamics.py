@@ -32,7 +32,13 @@ from leakage import (
 from leakage import bounds
 from leakage.errors import LeakageError
 
-from conftest import dense_projection, interleaved_instance, make_instance, to_original
+from conftest import (
+    deep_harmonic_instance,
+    dense_projection,
+    interleaved_instance,
+    make_instance,
+    to_original,
+)
 
 
 def rabi_leakage(t, v=0.05):
@@ -71,17 +77,31 @@ def test_leakage_matches_dense_expm_on_random_instances(seed, dim, n_groups, x, 
     assert np.abs(leak - dense_leakage(inst, t)).max() < 1e-12
 
 
-@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-def test_leakage_reads_both_gram_sides(real):
-    # groups of 6, 2 and 1 levels in dim 9: the first is larger than its
-    # complement, the others smaller, so both Gram orientations are read
-    inst = make_instance(0, 9, 3, x=0.03, real=real)
-    assert [len(g) for g, _ in inst.partition.blocks] == [6, 2, 1]
-    times = [0.7, 3.1, 12.0]
+@pytest.mark.parametrize("case, real, sizes, times", [
+    # groups of 6, 2 and 1 levels in dim 9: the first is larger than its complement,
+    # the others smaller, so both orientations of the product and its Gram are read
+    ("clusters", False, [6, 2, 1], [0.7, 3.1, 12.0]),
+    ("clusters", True, [6, 2, 1], [0.7, 3.1, 12.0]),
+    # two interleaved groups of 3 in dim 6: |g| == |out|
+    ("tie", False, [3, 3], [0.7, 3.1, 12.0]),
+    ("tie", True, [3, 3], [0.7, 3.1, 12.0]),
+    # the harmonic chain's 16 bands of 8 levels in dim 128: |g| << |out|
+    ("harmonic", True, [8] * 16, [0.3, 1.1, 2.9]),
+], ids=["complex", "real", "tie-complex", "tie-real", "harmonic-real"])
+def test_leakage_reads_both_gram_sides(case, real, sizes, times):
+    if case == "clusters":
+        inst = make_instance(0, 9, 3, x=0.03, real=real)
+    elif case == "tie":
+        inst = interleaved_instance(0, 6, 2, 0.03, real)
+    else:
+        inst = deep_harmonic_instance()
+    assert [len(g) for g, _ in inst.partition.blocks] == sizes
+    assert np.isrealobj(inst.h_eig) == real
     leak = run_leakage_experiment(inst, times).per_block_leakage
     for j, t in enumerate(times):
         assert np.abs(leak[:, j] - dense_leakage(inst, t)).max() < 1e-12
     assert leak.min() > 1e-4
+    assert max_leakage(inst, times) == leak.max()
 
 
 @pytest.mark.parametrize("seed, dim, n_groups", [(0, 9, 3), (3, 9, 3), (5, 6, 2), (11, 9, 3)])

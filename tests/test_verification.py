@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakage import (
+    bounds,
     check_instance,
     operator_norm,
     random_instance,
@@ -16,7 +18,7 @@ from leakage import (
 from leakage.rng import substream
 from leakage.verification import haar_unitary
 
-from conftest import interleaved_instance, make_instance
+from conftest import deep_harmonic_instance, interleaved_instance, make_instance
 
 
 def test_haar_unitary_is_unitary():
@@ -175,6 +177,110 @@ def test_check_instance_fails_exactly_the_broken_invariant(monkeypatch, target, 
     monkeypatch.setattr(verification, target,
                         lambda inst, *args, **kw: tamper(inst, original(inst, *args, **kw)))
     assert [r.name for r in check_instance(inst) if not r.passed] == broken
+
+
+def _majorant(inst, j):
+    """``(pi ||V|| / eta)^j C_j``, the Catalan majorant of ``||Omega^(j)||``, as
+    ``check_instance`` computes it."""
+    return (math.pi * inst.v_norm / inst.partition.gap) ** j * bounds.catalan(j)
+
+
+def _holder(term):
+    a = np.abs(term)
+    return math.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
+
+
+def _with_term(monkeypatch, inst, j, make_term):
+    """Make ``check_instance`` see ``Omega^(j)`` replaced by ``make_term(Omega^(j))``;
+    returns the replaced term."""
+    sol = solve_bloch_series(inst)
+    terms = np.array(sol.omega_terms)
+    terms[j] = make_term(terms[j])
+    tampered = dataclasses.replace(sol, omega_terms=terms)
+    monkeypatch.setattr(verification, "solve_bloch_series", lambda inst, *a, **kw: tampered)
+    return terms[j]
+
+
+def _orthogonal(rng, dim, real):
+    if not real:
+        return haar_unitary(rng, dim)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_catalan_check_fails_on_an_inflated_term(monkeypatch, real):
+    inst = make_instance(64, 9, 3, x=0.01, real=real)
+    m = _majorant(inst, 2)
+    term = _with_term(monkeypatch, inst, 2, lambda t: t * (2.0 * m / operator_norm(t)))
+    results = {r.name: r for r in check_instance(inst)}
+    assert [name for name, r in results.items() if not r.passed] == ["catalan_term_bounds"]
+    assert results["catalan_term_bounds"].measured == operator_norm(term) - m
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_catalan_check_reads_a_term_its_screen_cannot_certify(monkeypatch, real):
+    # a scaled orthogonal term lies below its majorant while its Hoelder bound
+    # sqrt(||T||_1 ||T||_inf) lies above: the exact read decides, and finds no excess
+    inst = make_instance(64, 9, 3, x=0.01, real=real)
+    m = _majorant(inst, 1)
+    q = _orthogonal(np.random.default_rng(5), inst.dim, real)
+    term = _with_term(monkeypatch, inst, 1, lambda t: (0.8 * m) * q)
+    assert operator_norm(term) < m < _holder(term)
+    reads = []
+    monkeypatch.setattr(verification, "operator_norm",
+                        lambda a: reads.append(np.shares_memory(a, term))
+                        or operator_norm(a))
+    results = {r.name: r for r in check_instance(inst)}
+    assert any(reads)
+    assert all(r.passed for r in results.values())
+    assert results["catalan_term_bounds"].measured == 0.0
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_catalan_check_raises_on_a_nan_term(monkeypatch, real):
+    inst = make_instance(64, 9, 3, x=0.01, real=real)
+
+    def poison(t):
+        t = t.copy()
+        t[0, 0] = np.nan
+        return t
+
+    _with_term(monkeypatch, inst, 3, poison)
+    with pytest.raises(np.linalg.LinAlgError):
+        check_instance(inst)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12),
+       groups=st.sampled_from(["clusters", 2, 3]), x=st.floats(1e-3, 0.03), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_catalan_check_equals_exact_reads_of_every_term(seed, dim, groups, x, real):
+    # the Hoelder screen leaves the float unchanged: it is the worst excess of exact
+    # norms over all orders, floored at 0.0
+    if groups == "clusters":
+        inst = make_instance(seed, dim, 3, x=x, real=real)
+    else:
+        inst = interleaved_instance(seed, dim, groups, x, real)
+    measured = {r.name: r.measured for r in check_instance(inst)}
+    terms = solve_bloch_series(inst).omega_terms
+    oracle = max(0.0, max(operator_norm(t) - _majorant(inst, j) for j, t in enumerate(terms)))
+    assert measured["catalan_term_bounds"] == oracle
+
+
+def test_catalan_screen_certifies_every_term_of_a_deep_series(monkeypatch):
+    # the harmonic chain at order 42: a screen that silently sent its terms to the exact
+    # read would keep the float and lose the time, so the reads are counted
+    inst = deep_harmonic_instance()
+    terms = solve_bloch_series(inst).omega_terms
+    assert terms.shape == (43, 128, 128)
+    term_reads = []
+    monkeypatch.setattr(verification, "operator_norm",
+                        lambda a: term_reads.append(np.shares_memory(a, terms))
+                        or operator_norm(a))
+    results = {r.name: r for r in check_instance(inst)}
+    assert term_reads and not any(term_reads)
+    assert results["catalan_term_bounds"].measured == 0.0
+    assert all(r.passed for r in results.values())
 
 
 def test_substream_independence():
