@@ -7,9 +7,13 @@ perturbative series, the Schrieffer-Wolff distance bound, and the eternal
 leakage bound with its 9*pi*x linear envelope.
 
 Each gamma regime is decided by one predicate in x, the domain of its
-formulas: ``4 pi x < 1`` for the Bloch series, ``delta(x) < sqrt(2) - 1``
-for Schrieffer-Wolff.  Every module asks these predicates; the gamma
-thresholds are only reported.
+formulas: ``4 pi x < 1`` for the Bloch series, ``4 pi x < 2 (sqrt(2) - 1)``
+(delta(x) < sqrt(2) - 1) for Schrieffer-Wolff.  Every module asks these
+predicates; the gamma thresholds are only reported.
+
+Each bound is one cancellation-free closed form in ``u = 4 pi x`` on its whole
+domain: ``1 - sqrt(1 - u)`` is written ``u / (1 + sqrt(1 - u))``, and
+``(1 - z)^(-1/2) - 1`` is evaluated through ``expm1`` and ``log1p``.
 """
 
 from __future__ import annotations
@@ -24,10 +28,6 @@ SQRT2_M1 = math.sqrt(2.0) - 1.0
 
 #: how far a measured value may exceed its bound before it counts as a violation
 SLACK = 1e-9
-
-#: series branch switch-over for delta(x); below this the closed form is
-#: dominated by cancellation in 1 - sqrt(1 - 4 pi x)
-_DELTA_SERIES_X = 1e-8
 
 
 def gamma_threshold_bloch(v_norm: float, eta: float) -> float:
@@ -56,22 +56,20 @@ def _bloch_u(x: float) -> float:
 
 
 def _in_sw_regime(x: float) -> bool:
-    """The domain of the Schrieffer-Wolff distance bound."""
-    return _in_bloch_regime(x) and delta_of(x) < SQRT2_M1
+    """The domain of the Schrieffer-Wolff distance bound: delta(x) < sqrt(2) - 1,
+    which is 4 pi x < 2 (sqrt(2) - 1), the edge ``gamma_threshold_sw`` reports."""
+    return _in_bloch_regime(x) and 4.0 * math.pi * x < 2.0 * SQRT2_M1
 
 
 def delta_of(x: float) -> float:
     """Bound on ||Omega - 1||: (1 - sqrt(1 - 4 pi x))^2 / (4 pi x).
 
-    Defined for 4 pi x < 1; continuous at 0 with delta(0) = 0 (the
-    closed form is 0/0 there, resolved by its series pi*x + 2(pi*x)^2 + ...).
-    Monotone increasing, tending to 1 as 4 pi x -> 1.
+    Evaluated as u / (1 + sqrt(1 - u))^2 with u = 4 pi x, the same value
+    without the cancellation in 1 - sqrt(1 - u), and exactly 0 at x = 0.
+    Defined for 4 pi x < 1; monotone increasing, tending to 1 as 4 pi x -> 1.
     """
     u = _bloch_u(x)
-    if x < _DELTA_SERIES_X:
-        px = math.pi * x
-        return px * (1.0 + 2.0 * px + 5.0 * px * px)
-    return (1.0 - math.sqrt(1.0 - u)) ** 2 / u
+    return u / (1.0 + math.sqrt(1.0 - u)) ** 2
 
 
 def epsilon_of(x: float) -> float:
@@ -127,12 +125,13 @@ def sw_distance_bound(x: float) -> float:
     """Eternal bound on the Schrieffer-Wolff evolution distance.
 
     2 * (1 / sqrt(sqrt(1 - 4 pi x) - 2 pi x) - 1), valid while
-    delta(x) < sqrt(2) - 1.  Always at least epsilon_of(x).
+    delta(x) < sqrt(2) - 1.  Always at least epsilon_of(x).  Evaluated as
+    2 * expm1(-0.5 * log1p(-u / (1 + sqrt(1 - u)) - u / 2)) with u = 4 pi x.
     """
     if not _in_sw_regime(x):
         raise LeakageError(f"delta({x:.6g}) not below sqrt(2) - 1")
-    inner = math.sqrt(1.0 - 4.0 * math.pi * x) - 2.0 * math.pi * x
-    return 2.0 * (1.0 / math.sqrt(inner) - 1.0)
+    u = 4.0 * math.pi * x
+    return 2.0 * math.expm1(-0.5 * math.log1p(-u / (1.0 + math.sqrt(1.0 - u)) - 0.5 * u))
 
 
 @dataclass(frozen=True)

@@ -336,7 +336,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a leakage experiment from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
 
@@ -369,8 +368,6 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return cmd_bounds(args)
         cfg = _load_config(args.config)
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
         inst, config = build_instance(cfg)
         if inst is None and args.command in ("model", "sweep"):
             raise ValueError(f"{args.command} needs a matrix model, not the transmon")

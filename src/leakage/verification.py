@@ -116,6 +116,8 @@ def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT
     sol = solve_bloch_series(inst, tol=series_tol)
     omega = sol.omega
     delta = bounds.delta_of(x)
+    # 1/(1 - delta) = 1 + epsilon/2 and (1 + delta)(1 - 2 delta - delta^2)^(-1/2) = 1 + D_SW/2
+    half_eps = 0.5 * bounds.epsilon_of(x)
 
     # Bloch equation residuals on the columns c = Omega[:, g] of Omega_k:
     # H Omega_k = Omega_k H Omega_k reads h_eig c = c h_eig[g] c, and
@@ -138,9 +140,8 @@ def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT
     inv_root = (1.0 + mu.min()) ** -0.5
     record("omega_minus_identity_le_delta", operator_norm(omega - eye), delta + SLACK)
     record("omega_norm_le_1_plus_delta", math.sqrt(1.0 + mu.max()), 1.0 + delta + SLACK)
-    record("omega_inv_norm", inv_root, 1.0 / (1.0 - delta) + SLACK)
-    record("omega_inv_minus_identity", operator_norm(np.linalg.inv(omega) - eye),
-           delta / (1.0 - delta) + SLACK)
+    record("omega_inv_norm", inv_root, 1.0 + half_eps + SLACK)
+    record("omega_inv_minus_identity", operator_norm(np.linalg.inv(omega) - eye), half_eps + SLACK)
 
     # Catalan majorant per computed order.  A term its Hoelder bound certifies, with a margin
     # for the roundoff of the sums and of the exact read, has an excess <= 0, which the
@@ -178,11 +179,7 @@ def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT
         max(operator_norm(w.conj().T @ w - eye), operator_norm(w @ w.conj().T - eye)),
         1e-10,
     )
-    record(
-        "w_minus_identity",
-        operator_norm(w - eye),
-        (1.0 + delta) * root_inv_bound - 1.0 + SLACK,
-    )
+    record("w_minus_identity", operator_norm(w - eye), 0.5 * bounds.sw_distance_bound(x) + SLACK)
     hs = sw.h_sw
     record("h_sw_hermitian", operator_norm(hs - hs.conj().T), 1e-10 * h_norm)
     record("h_sw_off_block", off_block_norm(hs), 1e-9 * h_norm)

@@ -46,7 +46,7 @@ def test_criterion_1_chain_bound_value():
     start = time.perf_counter()
     inst = chain_instance(seed=0)
     assert inst.partition.gap >= 1.15
-    assert inst.v_norm == pytest.approx(0.01, rel=1e-12)
+    assert inst.v_norm == pytest.approx(0.01, rel=1e-12, abs=0.0)
     rep = bound_report(inst.v_norm, inst.gamma, inst.partition.gap)
     assert rep.epsilon == pytest.approx(0.0596, abs=5e-4)
     elapsed = time.perf_counter() - start
@@ -150,7 +150,7 @@ def test_criterion_8_scalar_identity_grid():
     grid = np.linspace(x_edge / 1000.0, 0.999 * x_edge, 1000)
     for x in grid:
         d = delta_of(x)
-        assert epsilon_of(x) == pytest.approx(2.0 * d / (1.0 - d), rel=1e-12)
+        assert epsilon_of(x) == pytest.approx(2.0 * d / (1.0 - d), rel=1e-12, abs=0.0)
     x_star = 2.0 / (9.0 * math.pi)
     for x in np.linspace(x_star / 1000.0, x_star, 1000):
         assert epsilon_of(x) <= 9.0 * math.pi * x + 1e-12

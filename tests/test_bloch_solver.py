@@ -137,7 +137,8 @@ def test_catalan_majorant_and_delta():
     for j, term in enumerate(sol.omega_terms):
         assert operator_norm(term) <= ratio**j * catalan(j) + 1e-12
     assert operator_norm(sol.omega - np.eye(10)) <= delta_of(inst.x) + 1e-9
-    assert sol.tail_bound == pytest.approx(catalan_tails(inst.x, sol.order)[sol.order], rel=1e-12)
+    assert sol.tail_bound == pytest.approx(catalan_tails(inst.x, sol.order)[sol.order],
+                                           rel=1e-12, abs=0.0)
     assert sol.tail_bound < 1e-12
 
 

@@ -28,14 +28,14 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 def test_bounds_by_x(capsys):
     assert main(["bounds", "--x", str(0.01 / 1.15)]) == 0
     blob = json.loads(capsys.readouterr().out)
-    assert blob["epsilon"] == pytest.approx(0.059565087217458258, rel=1e-12)
-    assert blob["delta"] == pytest.approx(0.028921196803706114, rel=1e-12)
+    assert blob["epsilon"] == pytest.approx(0.059565087217458258, rel=1e-12, abs=0.0)
+    assert blob["delta"] == pytest.approx(0.028921196803706114, rel=1e-12, abs=0.0)
 
 
 def test_bounds_by_triple(capsys):
     assert main(["bounds", "--v-norm", "0.01", "--gamma", "1", "--eta", "1.15"]) == 0
     blob = json.loads(capsys.readouterr().out)
-    assert blob["x"] == pytest.approx(0.01 / 1.15, rel=1e-14)
+    assert blob["x"] == pytest.approx(0.01 / 1.15, rel=1e-14, abs=0.0)
 
 
 def test_bounds_argument_errors(capsys):
@@ -73,12 +73,12 @@ def test_run_distance_violation_exit_code(tmp_path, monkeypatch):
     assert violations and all(kind == "d_sw" and k is None for kind, k, _ in violations)
 
 
-def test_run_seed_override(tmp_path):
-    cfg = dict(CHAIN_CFG)
+def test_run_seed_from_config(tmp_path):
+    cfg = dict(CHAIN_CFG, seed=3)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out_a), "--seed", "3"])
-    main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out_b), "--seed", "3"])
+    main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out_a)])
+    main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out_b)])
     a = json.loads((out_a / "summary.json").read_text())
     b = json.loads((out_b / "summary.json").read_text())
     assert a["max_leakage"] == b["max_leakage"]
@@ -94,7 +94,7 @@ def test_run_transmon(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["transmon_leakage_bound"] == pytest.approx(
-        0.002876133406953723, rel=1e-12
+        0.002876133406953723, rel=1e-12, abs=0.0
     )
 
 

@@ -55,7 +55,7 @@ def test_chain_structure():
     assert operator_norm(m - m.conj().T) == 0.0
     # disorder: diagonal, exact target norm
     assert np.count_nonzero(v.entries - np.diag(np.diag(v.entries))) == 0
-    assert operator_norm(v.entries) == pytest.approx(0.01, rel=1e-14)
+    assert operator_norm(v.entries) == pytest.approx(0.01, rel=1e-14, abs=0.0)
 
 
 def test_chain_disorder_seeding():
@@ -106,9 +106,10 @@ def test_harmonic_chain_structure():
     assert h0.dim == 16
     assert len(intervals) == 4
     # closed-form ladder norm against the numerical norm
-    assert operator_norm(v.entries) == pytest.approx(harmonic_chain_v_norm(spec), rel=1e-13)
+    assert operator_norm(v.entries) == pytest.approx(harmonic_chain_v_norm(spec),
+                                                     rel=1e-13, abs=0.0)
     assert harmonic_chain_v_norm(spec) == pytest.approx(
-        0.05 * math.cos(math.pi / 5.0), rel=1e-14
+        0.05 * math.cos(math.pi / 5.0), rel=1e-14, abs=0.0
     )
     part = partition_by_intervals(herm_eig(h0), intervals)
     assert part.n_groups == 4
@@ -130,7 +131,7 @@ def test_harmonic_band_eigenvalues():
 
 def test_transmon_bandgap_values():
     for k, val in TRANSMON_GAPS_90.items():
-        assert transmon_bandgap(k, 90.0) == pytest.approx(val, rel=1e-13)
+        assert transmon_bandgap(k, 90.0) == pytest.approx(val, rel=1e-13, abs=0.0)
     assert TRANSMON_GAPS_90[0] > TRANSMON_GAPS_90[1] > TRANSMON_GAPS_90[2]
     with pytest.raises(ValueError):
         transmon_bandgap(-1, 90.0)
@@ -140,8 +141,8 @@ def test_transmon_bandgap_values():
 
 def test_transmon_perturbation_norm():
     assert transmon_perturbation_norm(90.0, 1e-3) == pytest.approx(
-        TRANSMON_V_NORM_90, rel=1e-13
+        TRANSMON_V_NORM_90, rel=1e-13, abs=0.0
     )
     assert transmon_perturbation_norm(90.0, 1e-3) == pytest.approx(
-        90.0 * 1e-3 / (8.0 * (1.0 - 5e-4)), rel=1e-14
+        90.0 * 1e-3 / (8.0 * (1.0 - 5e-4)), rel=1e-14, abs=0.0
     )

@@ -89,11 +89,12 @@ def test_dtype_is_float64_when_real_complex128_when_complex():
 
 def test_operator_norm_matches_reference():
     assert operator_norm(np.zeros((3, 3))) == 0.0
-    assert operator_norm(np.array([[3.0, 0.0], [4.0, 0.0]])) == pytest.approx(5.0, rel=1e-14)
+    assert operator_norm(np.array([[3.0, 0.0], [4.0, 0.0]])) == pytest.approx(5.0, rel=1e-14,
+                                                                              abs=0.0)
     rng = np.random.default_rng(0)
     for _ in range(5):
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        assert operator_norm(a) == pytest.approx(np.linalg.norm(a, ord=2), rel=1e-12)
+        assert operator_norm(a) == pytest.approx(np.linalg.norm(a, ord=2), rel=1e-12, abs=0.0)
 
 
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), cols=st.integers(1, 40),

@@ -31,7 +31,7 @@ def test_random_instance_respects_targets():
     inst = random_instance(rng, dim=12, n_groups=3, x_target=0.015)
     assert inst.dim == 12
     assert inst.partition.n_groups == 3
-    assert inst.x == pytest.approx(0.015, rel=1e-12)
+    assert inst.x == pytest.approx(0.015, rel=1e-12, abs=0.0)
     # unconstrained draws stay inside the advertised ranges
     for _ in range(20):
         inst = random_instance(rng)
@@ -107,7 +107,7 @@ def test_every_invariant_passes_on_random_instances(seed, dim, n_groups, x, real
 @settings(deadline=None, max_examples=40)
 def test_every_invariant_passes_on_interleaved_partitions(seed, dim, step, x, real):
     inst = interleaved_instance(seed, dim, step, x, real)
-    assert inst.x == pytest.approx(x, rel=1e-12)
+    assert inst.x == pytest.approx(x, rel=1e-12, abs=0.0)
     results = check_instance(inst)
     assert [r.name for r in results if not r.passed] == []
     assert len(results) == 19
@@ -131,7 +131,7 @@ def test_omega_norms_from_the_gram_spectrum_match_dense_norms(seed, dim, groups,
         "gram_minus_identity": operator_norm(omega.conj().T @ omega - np.eye(inst.dim)),
     }
     for name, value in oracle.items():
-        assert measured[name] == pytest.approx(value, rel=1e-12), name
+        assert measured[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
     assert measured["omega_inv_norm"] == measured["gram_inv_sqrt_norm"]
 
 
