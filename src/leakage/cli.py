@@ -305,7 +305,11 @@ def cmd_bounds(args) -> int:
         report = bounds_mod.bound_report(args.v_norm, args.gamma, args.eta)
     else:
         raise ValueError("give either --x or all of --v-norm/--gamma/--eta")
-    print(json.dumps(report.to_json(), indent=2))
+    entries = report.to_json()
+    for key, val in entries.items():
+        if val is not None and not math.isfinite(val):
+            raise ValueError(f"bound report field '{key}' is not finite: {val}")
+    print(json.dumps(entries, indent=2))
     return EXIT_OK
 
 

@@ -5,16 +5,15 @@ out in the eigenbasis of H0, the basis every derived operator is kept
 in, where the partition projections are coordinate masks.  With
 ``H = S diag(lam) S^dag`` there, the leakage ``||Q_k e^{-itH} P_k||``
 is the top singular value of the off-block ``B = S_out D S_g^dag``,
-``D = diag(e^{-i lam t})``.  D goes on the smaller of the two factors:
-the product is formed as ``B = S_out (D S_g^dag)`` when ``|g| <= |out|``
-and as ``B^T = conj(S_g) (D S_out^T)`` otherwise, with the phased factor
-held in complex arithmetic from the start.  It is read from the Gram
-matrix of that product on its smaller side, and for a real S the product
-is one real GEMM on the interleaved real and imaginary parts of the phased
-factor.  ``max_leakage`` reads the grid maximum exactly at the points that
-no Cholesky test certifies to lie at or below the best value read: one on
-the smaller diagonal block of ``U = S D S^dag``, by unitarity, and one on
-the Gram.
+``D = diag(e^{-i lam t})``, always formed as ``B = S_out (D S_g^dag)``
+with ``S_g^dag`` held in complex arithmetic from the start.  It is read
+from the Gram matrix of that product on its smaller side, and for a real
+S the product is one real GEMM on the interleaved real and imaginary
+parts of ``D S_g^dag``.  ``max_leakage`` reads the grid maximum exactly at
+the points that no Cholesky test certifies to lie at or below the best
+value read: one on the diagonal block ``S_g (D S_g^dag)`` of
+``U = S D S^dag``, by unitarity, when ``|g| <= |out|``, and one on the
+Gram; both share the one ``D S_g^dag`` per (t, block).
 The non-Hermitian Bloch generator is never exponentiated directly; its
 evolution is obtained through the similarity with H.
 
@@ -94,27 +93,20 @@ class _Evolution:
 
     def __init__(self, inst: ProblemInstance):
         self.lam, self.s = np.linalg.eigh(inst.h_eig)
-        # per block, the factors of B or B^T (see leakage); the one D multiplies is held
-        # C-contiguous and complex, so that the phase product casts nothing per (block, t)
-        self._factors = [
-            (self.s[out], _complex(self.s[g].conj().T)) if g.size <= out.size
-            else (self.s[g].conj(), _complex(self.s[out].T))
-            for g, out in inst.partition.blocks
-        ]
+        # per block (S_g, S_out, S_g^dag); D multiplies S_g^dag, held C-contiguous and
+        # complex, so that the phase product casts nothing per (block, t)
+        self.factors = [(self.s[g], self.s[out], _complex(self.s[g].conj().T))
+                        for g, out in inst.partition.blocks]
 
     def leakage(self, k: int, t: float) -> float:
         """``||Q_k e^{-itH} P_k||``: the top singular value of the off-block
-        ``B = S_out D S_g^dag`` with ``D = diag(e^{-i lam t})``, read from the
-        small-side Gram of ``B = S_out (D S_g^dag)`` if ``|g| <= |out|`` and of
-        ``B^T = conj(S_g) (D S_out^T)`` otherwise, which keeps its relative
-        accuracy near machine epsilon.
+        ``B = S_out (D S_g^dag)`` with ``D = diag(e^{-i lam t})``, read from
+        its Gram on the smaller side, which keeps its relative accuracy near
+        machine epsilon.
         """
-        return math.sqrt(_top(self.gram(k, np.exp(-1j * t * self.lam)[:, None])))
-
-    def gram(self, k: int, phase: np.ndarray) -> np.ndarray:
-        """The Gram ``leakage`` reads for block k, at the column ``phase`` of D."""
-        left, right = self._factors[k]
-        return _gram(_product(left, phase * right))
+        _, s_out, s_g_dag = self.factors[k]
+        right = np.exp(-1j * t * self.lam)[:, None] * s_g_dag
+        return math.sqrt(_top(_gram(_product(s_out, right))))
 
 
 def _complex(a: np.ndarray) -> np.ndarray:
@@ -175,7 +167,7 @@ def run_leakage_experiment(
         violations = [("leakage", int(k), float(times[j])) for k, j in bad]
     for kind, series, allowed in (("d_bloch", d_bloch, report.epsilon),
                                   ("d_sw", d_sw, report.d_sw_bound)):
-        if series is not None and allowed is not None:
+        if series is not None:
             bad = np.flatnonzero(series > allowed + bounds.SLACK)
             violations += [(kind, None, float(times[j])) for j in bad]
 
@@ -202,12 +194,13 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
     ``leakage(k, t)`` reads, so every value returned is a read.
 
     - **Unitarity.**  ``U = S D S^dag`` is unitary, so its columns g give
-      ``U[g,g]^dag U[g,g] + B^dag B = I`` for ``B = U[out,g]``, and its rows
-      out give ``B B^dag + U[out,out] U[out,out]^dag = I``.  So with
-      ``A = U[c,c]``, c the smaller of g and out, ``||B||^2 = 1 - smin(A)^2``.
-      The first test factors ``A^dag A - (1 - tau + delta) I``, with A formed
-      as ``A^T = conj(S_c) (D S_c^T)``: for a real S, ``4 n c^2`` flops
-      against ``4 n |g| |out|``.
+      ``U[g,g]^dag U[g,g] + B^dag B = I`` for ``B = U[out,g]``.  So with
+      ``A = U[c,c]``, ``c = g``, ``||B||^2 = 1 - smin(A)^2``.  The first test
+      factors ``A^dag A - (1 - tau + delta) I``, with A formed as
+      ``S_g (D S_g^dag)`` from the factor ``D S_g^dag`` the read also uses:
+      for a real S, ``4 n c^2`` flops against ``4 n |g| |out|``.  It runs
+      only on blocks with ``|g| <= |out|``; a block with ``|g| > |out|``
+      goes straight to the second test.
     - **The Gram.**  The second test factors ``tau I - G``; a point that
       fails it is read from that same G.
     - **The floor delta.**  The first test's roundoff is absolute.  Let
@@ -220,11 +213,11 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
       that; ``(c + 2) c eps`` in ``A^dag A``; ``(c + 1) c eps`` in Cholesky,
       whose ``R^dag R = M + E`` has ``|E| <= gamma_{c+1} |R^dag| |R|`` and so
       ``||E|| <= (c + 1) eps tr(R^dag R)``; and ``2 (n + 2) r eps`` in the read
-      the test stands in for, whose product is off by ``(n + 2) r eps`` in
-      either orientation, its entries being inner products of length n of
-      rows of S.  The Frobenius norm ``eta_hat`` of the computed
-      ``S^dag S - I`` is off from eta by at most ``n^2 eps``.  With
-      ``2c <= n`` all of this is below
+      the test stands in for, whose product is off by ``(n + 2) r eps``,
+      its entries being inner products of length n of rows of S.  The
+      Frobenius norm ``eta_hat`` of the computed ``S^dag S - I`` is off from
+      eta by at most ``n^2 eps``.  With ``2c <= n``, as ``|g| <= |out|``
+      gives, all of this is below
       ``delta = (n + 2)(3c + 2r + 2n + 4) eps + 3 eta_hat``.  The first test
       runs only while ``tau > 4 delta``: below that it could certify less
       than 3/4 of tau, and every point goes to the scale-free second test.
@@ -240,22 +233,21 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
     n = evo.lam.size
     eps = np.finfo(float).eps
     eta_hat = np.linalg.norm(evo.s.conj().T @ evo.s - np.eye(n))
-    diagonal_blocks = []   # per block: conj(S_c), S_c^T and delta
+    deltas = []   # per block, the first test's floor; infinite where that test does not run
     for g, out in inst.partition.blocks:
-        c = g if g.size <= out.size else out
-        terms = 3 * c.size + 2 * math.sqrt(g.size * out.size) + 2 * n + 4
-        diagonal_blocks.append((evo.s[c].conj(), _complex(evo.s[c].T),
-                                (n + 2) * terms * eps + 3.0 * eta_hat))
+        terms = 3 * g.size + 2 * math.sqrt(g.size * out.size) + 2 * n + 4
+        deltas.append((n + 2) * terms * eps + 3.0 * eta_hat if g.size <= out.size else math.inf)
     best = 0.0
     for t in np.asarray(t_grid, dtype=float):
         phase = np.exp(-1j * t * evo.lam)[:, None]
-        for k, (c_conj, c_t, delta) in enumerate(diagonal_blocks):
+        for (s_g, s_out, s_g_dag), delta in zip(evo.factors, deltas):
             tau = best * best * (1.0 - _SCREEN_MARGIN)
+            right = phase * s_g_dag
             if tau > 4.0 * delta:
-                a_gram = _gram(_product(c_conj, phase * c_t))
+                a_gram = _gram(_product(s_g, right))
                 if _cholesky_succeeds(a_gram, 1.0 - tau + delta):
                     continue
-            gram = evo.gram(k, phase)
+            gram = _gram(_product(s_out, right))
             if _cholesky_succeeds(-gram, -tau):
                 continue
             best = max(best, math.sqrt(_top(gram)))

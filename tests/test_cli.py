@@ -277,6 +277,17 @@ def test_non_finite_bound_argument_is_input_error(tmp_path, capsys, argv):
     assert "finite" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["bounds", "--x", "1e308"], "leakage_linear"),
+    (["bounds", "--v-norm", "1e300", "--gamma", "1e-10", "--eta", "1e-10"], "x"),
+], ids=["x-overflow", "v-norm-overflow"])
+def test_overflowing_bound_report_is_input_error(capsys, argv, field):
+    # finite arguments whose report would hold an infinity, which JSON cannot carry
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"'{field}' is not finite" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_config_gamma_is_input_error(tmp_path, capsys, gamma):
     # json writes and reads these as the non-standard NaN and Infinity

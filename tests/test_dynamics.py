@@ -79,7 +79,7 @@ def test_leakage_matches_dense_expm_on_random_instances(seed, dim, n_groups, x, 
 
 @pytest.mark.parametrize("case, real, sizes, times", [
     # groups of 6, 2 and 1 levels in dim 9: the first is larger than its complement,
-    # the others smaller, so both orientations of the product and its Gram are read
+    # the others smaller, so the product's Gram is read on both of its sides
     ("clusters", False, [6, 2, 1], [0.7, 3.1, 12.0]),
     ("clusters", True, [6, 2, 1], [0.7, 3.1, 12.0]),
     # two interleaved groups of 3 in dim 6: |g| == |out|
@@ -310,13 +310,17 @@ def test_sweep_needs_enough_points():
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12),
        groups=st.sampled_from(["clusters", "singletons", "lopsided", 2, 3]), real=st.booleans(),
        t_start=st.sampled_from([0.0, 0.7]), n_points=st.integers(1, 40))
+# three groups, one of them a majority (sizes 2, 9, 1 and 2, 8, 2) whose block holds the
+# grid maximum at every gamma
+@example(seed=11, dim=12, groups="clusters", real=False, t_start=0.7, n_points=40)
+@example(seed=14, dim=12, groups="clusters", real=True, t_start=0.7, n_points=40)
 @settings(deadline=None, max_examples=80)
 def test_sweep_maxima_equal_the_full_scan(seed, dim, groups, real, t_start, n_points):
     # max_leakage skips the points its Cholesky tests certify; it must still be the very
     # float a scan of every (block, t) gives, and the sweep reports it per gamma.  At
     # gamma 1e4 and 1e6 the squared leakage nears or falls below the first test's
-    # roundoff floor.  Singleton groups have 1x1 blocks, and a lopsided split makes
-    # the larger group's test factor its complement's diagonal block
+    # roundoff floor.  Singleton groups have 1x1 blocks, and a lopsided split or a
+    # majority group gives a block with |g| > |out|, which skips the unitarity test
     if groups == "clusters":
         inst = make_instance(seed, dim, 3, x=0.02, real=real)
     elif groups == "singletons":
