@@ -236,27 +236,31 @@ def _write_outputs(specs: list, out_dir: Path, report):
             path.write_text(json.dumps(report.to_json(), indent=2))
 
 
+def _finite_json(report) -> dict:
+    """``report.to_json()``, refused with a ``ValueError`` that names its first
+    field that is not finite, since JSON cannot carry it."""
+    entries = report.to_json()
+    for key, val in entries.items():
+        if val is not None and not math.isfinite(val):
+            raise ValueError(f"bound report field '{key}' is not finite: {val}")
+    return entries
+
+
 def cmd_run(args, inst, config) -> int:
     out_dir = Path(args.out or ".")
     no_dir = f"--out {str(out_dir)!r} cannot be made a directory"
     if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
         raise ValueError(f"{no_dir}: a file lies at or above it")
     outputs = _output_specs(config["outputs"], out_dir)
-    times = None if inst is None else _time_grid(config["t_grid"])
-    series_tol = config["tolerances"]["series_tol"]
     summary: dict = {"config": config}
+    exit_code = EXIT_OK
+    report = None
     if inst is None:
         summary["transmon_leakage_bound"] = transmon_leakage_bound(**config["params"])
         summary["bounds"] = None
-    # made once the config is read and the bound evaluated, so bad input leaves no directory
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"{no_dir}: {exc.strerror}") from None
-
-    exit_code = EXIT_OK
-    if inst is not None:
-        report = run_leakage_experiment(inst, times, series_tol=series_tol)
+    else:
+        series_tol = config["tolerances"]["series_tol"]
+        report = run_leakage_experiment(inst, _time_grid(config["t_grid"]), series_tol=series_tol)
         invariants = None
         if report.bounds.d_sw_bound is not None:
             invariants = [r.to_json() for r in check_instance(inst, series_tol=series_tol)]
@@ -267,7 +271,7 @@ def cmd_run(args, inst, config) -> int:
             sol = solve_bloch_series(inst, tol=series_tol)
         summary.update(
             {
-                "bounds": report.bounds.to_json(),
+                "bounds": _finite_json(report.bounds),
                 "max_leakage": report.max_leakage,
                 "series_order": None if sol is None else sol.order,
                 "delta": report.bounds.delta,
@@ -277,6 +281,13 @@ def cmd_run(args, inst, config) -> int:
         )
         if report.violations:
             exit_code = EXIT_VIOLATION
+    # made once the run is computed and its bounds are found finite, so a run that
+    # exits 2 or 3 leaves no directory
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{no_dir}: {exc.strerror}") from None
+    if report is not None:
         _write_outputs(outputs, out_dir, report)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
     return exit_code
@@ -305,11 +316,7 @@ def cmd_bounds(args) -> int:
         report = bounds_mod.bound_report(args.v_norm, args.gamma, args.eta)
     else:
         raise ValueError("give either --x or all of --v-norm/--gamma/--eta")
-    entries = report.to_json()
-    for key, val in entries.items():
-        if val is not None and not math.isfinite(val):
-            raise ValueError(f"bound report field '{key}' is not finite: {val}")
-    print(json.dumps(entries, indent=2))
+    print(json.dumps(_finite_json(report), indent=2))
     return EXIT_OK
 
 

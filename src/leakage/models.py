@@ -82,17 +82,17 @@ class TransmonSpec:
 def build_chain(spec: ChainSpec):
     """Hamiltonian pair (H0, V) for the disordered tight-binding ring.
 
-    H0 couples site 3j to 3j+1 with g1, 3j+1 to 3j+2 with g2 and 3j+2 to
-    3j+3 with g3, wrapping periodically.  V is diagonal disorder drawn
-    uniformly from [-1, 1] and rescaled so its norm equals
-    ``disorder_strength`` exactly.
+    With ``j = 3 * arange(n_cells)`` and ``d = 3 n_cells``, H0 is symmetric with
+    ``H0[j, j+1] = g1``, ``H0[j+1, j+2] = g2`` and ``H0[j+2, (j+3) % d] = g3``,
+    the last closing the ring.  ``V = diag(r)``, ``r`` uniform on [-1, 1]
+    rescaled so that ``||V|| = max|r|`` is ``disorder_strength`` exactly.
     """
     d = 3 * spec.n_cells
+    j = 3 * np.arange(spec.n_cells)
     h0 = np.zeros((d, d))
-    for j in range(spec.n_cells):
-        h0[3 * j, 3 * j + 1] = spec.g1
-        h0[3 * j + 1, 3 * j + 2] = spec.g2
-        h0[3 * j + 2, (3 * j + 3) % d] = spec.g3
+    h0[j, j + 1] = spec.g1
+    h0[j + 1, j + 2] = spec.g2
+    h0[j + 2, (j + 3) % d] = spec.g3
     h0 = h0 + h0.T
     rng = substream(spec.seed, "chain-disorder")
     r = rng.uniform(-1.0, 1.0, size=d)
@@ -109,36 +109,27 @@ def build_chain(spec: ChainSpec):
 def build_harmonic_chain(spec: HarmonicChainSpec):
     """Hamiltonian pair (H0, V) and band intervals for the oscillator chain.
 
-    H0 has one hopping block per Fock level: diagonal omega*(k + 1/2)
-    with nearest-neighbor coupling -g on the open chain.  V couples
-    adjacent Fock levels site-diagonally with strength v0/2; its norm
+    State (k, i), Fock level k on site i, has index ``k * n_sites + i``.  With
+    ``levels = omega * (arange(fock_cutoff + 1) + 1/2)`` and ``A_m`` the m-site
+    open path's adjacency (``A_m[i, i+1] = A_m[i+1, i] = 1``),
+    ``H0 = kron(diag(levels), eye(n_sites)) - g kron(eye(fock_cutoff + 1), A_n_sites)``
+    and ``V = (v0 / 2) kron(A_(fock_cutoff + 1), eye(n_sites))``, whose norm
     approaches v0 from below as the cutoff grows.
 
-    Returns ``(h0, v, intervals)`` where ``intervals`` are per-band
-    windows usable with ``partition_by_intervals``.
+    Returns ``(h0, v, intervals)``, where interval k is ``levels[k] +- 2 g``,
+    which holds level k's band, usable with ``partition_by_intervals``.
     """
-    n, cutoff = spec.n_sites, spec.fock_cutoff
-    dim = (cutoff + 1) * n
-
-    def idx(k, i):
-        return k * n + i
-
-    h0 = np.zeros((dim, dim))
-    for k in range(cutoff + 1):
-        for i in range(n):
-            h0[idx(k, i), idx(k, i)] = spec.omega * (k + 0.5)
-        for i in range(n - 1):
-            h0[idx(k, i), idx(k, i + 1)] = -spec.g
-            h0[idx(k, i + 1), idx(k, i)] = -spec.g
-    v = np.zeros((dim, dim))
-    for k in range(cutoff):
-        for i in range(n):
-            v[idx(k, i), idx(k + 1, i)] = spec.v0 / 2.0
-            v[idx(k + 1, i), idx(k, i)] = spec.v0 / 2.0
-    intervals = [
-        (spec.omega * (k + 0.5) - 2.0 * spec.g, spec.omega * (k + 0.5) + 2.0 * spec.g)
-        for k in range(cutoff + 1)
-    ]
+    n = spec.n_sites
+    levels = spec.omega * (np.arange(spec.fock_cutoff + 1) + 0.5)
+    h0 = np.kron(np.diag(levels), np.eye(n))
+    # the hops are assigned, not scaled, so g = 0 writes them as -0.0, as `model --emit` prints
+    hop = np.arange(h0.shape[0] - 1)
+    hop = hop[hop % n != n - 1]   # (k, i) -> (k, i + 1)
+    h0[hop, hop + 1] = h0[hop + 1, hop] = -spec.g
+    rung = np.arange(h0.shape[0] - n)   # (k, i) -> (k + 1, i)
+    v = np.zeros_like(h0)
+    v[rung, rung + n] = v[rung + n, rung] = spec.v0 / 2.0
+    intervals = [(lvl - 2.0 * spec.g, lvl + 2.0 * spec.g) for lvl in levels.tolist()]
     return (
         OperatorMatrix(h0),
         OperatorMatrix(v),

@@ -66,9 +66,7 @@ def random_instance(
     cuts = np.sort(rng.choice(np.arange(1, dim), size=n_groups - 1, replace=False))
     sizes = np.diff(np.concatenate([[0], cuts, [dim]]))
     centers = np.cumsum(rng.uniform(1.3, 2.5, size=n_groups))
-    lam = np.concatenate(
-        [c + rng.uniform(-0.15, 0.15, size=s) for c, s in zip(centers, sizes)]
-    )
+    lam = np.repeat(centers, sizes) + rng.uniform(-0.15, 0.15, size=dim)
     lam.sort()
     u = haar_unitary(rng, dim)
     h0 = (u * lam) @ u.conj().T

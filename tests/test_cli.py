@@ -183,7 +183,8 @@ def _singular_block_gram(*args):
      "gamma 10.0 appears more than once"),
     (["run", "--config", "{cfg}", "--out", "{cfg}"], None, 2, "--out"),      # an existing file
     (["run", "--config", "{cfg}", "--out", "{cfg}/sub"], None, 2, "--out"),  # below a file
-    (["run", "--config", "{cfg}", "--out", "{out}"], _singular_block_gram, 3, "fabricated"),
+    (["run", "--config", "{cfg}", "--out", "{out}/new"], _singular_block_gram, 3,
+     "fabricated"),                                                        # leaves no --out
     (["run", "--config", "{typo}", "--out", "{out}/new/a/b"], None, 2,
      "unknown key 'disorder_strenght'"),                                   # leaves no --out
     (["run", "--config", "{transmon}", "--out", "{out}/new"], None, 2, "bandgap"),
@@ -280,12 +281,16 @@ def test_non_finite_bound_argument_is_input_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, field", [
     (["bounds", "--x", "1e308"], "leakage_linear"),
     (["bounds", "--v-norm", "1e300", "--gamma", "1e-10", "--eta", "1e-10"], "x"),
-], ids=["x-overflow", "v-norm-overflow"])
-def test_overflowing_bound_report_is_input_error(capsys, argv, field):
-    # finite arguments whose report would hold an infinity, which JSON cannot carry
-    assert main(argv) == 2
+    (["run", "--config", "{cfg}", "--out", "{out}/new"], "x"),
+], ids=["x-overflow", "v-norm-overflow", "run-subnormal-gamma"])
+def test_overflowing_bound_report_is_input_error(tmp_path, capsys, argv, field):
+    # finite arguments whose report would hold an infinity, which JSON cannot carry; a
+    # subnormal gamma puts x = ||V|| / (gamma eta) beyond the float range
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "gamma": 1e-320})
+    assert main([arg.format(cfg=cfg, out=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert f"'{field}' is not finite" in captured.err and captured.out == ""
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")], ids=["nan", "inf"])

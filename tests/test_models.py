@@ -16,6 +16,7 @@ from leakage import (
     transmon_bandgap,
     transmon_perturbation_norm,
 )
+from leakage.rng import substream
 
 from conftest import chain_dispersion, harmonic_chain_v_norm
 
@@ -68,6 +69,26 @@ def test_chain_disorder_seeding():
     assert operator_norm(z.entries) == 0.0
 
 
+@pytest.mark.parametrize("n_cells, g", [
+    (2, (1.0, 1.5, 2.0)), (4, (1.0, 1.5, 2.0)), (50, (1.0, 1.5, 2.0)), (4, (0.3, -0.7, 1.1)),
+])
+def test_chain_matches_an_entrywise_oracle(n_cells, g):
+    # site s hops to s + 1 (mod d, closing the ring) with g[s % 3]; V = diag(r), ||V|| exact
+    d = 3 * n_cells
+    h0 = np.zeros((d, d))
+    for a in range(d):
+        for b in range(d):
+            if b == (a + 1) % d:
+                h0[a, b] = g[a % 3]
+            elif a == (b + 1) % d:
+                h0[a, b] = g[b % 3]
+    r = substream(5, "chain-disorder").uniform(-1.0, 1.0, size=d)
+    r *= 0.02 / np.abs(r).max()
+    got_h0, got_v = build_chain(ChainSpec(n_cells, *g, disorder_strength=0.02, seed=5))
+    assert got_h0.entries.tobytes() == h0.tobytes()
+    assert got_v.entries.tobytes() == np.diag(r).tobytes()
+
+
 def test_chain_dispersion_satisfies_cubic():
     g1, g2, g3 = 1.0, 1.5, 2.0
     s = g1 * g1 + g2 * g2 + g3 * g3
@@ -115,6 +136,35 @@ def test_harmonic_chain_structure():
     assert part.n_groups == 4
     # open-chain bands are strictly narrower than 4g, so the gap clears omega - 4g
     assert part.gap > spec.omega - 4.0 * spec.g
+
+
+@pytest.mark.parametrize("n_sites, cutoff, g, v0", [
+    (8, 15, 1.0, 0.3), (8, 15, 0.0, 0.3), (8, 15, 1.0, 0.0), (3, 2, 0.7, 0.25),
+])
+def test_harmonic_chain_matches_an_entrywise_oracle(n_sites, cutoff, g, v0):
+    # state (k, i) at index k * n_sites + i: H0 has omega (k + 1/2) on the diagonal and -g
+    # between neighbouring sites of one level; V has v0 / 2 between neighbouring levels of one
+    # site.  g = 0 writes its hops as -0.0, which tobytes tells apart from 0.0
+    omega = 7.5
+    dim = (cutoff + 1) * n_sites
+    h0, v = np.zeros((dim, dim)), np.zeros((dim, dim))
+    for a in range(dim):
+        k, i = divmod(a, n_sites)
+        for b in range(dim):
+            l, j = divmod(b, n_sites)
+            if a == b:
+                h0[a, b] = omega * (k + 0.5)
+            elif k == l and abs(i - j) == 1:
+                h0[a, b] = -g
+            if i == j and abs(k - l) == 1:
+                v[a, b] = v0 / 2.0
+    bands = [(omega * (k + 0.5) - 2.0 * g, omega * (k + 0.5) + 2.0 * g)
+             for k in range(cutoff + 1)]
+    got_h0, got_v, intervals = build_harmonic_chain(
+        HarmonicChainSpec(n_sites, omega=omega, g=g, fock_cutoff=cutoff, v0=v0))
+    assert got_h0.entries.tobytes() == h0.tobytes()
+    assert got_v.entries.tobytes() == v.tobytes()
+    assert intervals == bands and all(type(e) is float for band in intervals for e in band)
 
 
 def test_harmonic_band_eigenvalues():

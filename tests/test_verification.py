@@ -40,6 +40,63 @@ def test_random_instance_respects_targets():
         assert inst.x < 0.02
 
 
+# dim, group sizes and sorted H0 eigenvalues of the first five instances random_instance draws
+# from substream(0, "invariant-suite"); `verify` output and the verify_suite benchmark read
+# these draws, so they must not change
+FIRST_SUITE_INSTANCES = [
+    (15, (5, 1, 8, 1), [
+        2.301012884454134, 2.4017891101411832, 2.4989809019682894, 2.5150781541670097,
+        2.5517108565230293, 4.024479607352404, 5.5422076987754245, 5.574846665245487,
+        5.604714047457283, 5.618738933413727, 5.636145228205425, 5.701087033230074,
+        5.722884250829673, 5.764547269167763, 6.935601286632953,
+    ]),
+    (17, (1, 11, 5), [
+        2.400304578645245, 4.278517475379436, 4.282743047835041, 4.298696424582782,
+        4.3191810826521655, 4.385250676348192, 4.3865967776913095, 4.4539899928062185,
+        4.4550995812496375, 4.466403738534179, 4.496441242057654, 4.49721480928364,
+        6.440345210763141, 6.460794283450441, 6.474704754427977, 6.624390284399748,
+        6.68026137703756,
+    ]),
+    (24, (1, 23), [
+        2.4474157293694154, 3.8418070253924217, 3.845586971632116, 3.866927798639217,
+        3.885561362994901, 3.888594871295433, 3.8894947964788, 3.8985619793426767,
+        3.917276791986396, 3.91790667024232, 3.927795808323351, 3.936066438288509,
+        3.9675625405799115, 3.992128345286111, 4.0341706828681065, 4.057370327701747,
+        4.058524378011073, 4.059320660194717, 4.064432302378034, 4.069687668288358,
+        4.074894687757936, 4.1012347795748365, 4.101908714366641, 4.140701196520318,
+    ]),
+    (32, (25, 5, 2), [
+        1.5229869470163107, 1.527196656028473, 1.567835469852895, 1.6009860951766233,
+        1.610341724392124, 1.6131465735342463, 1.6219507111569686, 1.6283235621323882,
+        1.6289315734110807, 1.6432678251238486, 1.6548419451986596, 1.659316740053431,
+        1.6848266656921957, 1.7111051099526122, 1.7158588950826767, 1.7177083520100607,
+        1.7251599645013473, 1.7348896713029305, 1.749359104294733, 1.770467512459796,
+        1.7717654833250975, 1.7746928487568947, 1.7765150958157045, 1.7989443099614726,
+        1.8137938336425843, 3.106898187489621, 3.1654018119431573, 3.3274655354857785,
+        3.3837519367982396, 3.3943248548605056, 5.1766744103654005, 5.283272207930389,
+    ]),
+    (29, (4, 24, 1), [
+        2.3667866946777565, 2.385353052217114, 2.442416860124415, 2.497125313808937,
+        3.715379112590339, 3.734137658900677, 3.7630770991437092, 3.763154101260865,
+        3.791664738358799, 3.7965338158077713, 3.8006335734022905, 3.8008436500230034,
+        3.8046493222291895, 3.8088948109415965, 3.817117976960631, 3.822510207210917,
+        3.835321246240854, 3.8437246448697024, 3.860370005861057, 3.8786012108921017,
+        3.888204606219913, 3.8896344655918202, 3.9043145642672497, 3.9331786269431874,
+        3.9345817204745974, 3.960050583662383, 3.9686483623437643, 3.9752839428626374,
+        5.8290943551365935,
+    ]),
+]
+
+
+def test_random_instance_draws_are_frozen():
+    rng = substream(0, "invariant-suite")
+    for dim, sizes, eigenvalues in FIRST_SUITE_INSTANCES:
+        inst = random_instance(rng)
+        assert inst.dim == dim
+        assert tuple(len(g) for g in inst.partition.groups) == sizes
+        assert np.abs(inst.partition.eigenvalues - eigenvalues).max() <= 1e-12
+
+
 def test_check_instance_names_and_passes():
     rng = np.random.default_rng(62)
     results = check_instance(random_instance(rng, dim=10, n_groups=2, x_target=0.01))
