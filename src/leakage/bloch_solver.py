@@ -114,25 +114,25 @@ def _fill_block_series(terms_eig, lam, v_eig, g, out):
 
     With ``Z_l = V[g, :] Omega^(l)[:, g]``, order j solves
     ``[H0, Omega_k^(j)] = Q_k (-V Omega_k^(j-1) + sum_{i=1}^{j-1} Omega_k^(i) Z_{j-1-i})``.
-    The columns of all orders sit side by side in one buffer and each
-    Z_l is formed once, when Omega^(l) is, so the sum over i is a single
-    GEMM against the stacked Z_{j-2}..Z_0.
+    The columns of all orders sit side by side in one buffer, stored into
+    ``terms_eig`` once all are solved, and each Z_l is formed once, when
+    Omega^(l) is, so the sum over i is a single GEMM against the stacked
+    Z_{j-2}..Z_0.
     """
     order, b = terms_eig.shape[0] - 1, len(g)
     diffs = lam[out, None] - lam[None, g]   # each at least the gap eta in size
-    off_block = np.ix_(out, g)
     v_oo, v_go = v_eig[np.ix_(out, out)], v_eig[np.ix_(g, out)]
     cols = np.empty((len(out), order * b), dtype=v_eig.dtype)
     z = np.empty((order + 1, b, b), dtype=v_eig.dtype)
     z[0] = v_eig[np.ix_(g, g)]
-    y = -v_eig[off_block]
+    y = -v_eig[np.ix_(out, g)]
     for j in range(1, order + 1):
         if j > 1:
             prev = cols[:, (j - 2) * b : (j - 1) * b]
             y = cols[:, : (j - 1) * b] @ z[j - 2 :: -1].reshape(-1, b) - v_oo @ prev
         cols[:, (j - 1) * b : j * b] = y / diffs
-        terms_eig[j][off_block] = cols[:, (j - 1) * b : j * b]
         z[j] = v_go @ cols[:, (j - 1) * b : j * b]
+    terms_eig[1:, out[:, None], g] = cols.reshape(len(out), order, b).transpose(1, 0, 2)
 
 
 def _series_terms(inst: ProblemInstance, order: int) -> np.ndarray:

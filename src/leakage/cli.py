@@ -247,6 +247,8 @@ def _finite_json(report) -> dict:
 
 
 def cmd_run(args, inst, config) -> int:
+    if inst is None and config["outputs"]:
+        raise ValueError("'outputs' needs a matrix model; the transmon has no series to write")
     out_dir = Path(args.out or ".")
     no_dir = f"--out {str(out_dir)!r} cannot be made a directory"
     if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):

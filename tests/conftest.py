@@ -80,6 +80,14 @@ def interleaved_instance(seed, dim, step, x, real):
     return ProblemInstance(h0, OperatorMatrix(v), 1.0, part)
 
 
+def grouped_instance(seed, dim, groups, x, real):
+    """Three contiguous clusters for ``groups == "clusters"``, else ``groups``
+    interleaved groups."""
+    if groups == "clusters":
+        return make_instance(seed, dim, 3, x=x, real=real)
+    return interleaved_instance(seed, dim, groups, x, real)
+
+
 def deep_harmonic_instance():
     """The 8-site harmonic chain at Fock cutoff 15 and v0 0.3: dim 128 in 16 bands of
     8 levels, summed to Bloch order 42."""

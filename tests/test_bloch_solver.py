@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakage import (
     OperatorMatrix,
@@ -19,7 +21,7 @@ from leakage.bounds import catalan_tails
 from leakage.errors import LeakageError
 from leakage.models import HarmonicChainSpec, build_harmonic_chain
 
-from conftest import dense_projection, make_instance, to_original
+from conftest import dense_projection, grouped_instance, make_instance, to_original
 
 
 def exact_two_level_omega(inst):
@@ -117,6 +119,18 @@ def test_bloch_equations_hold():
         assert operator_norm(h @ om_k - om_k @ h @ om_k) < 1e-11 * scale
         assert operator_norm(om_k @ p - om_k) < 1e-12
         assert operator_norm(p @ om_k - p) < 1e-11
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12),
+       groups=st.sampled_from(["clusters", 2, 3]), x=st.floats(1e-3, 0.03), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_omega_is_the_identity_on_its_diagonal_blocks(seed, dim, groups, x, real):
+    # P_k Omega_k = P_k holds bit for bit: every Omega^(j), j >= 1, is zero on the
+    # diagonal blocks, so check_instance does not read it
+    inst = grouped_instance(seed, dim, groups, x, real)
+    omega = solve_bloch_series(inst).omega
+    for g in inst.partition.groups:
+        assert np.array_equal(omega[np.ix_(g, g)], np.eye(len(g)))
 
 
 def test_series_terms_are_gamma_independent():

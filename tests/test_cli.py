@@ -188,9 +188,10 @@ def _singular_block_gram(*args):
     (["run", "--config", "{typo}", "--out", "{out}/new/a/b"], None, 2,
      "unknown key 'disorder_strenght'"),                                   # leaves no --out
     (["run", "--config", "{transmon}", "--out", "{out}/new"], None, 2, "bandgap"),
+    (["run", "--config", "{series}", "--out", "{out}/new"], None, 2, "'outputs'"),
 ], ids=["negative-v-norm", "negative-x", "three-gammas", "repeated-gamma", "out-is-a-file",
         "out-below-a-file", "singular-block-gram", "misspelled-key-new-out",
-        "transmon-bandgap-new-out"])
+        "transmon-bandgap-new-out", "transmon-outputs-new-out"])
 def test_exit_codes_by_failure_kind(
         tmp_path, monkeypatch, capsys, argv, sw_transform, code, err):
     # 4 is left for a bound violation or a failed invariant
@@ -203,7 +204,11 @@ def test_exit_codes_by_failure_kind(
     transmon = write_cfg(tmp_path, {"model": "transmon",
                                     "params": {"ej_over_ec": 1.0, "transparency_d": 1e-3}},
                          "transmon.json")
-    argv = [arg.format(cfg=cfg, typo=typo, transmon=transmon, out=tmp_path) for arg in argv]
+    # the formula-only transmon has no series to write
+    series = write_cfg(tmp_path, {**TRANSMON_CFG, "outputs": [{"path": "series.csv"}]},
+                       "series.json")
+    argv = [arg.format(cfg=cfg, typo=typo, transmon=transmon, series=series, out=tmp_path)
+            for arg in argv]
     assert main(argv) == code
     assert err in capsys.readouterr().err
     assert not (tmp_path / "new").exists()

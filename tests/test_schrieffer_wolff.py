@@ -15,7 +15,7 @@ from leakage import (
 from leakage.bloch_solver import BlochSolution
 from leakage.errors import LeakageError
 
-from conftest import dense_projection, make_instance, to_original
+from conftest import dense_projection, grouped_instance, make_instance, to_original
 
 
 def test_two_level_exact_diagonalization(rabi_instance):
@@ -58,6 +58,18 @@ def test_h_sw_hermitian_block_diagonal_isospectral():
     # conjugation identity H_SW = W^dag H W
     w = to_original(inst, sw.w)
     assert operator_norm(w.conj().T @ inst.h @ w - hs) < 1e-11 * scale
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12),
+       groups=st.sampled_from(["clusters", 2, 3]), x=st.floats(1e-3, 0.03), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_h_sw_and_perturbed_projections_are_hermitian_to_the_bit(seed, dim, groups, x, real):
+    # each is symmetrized when it is formed, so check_instance does not read it
+    inst = grouped_instance(seed, dim, groups, x, real)
+    sw = sw_transform(inst, solve_bloch_series(inst))
+    assert np.array_equal(sw.h_sw, sw.h_sw.conj().T)
+    for pt in sw.perturbed_projections:
+        assert np.array_equal(pt, pt.conj().T)
 
 
 def test_perturbed_projections_properties():
