@@ -52,20 +52,4 @@ from .models import (
 )
 from .verification import run_suite, check_instance, random_instance
 
-__all__ = [
-    "OperatorMatrix", "operator_norm", "herm_eig", "inv_sqrt_psd",
-    "SpectralPartition", "partition_by_threshold", "partition_by_intervals",
-    "ProblemInstance", "BlochSolution", "solve_bloch_series",
-    "SWSolution", "sw_transform", "perturbed_projection",
-    "BoundReport", "bound_report", "delta_of", "epsilon_of", "catalan",
-    "sw_distance_bound",
-    "harmonic_chain_bound", "transmon_leakage_bound",
-    "LeakageReport", "SweepResult", "run_leakage_experiment", "max_leakage",
-    "gamma_scaling_sweep", "truncation_convergence_study",
-    "ChainSpec", "HarmonicChainSpec", "TransmonSpec", "build_chain",
-    "build_harmonic_chain",
-    "transmon_bandgap", "transmon_perturbation_norm",
-    "run_suite", "check_instance", "random_instance",
-]
-
 __version__ = "0.1.0"

@@ -117,13 +117,14 @@ def _fill_block_series(terms_eig, lam, v_eig, g, out):
     The columns of all orders sit side by side in one buffer, stored into
     ``terms_eig`` once all are solved, and each Z_l is formed once, when
     Omega^(l) is, so the sum over i is a single GEMM against the stacked
-    Z_{j-2}..Z_0.
+    Z_{j-2}..Z_0.  Order J reads Z_l only up to l = J - 2, so the last two
+    are never formed.
     """
     order, b = terms_eig.shape[0] - 1, len(g)
     diffs = lam[out, None] - lam[None, g]   # each at least the gap eta in size
     v_oo, v_go = v_eig[np.ix_(out, out)], v_eig[np.ix_(g, out)]
     cols = np.empty((len(out), order * b), dtype=v_eig.dtype)
-    z = np.empty((order + 1, b, b), dtype=v_eig.dtype)
+    z = np.empty((max(order - 1, 1), b, b), dtype=v_eig.dtype)
     z[0] = v_eig[np.ix_(g, g)]
     y = -v_eig[np.ix_(out, g)]
     for j in range(1, order + 1):
@@ -131,7 +132,8 @@ def _fill_block_series(terms_eig, lam, v_eig, g, out):
             prev = cols[:, (j - 2) * b : (j - 1) * b]
             y = cols[:, : (j - 1) * b] @ z[j - 2 :: -1].reshape(-1, b) - v_oo @ prev
         cols[:, (j - 1) * b : j * b] = y / diffs
-        z[j] = v_go @ cols[:, (j - 1) * b : j * b]
+        if j < order - 1:
+            z[j] = v_go @ cols[:, (j - 1) * b : j * b]
     terms_eig[1:, out[:, None], g] = cols.reshape(len(out), order, b).transpose(1, 0, 2)
 
 

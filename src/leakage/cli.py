@@ -53,33 +53,31 @@ EXIT_CONVERGENCE = 3
 EXIT_VIOLATION = 4
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
+    """The JSON value in ``path``; ``build_instance`` checks that it is an object."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be an object")
-    return cfg
 
 
 # kinds: a type, a tuple of the allowed values, a shape such as "[lo, hi]" for a
 # list of number pairs, each number read as the float field the shape names, a
 # section, or a one-section list for a list of sections
+_MATRIX = {"dim": (int, MISSING), "entries": ("[re, im]", MISSING)}
+_CUSTOM = {"h0": (_MATRIX, MISSING), "v": (_MATRIX, MISSING)}
+_MODELS = {"chain": ChainSpec, "harmonic": HarmonicChainSpec, "transmon": TransmonSpec,
+           "custom": _CUSTOM}
 _PARTITION = {"threshold": (float, None), "intervals": ("[lo, hi]", None)}
 _T_GRID = {"t_max": (float, 200.0), "n_points": (int, 2001)}
 _TOLERANCES = {"series_tol": (float, SERIES_TOL_DEFAULT)}
 _OUTPUT = {"path": (str, MISSING), "format": (("json", "csv"), "json"),
            "kind": (("leakage",), "leakage")}
-_TOP = {"model": (str, MISSING), "params": (dict, {}), "seed": (int, 0),
+_TOP = {"model": (tuple(_MODELS), MISSING), "params": (dict, {}), "seed": (int, 0),
         "gamma": (float, 1.0), "partition": (_PARTITION, {"threshold": 0.5}),
         "t_grid": (_T_GRID, {}), "tolerances": (_TOLERANCES, {}),
         "outputs": ([_OUTPUT], []), "verify_instances": (int, 100)}
-_MATRIX = {"dim": (int, MISSING), "entries": ("[re, im]", MISSING)}
-_CUSTOM = {"h0": (_MATRIX, MISSING), "v": (_MATRIX, MISSING)}
-_MODELS = {"chain": ChainSpec, "harmonic": HarmonicChainSpec, "transmon": TransmonSpec,
-           "custom": _CUSTOM}
 
 
 def _value(val, key: str, kind, where: str):
@@ -173,8 +171,6 @@ def build_instance(cfg: dict):
     model, rule = config["model"], config["partition"]
     if rule["threshold"] is not None and rule["intervals"] is not None:
         raise ValueError("partition takes 'threshold' or 'intervals', not both")
-    if model not in _MODELS:
-        raise ValueError(f"unknown model '{model}'")
     config["params"] = params = _params(config["params"], _MODELS[model])
     intervals = rule["intervals"]
     if model == "transmon":
@@ -276,7 +272,6 @@ def cmd_run(args, inst, config) -> int:
                 "bounds": _finite_json(report.bounds),
                 "max_leakage": report.max_leakage,
                 "series_order": None if sol is None else sol.order,
-                "delta": report.bounds.delta,
                 "violations": [list(v) for v in report.violations],
                 "invariants": invariants,
             }

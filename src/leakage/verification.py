@@ -52,23 +52,16 @@ def haar_unitary(rng, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_instance(
-    rng,
-    dim: int | None = None,
-    n_groups: int | None = None,
-    x_target: float | None = None,
-) -> ProblemInstance:
-    """Random gapped instance at gamma 1 with bound argument close to ``x_target``.
+def random_instance(rng) -> ProblemInstance:
+    """Random gapped instance at gamma 1: dim 4-32, 2-4 groups and bound
+    argument ``x`` uniform on [0.001, 0.02], all drawn from ``rng``.
 
     Eigenvalue clusters are separated by at least 1 and at most 0.3
     wide, so a split threshold of 0.5 always recovers them.
     """
-    if dim is None:
-        dim = int(rng.integers(4, 33))
-    if n_groups is None:
-        n_groups = int(rng.integers(2, min(4, dim) + 1))
-    if x_target is None:
-        x_target = float(rng.uniform(0.001, 0.02))
+    dim = int(rng.integers(4, 33))
+    n_groups = int(rng.integers(2, min(4, dim) + 1))
+    x_target = float(rng.uniform(0.001, 0.02))
     # cluster sizes: random composition of dim into n_groups positive parts
     cuts = np.sort(rng.choice(np.arange(1, dim), size=n_groups - 1, replace=False))
     sizes = np.diff(np.concatenate([[0], cuts, [dim]]))

@@ -133,6 +133,22 @@ def test_omega_is_the_identity_on_its_diagonal_blocks(seed, dim, groups, x, real
         assert np.array_equal(omega[np.ix_(g, g)], np.eye(len(g)))
 
 
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12),
+       groups=st.sampled_from(["clusters", 2, 3]), x=st.floats(1e-3, 0.055), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_series_matches_the_closed_form_wave_operator(seed, dim, groups, x, real):
+    # oracle: with S the eigenvectors of H in the H0 eigenbasis, Omega[out, g] =
+    # S[out, g] S[g, g]^-1 and Omega[g, g] = 1; Weyl keeps the groups' order in H
+    inst = grouped_instance(seed, dim, groups, x, real)
+    sol = solve_bloch_series(inst)
+    _, s = np.linalg.eigh(inst.h_eig)
+    closed = np.eye(inst.dim, dtype=s.dtype)
+    for g, out in inst.partition.blocks:
+        closed[np.ix_(out, g)] = s[np.ix_(out, g)] @ np.linalg.inv(s[np.ix_(g, g)])
+    err = operator_norm(closed - sol.omega)
+    assert err <= sol.tail_bound + 8 * inst.dim * np.finfo(float).eps
+
+
 def test_series_terms_are_gamma_independent():
     a = make_instance(25, 8, 2, x=0.01, gamma=1.0)
     b = ProblemInstance(a.h0, a.v, 3.0, a.partition)
@@ -276,3 +292,9 @@ def test_instance_validation():
     for gamma in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite"):
             ProblemInstance(inst.h0, inst.v, gamma, inst.partition)
+
+
+def test_instance_rejects_a_partition_of_another_dimension():
+    inst = make_instance(30, 5, 2)
+    with pytest.raises(ValueError, match="partition dimension does not match H0"):
+        ProblemInstance(inst.h0, inst.v, 1.0, make_instance(30, 4, 2).partition)

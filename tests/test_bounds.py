@@ -122,6 +122,11 @@ def test_catalan_recurrence(j):
     assert catalan(j + 1) * (j + 2) == catalan(j) * 2 * (2 * j + 1)
 
 
+def test_catalan_tails_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="j_max must be nonnegative"):
+        catalan_tails(0.01, -1)
+
+
 def test_catalan_tail_properties():
     x = 0.02
     tails = [catalan_tails(x, j)[j] for j in range(30)]

@@ -8,6 +8,7 @@ from leakage import OperatorMatrix, bounds, cli, dynamics
 from leakage.models import ChainSpec, HarmonicChainSpec, build_chain, build_harmonic_chain
 from leakage.cli import main
 from leakage.errors import LeakageError
+from leakage.verification import InvariantResult
 
 CHAIN_CFG = {
     "model": "chain",
@@ -108,6 +109,35 @@ def test_run_config_errors(tmp_path, capsys):
     cfg = dict(CHAIN_CFG)
     cfg["params"] = {}
     assert main(["run", "--config", write_cfg(tmp_path, cfg)]) == 2
+
+
+@pytest.mark.parametrize("cfg, err", [
+    ([CHAIN_CFG], "config must be an object"),
+    ({**CHAIN_CFG, "model": "nope"},
+     "'model' in config must be one of ('chain', 'harmonic', 'transmon', 'custom')"),
+], ids=["list", "unknown-model"])
+def test_top_level_schema_refuses_a_list_and_an_unknown_model(tmp_path, capsys, cfg, err):
+    # the config section's own reader makes both checks, before anything is computed
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert err in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chain_partition_without_a_rule_exits_2(tmp_path, capsys):
+    # the chain has no bands of its own to fall back on
+    cfg = {**CHAIN_CFG, "partition": {}}
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert "partition must give 'threshold' or 'intervals'" in capsys.readouterr().err
+
+
+def test_failed_invariant_exits_4_and_is_recorded(tmp_path, monkeypatch):
+    failed = InvariantResult("fabricated", False, 1.0, 0.5)
+    monkeypatch.setattr(cli, "check_instance", lambda inst, series_tol: [failed])
+    assert main(["run", "--config", write_cfg(tmp_path, CHAIN_CFG), "--out", str(tmp_path)]) == 4
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["invariants"] == [failed.to_json()]
+    assert summary["violations"] == []
 
 
 def test_run_convergence_failure_exit_code(tmp_path):

@@ -372,6 +372,19 @@ def test_truncation_study_guards():
         truncation_convergence_study(harmonic_builder, [3, 5], 10.0, 5)
 
 
+def test_truncation_study_refuses_a_drifting_group():
+    # the upper level of diag(0, 1 + c) moves by c; the study stops once that
+    # exceeds half the gap 1 + c
+    def builder(c):
+        h0 = OperatorMatrix(np.diag([0.0, 1.0 + c]))
+        v = OperatorMatrix(0.01 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        return ProblemInstance(h0, v, 1.0, partition_by_threshold(herm_eig(h0), 0.5))
+
+    assert len(truncation_convergence_study(builder, [0.0, 0.9], 10.0, 1)) == 2
+    with pytest.raises(LeakageError, match="group 1 interval moved by 1.1 at cutoff 1.1"):
+        truncation_convergence_study(builder, [0.0, 1.1], 10.0, 1)
+
+
 @pytest.mark.parametrize("cutoffs", [[4], [4, 6]])
 def test_truncation_study_rejects_negative_group(cutoffs):
     built = []

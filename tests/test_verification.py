@@ -27,17 +27,13 @@ def test_haar_unitary_is_unitary():
 
 
 def test_random_instance_respects_targets():
+    # draws stay inside the ranges the docstring states
     rng = np.random.default_rng(61)
-    inst = random_instance(rng, dim=12, n_groups=3, x_target=0.015)
-    assert inst.dim == 12
-    assert inst.partition.n_groups == 3
-    assert inst.x == pytest.approx(0.015, rel=1e-12, abs=0.0)
-    # unconstrained draws stay inside the advertised ranges
     for _ in range(20):
         inst = random_instance(rng)
         assert 4 <= inst.dim <= 32
         assert 2 <= inst.partition.n_groups <= 4
-        assert inst.x < 0.02
+        assert 0.001 <= inst.x < 0.02
 
 
 # dim, group sizes and sorted H0 eigenvalues of the first five instances random_instance draws
@@ -98,8 +94,7 @@ def test_random_instance_draws_are_frozen():
 
 
 def test_check_instance_names_and_passes():
-    rng = np.random.default_rng(62)
-    results = check_instance(random_instance(rng, dim=10, n_groups=2, x_target=0.01))
+    results = check_instance(make_instance(62, 10, 2, x=0.01))
     assert [r.name for r in results] == [
         "bloch_equation_residuals",
         "omega_minus_identity_le_delta",
@@ -132,16 +127,14 @@ def test_suite_deterministic_and_serializable():
 
 
 def test_suite_counts_extras():
-    rng = np.random.default_rng(63)
-    extra = random_instance(rng, dim=6, n_groups=2, x_target=0.01)
+    extra = make_instance(63, 6, 2, x=0.01)
     rep = run_suite(n_instances=2, seed=0, extra_instances=[extra])
     assert rep.n_instances == 3
 
 
 def test_suite_counts_a_one_shot_iterator_of_extras():
     # the suite reads its extras once: an iterator counts as many instances as it yields
-    rng = np.random.default_rng(63)
-    extras = [random_instance(rng, dim=6, n_groups=2, x_target=0.01) for _ in range(2)]
+    extras = [make_instance(63 + i, 6, 2, x=0.01) for i in range(2)]
     rep = run_suite(n_instances=0, seed=0, extra_instances=iter(extras))
     assert rep.n_instances == 2
     assert [r.measured for r in rep.results] == [
