@@ -33,7 +33,7 @@ J_MAX = 64
 SERIES_TOL_DEFAULT = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A perturbed Hamiltonian H = gamma * H0 + V with its partition.
 
@@ -45,7 +45,7 @@ class ProblemInstance:
     v: OperatorMatrix
     gamma: float
     partition: SpectralPartition
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0):
@@ -87,7 +87,7 @@ class ProblemInstance:
         return 0.5 * (h_eig + h_eig.conj().T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochSolution:
     """Summed wave operator and per-order data of the Bloch series.
 

@@ -48,7 +48,7 @@ from .schrieffer_wolff import sw_transform
 _SCREEN_MARGIN = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeakageReport:
     """Leakage and distance series over a time grid, with their bounds."""
 
@@ -264,7 +264,7 @@ def _cholesky_succeeds(m: np.ndarray, shift: float) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Per-gamma leakage maxima and the fitted log-log slope."""
 

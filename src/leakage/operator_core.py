@@ -22,7 +22,7 @@ HERMITICITY_RTOL = 1e-12
 PSD_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Read-only square Hermitian matrix: a checked model input.
 

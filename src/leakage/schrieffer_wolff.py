@@ -21,7 +21,7 @@ from .errors import LeakageError
 from .operator_core import inv_sqrt_psd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SWSolution:
     """Unitary W, Hermitian effective generator, perturbed projections,
     all arrays in the H0 eigenbasis; ``h_sw`` is block diagonal there."""

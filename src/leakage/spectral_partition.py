@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralPartition:
     """Disjoint grouping of the eigenvalues of H0.
 
@@ -34,7 +34,7 @@ class SpectralPartition:
     groups: tuple
     gap: float = field(init=False)
     component_intervals: tuple = field(init=False)
-    blocks: tuple = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lam = self.eigenvalues

@@ -60,7 +60,7 @@ def random_instance(rng) -> ProblemInstance:
     wide, so a split threshold of 0.5 always recovers them.
     """
     dim = int(rng.integers(4, 33))
-    n_groups = int(rng.integers(2, min(4, dim) + 1))
+    n_groups = int(rng.integers(2, 5))
     x_target = float(rng.uniform(0.001, 0.02))
     # cluster sizes: random composition of dim into n_groups positive parts
     cuts = np.sort(rng.choice(np.arange(1, dim), size=n_groups - 1, replace=False))

@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakage import (
+    OperatorMatrix,
+    ProblemInstance,
+    SpectralPartition,
     bounds,
     check_instance,
+    herm_eig,
+    max_leakage,
     operator_norm,
     random_instance,
     run_suite,
@@ -323,6 +328,50 @@ def test_catalan_screen_certifies_every_term_of_a_deep_series(monkeypatch):
     assert term_reads and not any(term_reads)
     assert results["catalan_term_bounds"].measured == 0.0
     assert all(r.passed for r in results.values())
+
+
+# (H0 levels, groups, V, ratio): a real symmetric V with ||V|| = 0.01, so x = 0.01 at gamma 1
+# and gap 1, that maximizes max_leakage / epsilon on [0, 20] at 1001 points (a 4x finer grid
+# moves no maximum by 1e-6 of epsilon), found by Nelder-Mead from 4 starts, each restarted
+# until it stopped improving, and the ratio it reached. The suite's random instances sit at
+# 0.1-0.2 of epsilon, where a wrong bound or an inflated read would not show.
+NEAR_EQUALITY = [
+    pytest.param([0.0, 1.0], [[0], [1]], [
+        [0.0001996518019829724, -0.009998006759247814],
+        [-0.009998006759247814, -0.0001996518019829737],
+    ], 0.287974, id="two-level"),
+    pytest.param([0.0, 0.5, 1.5, 2.0], [[0, 1], [2, 3]], [
+        [-0.0024210768904066233, 1.4604224216438104e-09,
+         1.651830459139892e-09, 0.00108864448740742],
+        [1.4604224216438104e-09, 0.00019965082722608773,
+         0.009998006778711972, -2.2362029054670447e-10],
+        [1.651830459139892e-09, 0.009998006778711972,
+         -0.0001996508272263766, 3.480122653802283e-09],
+        [0.00108864448740742, -2.2362029054670447e-10,
+         3.480122653802283e-09, -0.00034946408260995654],
+    ], 0.287974, id="contiguous"),
+    pytest.param([0.0, 1.0, 2.0, 3.0], [[0, 2], [1, 3]], [
+        [0.0001486999219286786, -0.007914829397679516,
+         5.3687391519630345e-05, -0.006109867560169469],
+        [-0.007914829397679516, -5.626678097853665e-05,
+         0.006111296788051641, -6.603955879402697e-05],
+        [5.3687391519630345e-05, 0.006111296788051641,
+         4.026724550557611e-05, -0.007915020390452148],
+        [-0.006109867560169469, -6.603955879402697e-05,
+         -0.007915020390452148, -0.00013270038645743948],
+    ], 0.352665, id="interleaved"),
+]
+
+
+@pytest.mark.parametrize("levels, groups, v, ratio", NEAR_EQUALITY)
+def test_near_equality_instances_stay_within_epsilon(levels, groups, v, ratio):
+    h0 = OperatorMatrix(np.diag(levels))
+    part = SpectralPartition(*herm_eig(h0), groups)
+    inst = ProblemInstance(h0, OperatorMatrix(np.array(v)), 1.0, part)
+    measured = max_leakage(inst, np.linspace(0.0, 20.0, 1001)) / bounds.epsilon_of(inst.x)
+    assert ratio - 0.005 <= measured <= 1.0
+    results = check_instance(inst)
+    assert len(results) == 17 and all(r.passed for r in results)
 
 
 def test_substream_independence():
