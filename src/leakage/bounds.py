@@ -159,7 +159,7 @@ class BoundReport:
 
 
 def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:
-    """Evaluate every bound for one instance, flagging out-of-domain ones."""
+    """Every bound for one instance, None out of its domain; ValueError if one is not finite."""
     if not all(map(math.isfinite, (v_norm, gamma, eta))):
         raise ValueError(f"v_norm, gamma and eta must be finite, got {v_norm}, {gamma}, {eta}")
     if eta <= 0 or gamma <= 0:
@@ -171,7 +171,7 @@ def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:
     delta = delta_of(x) if in_bloch else None
     eps = epsilon_of(x) if in_bloch else None
     d_sw = sw_distance_bound(x) if _in_sw_regime(x) else None
-    return BoundReport(
+    report = BoundReport(
         v_norm=v_norm,
         gamma=gamma,
         eta=eta,
@@ -183,3 +183,7 @@ def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:
         gamma_threshold_bloch=gamma_threshold_bloch(v_norm, eta),
         gamma_threshold_sw=gamma_threshold_sw(v_norm, eta),
     )
+    for key, val in asdict(report).items():
+        if val is not None and not math.isfinite(val):
+            raise ValueError(f"bound report field '{key}' is not finite: {val}")
+    return report

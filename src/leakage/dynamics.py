@@ -93,10 +93,17 @@ class _Evolution:
 
     def __init__(self, inst: ProblemInstance):
         self.lam, self.s = np.linalg.eigh(inst.h_eig)
+        self.lam_max = float(np.abs(self.lam).max())
         # per block (S_g, S_out, S_g^dag); D multiplies S_g^dag, held C-contiguous and
         # complex, so that the phase product casts nothing per (block, t)
         self.factors = [(self.s[g], self.s[out], _complex(self.s[g].conj().T))
                         for g, out in inst.partition.blocks]
+
+    def phases(self, t: float) -> np.ndarray:
+        """``e^{-i lam t}`` as a column, refused where ``|t| max|lam|`` overflows."""
+        if not math.isfinite(abs(float(t)) * self.lam_max):   # Python floats: no warning
+            raise ValueError(f"time t = {float(t)!r} times max|lam| = {self.lam_max:.3g} overflows")
+        return np.exp(-1j * t * self.lam)[:, None]
 
     def leakage(self, k: int, t: float) -> float:
         """``||Q_k e^{-itH} P_k||``: the top singular value of the off-block
@@ -105,8 +112,7 @@ class _Evolution:
         machine epsilon.
         """
         _, s_out, s_g_dag = self.factors[k]
-        right = np.exp(-1j * t * self.lam)[:, None] * s_g_dag
-        return math.sqrt(_top(_gram(_product(s_out, right))))
+        return math.sqrt(_top(_gram(_product(s_out, self.phases(t) * s_g_dag))))
 
 
 def _complex(a: np.ndarray) -> np.ndarray:
@@ -239,7 +245,7 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
         deltas.append((n + 2) * terms * eps + 3.0 * eta_hat if g.size <= out.size else math.inf)
     best = 0.0
     for t in np.asarray(t_grid, dtype=float):
-        phase = np.exp(-1j * t * evo.lam)[:, None]
+        phase = evo.phases(t)
         for (s_g, s_out, s_g_dag), delta in zip(evo.factors, deltas):
             tau = best * best * (1.0 - _SCREEN_MARGIN)
             right = phase * s_g_dag

@@ -200,6 +200,16 @@ def test_leakage_bound():
         bound_report(0.01, 1.0, -1.0)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((1e308, 1.0, 1.0), "leakage_linear"),
+    ((1e300, 1e-10, 1e-10), "x"),
+], ids=["linear-overflow", "x-overflow"])
+def test_bound_report_refuses_a_field_beyond_the_float_range(args, field):
+    # finite arguments whose report would hold an infinity, which JSON cannot carry
+    with pytest.raises(ValueError, match=f"^bound report field '{field}' is not finite: inf$"):
+        bound_report(*args)
+
+
 def test_sharp_below_linear_where_informative():
     # epsilon(x) <= 9 pi x exactly up to x = 2/(9 pi), equality at the end
     x_star = 2.0 / (9.0 * math.pi)

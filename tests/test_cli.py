@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -326,6 +328,40 @@ def test_overflowing_bound_report_is_input_error(tmp_path, capsys, argv, field):
     captured = capsys.readouterr()
     assert f"'{field}' is not finite" in captured.err and captured.out == ""
     assert not (tmp_path / "new").exists()
+
+
+# |t| max|lam| beyond the float range would make e^{-i lam t} NaN, which a run would write
+# into its outputs and a sweep would drop from its maxima
+OVERFLOWING_PHASES = {
+    "run": {"model": "custom", "params": {
+        "h0": OperatorMatrix(np.diag([0.0, 1e10])).to_json(),
+        "v": OperatorMatrix(1e9 * np.array([[0.0, 1.0], [1.0, 0.0]])).to_json()},
+        "t_grid": {"t_max": 1e300, "n_points": 5}, "outputs": [{"path": "series.json"}]},
+    "sweep": {**CHAIN_CFG, "t_grid": {"t_max": 1e300, "n_points": 41}},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{cfg}", "--out", "{out}/new"],
+    ["sweep", "--config", "{cfg}", "--gamma-list", "1,1e10,1e100,1e200,1e300"],
+], ids=["run", "sweep"])
+def test_overflowing_time_phases_are_input_error(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, OVERFLOWING_PHASES[argv[0]])
+    assert main([arg.format(cfg=cfg, out=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert "max|lam|" in captured.err and "overflows" in captured.err and captured.out == ""
+    assert not (tmp_path / "new").exists()
+
+
+def test_out_that_cannot_be_made_is_input_error(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    cfg = write_cfg(tmp_path, CHAIN_CFG)
+    monkeypatch.setattr(pathlib.Path, "mkdir", refuse)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "new")]) == 2
+    assert "cannot be made a directory: Permission denied" in capsys.readouterr().err
+    assert not (tmp_path / "new" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")], ids=["nan", "inf"])

@@ -204,6 +204,26 @@ def test_series_exist_iff_their_bounds_do_at_the_thresholds(regime, gap, couplin
     assert (rep.d_sw_series is None) == (not in_sw)
 
 
+def test_experiment_refuses_a_bound_report_beyond_the_float_range():
+    # a subnormal gamma puts x = ||V|| / (gamma eta) beyond the float range
+    h0, v, partition = chain_pair()
+    inst = ProblemInstance(h0, v, 1e-320, partition(herm_eig(h0)))
+    with pytest.raises(ValueError, match="^bound report field 'x' is not finite: inf$"):
+        run_leakage_experiment(inst, np.linspace(0.0, 20.0, 41))
+
+
+def test_overflowing_time_phases_are_refused():
+    # max|lam| is about 1.01e10: e^{-i lam t} is NaN once |t| max|lam| overflows, and
+    # max_leakage's max(best, nan) would drop that read
+    h0 = OperatorMatrix(np.diag([0.0, 1e10]))
+    v = OperatorMatrix(1e9 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    inst = ProblemInstance(h0, v, 1.0, partition_by_threshold(herm_eig(h0), 0.5))
+    assert 0.0 < max_leakage(inst, [0.0, 1e298]) <= 1.0
+    for call in (max_leakage, run_leakage_experiment):
+        with pytest.raises(ValueError, match=r"time t = 1e\+300 times max\|lam\| = 1.01e\+10"):
+            call(inst, [0.0, 1e300])
+
+
 def test_report_serialization(rabi_instance):
     times = np.linspace(0.0, 5.0, 6)
     rep = run_leakage_experiment(rabi_instance, times)
