@@ -143,10 +143,9 @@ def run_leakage_experiment(
     distance bound, labelled by kind.
     """
     times = np.asarray(t_grid, dtype=float)
+    report = bounds.bound_report(inst.v_norm, inst.gamma, inst.partition.gap)
     evo = _Evolution(inst)
     leak = np.array([[evo.leakage(k, t) for t in times] for k in range(inst.partition.n_groups)])
-
-    report = bounds.bound_report(inst.v_norm, inst.gamma, inst.partition.gap)
 
     d_bloch = d_sw = None
     if report.epsilon is not None:
@@ -293,6 +292,8 @@ def gamma_scaling_sweep(template: ProblemInstance, gammas, t_grid) -> SweepResul
     repeated = gam[1:][gam[1:] == gam[:-1]]
     if repeated.size:
         raise ValueError(f"gamma {float(repeated[0])!r} appears more than once in the sweep")
+    if gam.size < 4:
+        raise ValueError(f"only {gam.size} usable sweep points")
     maxima = np.array([
         max_leakage(ProblemInstance(template.h0, template.v, float(g), template.partition),
                     t_grid)

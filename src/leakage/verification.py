@@ -191,38 +191,15 @@ def check_instance(inst: ProblemInstance, series_tol: float = SERIES_TOL_DEFAULT
     return results
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    results: tuple
-    n_instances: int
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def worst_by_name(self) -> dict:
-        agg = {}
-        for r in self.results:
-            cur = agg.get(r.name)
-            if cur is None or (r.measured - r.allowed) > (cur.measured - cur.allowed):
-                agg[r.name] = r
-        return agg
-
-
-def run_suite(
-    n_instances: int = 100,
-    seed: int = 0,
-    extra_instances=(),
-    series_tol: float = SERIES_TOL_DEFAULT,
-) -> SuiteReport:
-    """Invariant suite over seeded random instances plus any extras."""
+def run_suite(n_instances: int, seed: int, extra_instances=(),
+              series_tol: float = SERIES_TOL_DEFAULT) -> tuple:
+    """Each instance's invariant records, in order: the seeded random draws, then the extras."""
     if n_instances < 0:
         raise ValueError(f"n_instances must be nonnegative, got {n_instances}")
     rng = substream(seed, "invariant-suite")
-    extras = tuple(extra_instances)   # read once: it may be a one-shot iterator
     results = []
     for _ in range(n_instances):
         results.extend(check_instance(random_instance(rng), series_tol=series_tol))
-    for inst in extras:
+    for inst in extra_instances:
         results.extend(check_instance(inst, series_tol=series_tol))
-    return SuiteReport(tuple(results), n_instances + len(extras))
+    return tuple(results)

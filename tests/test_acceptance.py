@@ -116,12 +116,12 @@ def test_criterion_5_gamma_scaling_slope():
 
 def test_criterion_6_invariant_suite():
     start = time.perf_counter()
-    suite = run_suite(n_instances=100, seed=0)
-    failures = [r for r in suite.results if not r.passed]
+    results = run_suite(100, 0)
+    failures = [r for r in results if not r.passed]
     assert failures == []
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
-    print(f"\nPASS criterion 6: {len(suite.results)} invariant checks on "
+    print(f"\nPASS criterion 6: {len(results)} invariant checks on "
           f"100 instances, zero failures, in {elapsed:.1f} s")
 
 

@@ -269,16 +269,49 @@ def test_verify(tmp_path, capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("cfg", [
-    {**CHAIN_CFG, "verify_instances": -5},
-    {"model": "transmon", "params": {"ej_over_ec": 90, "transparency_d": 1e-3},
-     "verify_instances": 0},
-], ids=["negative", "empty"])
-def test_verify_rejects_meaningless_instance_count(tmp_path, capsys, cfg):
+TRANSMON_NEEDS_MATRICES = "verify needs a matrix model, not the transmon"
+
+
+@pytest.mark.parametrize("cfg, err", [
+    ({**CHAIN_CFG, "verify_instances": -5}, "'verify_instances' must be nonnegative, got -5"),
+    # the formula-only transmon has no matrices to check, whatever the count of
+    # random instances, 0 included
+    ({"model": "transmon", "params": {"ej_over_ec": 90, "transparency_d": 1e-3},
+      "verify_instances": 0}, TRANSMON_NEEDS_MATRICES),
+    ({"model": "transmon", "params": {"ej_over_ec": 90, "transparency_d": 1e-3},
+      "verify_instances": 2}, TRANSMON_NEEDS_MATRICES),
+], ids=["negative", "empty", "transmon"])
+def test_verify_rejects_meaningless_instance_count(tmp_path, capsys, monkeypatch, cfg, err):
+    def never(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", never)
     assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
-    assert "verify_instances" in captured.err
-    assert "PASS" not in captured.out
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+
+
+def test_verify_prints_the_worst_record_per_name(tmp_path, capsys, monkeypatch):
+    # the worst record has the largest measured - allowed, the first one on a tie;
+    # names print sorted, and one failed record fails the suite
+    records = (InvariantResult("b", True, 1.0, 2.0), InvariantResult("a", True, 0.5, 1.0),
+               InvariantResult("b", True, 3.0, 4.0), InvariantResult("a", False, 3.0, 2.0),
+               InvariantResult("a", True, 0.0, -1.0), InvariantResult("b", True, 0.0, 2.0))
+    seen = []
+
+    def suite(n_instances, seed, extra_instances, series_tol):
+        seen.append((n_instances, seed, [i.dim for i in extra_instances], series_tol))
+        return records
+
+    monkeypatch.setattr(cli, "run_suite", suite)
+    cfg = {**CHAIN_CFG, "verify_instances": 2, "seed": 7}
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 4
+    assert seen == [(2, 7, [12], 1e-12)]
+    assert capsys.readouterr().out == (
+        "FAIL a: measured 3.000e+00 allowed 2.000e+00\n"
+        "PASS b: measured 1.000e+00 allowed 2.000e+00\n"
+        "FAIL invariant suite (3 instances)\n")
 
 
 def test_verify_reads_series_tol(tmp_path):

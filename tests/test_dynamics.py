@@ -29,7 +29,7 @@ from leakage import (
     sw_transform,
     truncation_convergence_study,
 )
-from leakage import bounds
+from leakage import bounds, dynamics
 from leakage.errors import LeakageError
 
 from conftest import (
@@ -204,12 +204,18 @@ def test_series_exist_iff_their_bounds_do_at_the_thresholds(regime, gap, couplin
     assert (rep.d_sw_series is None) == (not in_sw)
 
 
-def test_experiment_refuses_a_bound_report_beyond_the_float_range():
-    # a subnormal gamma puts x = ||V|| / (gamma eta) beyond the float range
+def test_experiment_refuses_a_bound_report_beyond_the_float_range(monkeypatch):
+    # a subnormal gamma puts x = ||V|| / (gamma eta) beyond the float range; the report is
+    # refused before the leakage scan reads a single point
+    reads = []
+    read = dynamics._Evolution.leakage
+    monkeypatch.setattr(dynamics._Evolution, "leakage",
+                        lambda evo, k, t: reads.append((k, t)) or read(evo, k, t))
     h0, v, partition = chain_pair()
     inst = ProblemInstance(h0, v, 1e-320, partition(herm_eig(h0)))
     with pytest.raises(ValueError, match="^bound report field 'x' is not finite: inf$"):
-        run_leakage_experiment(inst, np.linspace(0.0, 20.0, 41))
+        run_leakage_experiment(inst, np.linspace(0.0, 200.0, 2001))
+    assert reads == []
 
 
 def test_overflowing_time_phases_are_refused():
@@ -349,10 +355,20 @@ def test_leakage_decreases_with_gamma():
     json.dumps(res.to_json())
 
 
-def test_sweep_needs_enough_points():
+def test_sweep_needs_enough_points(monkeypatch):
+    # fewer than four gammas are refused before any maximum is computed; four whose
+    # maxima are all 0, on an empty grid, only once all are computed
+    calls = []
+    compute = dynamics.max_leakage
+    monkeypatch.setattr(dynamics, "max_leakage",
+                        lambda inst, t_grid: calls.append(inst.gamma) or compute(inst, t_grid))
     base = make_instance(54, 6, 2, x=0.02)
-    with pytest.raises(ValueError, match="only 3 usable sweep points"):
+    with pytest.raises(ValueError, match="^only 3 usable sweep points$"):
         gamma_scaling_sweep(base, [10.0, 20.0, 40.0], np.linspace(0.0, 5.0, 11))
+    assert calls == []
+    with pytest.raises(ValueError, match="^only 0 usable sweep points$"):
+        gamma_scaling_sweep(base, [10.0, 20.0, 40.0, 80.0], [])
+    assert calls == [10.0, 20.0, 40.0, 80.0]
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -124,32 +125,30 @@ def test_check_instance_names_and_passes():
 
 
 def test_suite_deterministic_and_serializable():
-    a = run_suite(n_instances=3, seed=5)
-    b = run_suite(n_instances=3, seed=5)
-    assert a.all_passed
-    assert [r.measured for r in a.results] == [r.measured for r in b.results]
-    assert a.all_passed is True
-    assert a.n_instances == 3
+    a = run_suite(3, 5)
+    assert type(a) is tuple
+    assert all(r.passed for r in a)
+    assert a == run_suite(3, 5)
+    assert json.loads(json.dumps([r.to_json() for r in a])) == [r.to_json() for r in a]
 
 
 def test_suite_counts_extras():
+    # the extras' records follow the random instances', each extra's in check_instance's order
     extra = make_instance(63, 6, 2, x=0.01)
-    rep = run_suite(n_instances=2, seed=0, extra_instances=[extra])
-    assert rep.n_instances == 3
+    own = tuple(check_instance(extra))
+    assert run_suite(2, 0, extra_instances=[extra]) == run_suite(2, 0) + own
 
 
 def test_suite_counts_a_one_shot_iterator_of_extras():
-    # the suite reads its extras once: an iterator counts as many instances as it yields
+    # the suite reads its extras once: an iterator gives the records of every instance it yields
     extras = [make_instance(63 + i, 6, 2, x=0.01) for i in range(2)]
-    rep = run_suite(n_instances=0, seed=0, extra_instances=iter(extras))
-    assert rep.n_instances == 2
-    assert [r.measured for r in rep.results] == [
-        r.measured for inst in extras for r in check_instance(inst)]
+    results = run_suite(0, 0, extra_instances=iter(extras))
+    assert results == tuple(r for inst in extras for r in check_instance(inst))
 
 
 def test_suite_rejects_negative_count():
-    with pytest.raises(ValueError):
-        run_suite(n_instances=-1)
+    with pytest.raises(ValueError, match="n_instances must be nonnegative, got -1"):
+        run_suite(-1, 0)
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 8), n_groups=st.integers(2, 3),
