@@ -28,15 +28,14 @@ def main():
         part = partition_by_threshold(herm_eig(h0), 0.5)
         inst = ProblemInstance(h0, v, 1.0, part)
         peak = max_leakage(inst, times)
-        epsilon = bound_report(inst.v_norm, inst.gamma, part.gap).epsilon
+        rep = bound_report(inst.v_norm, inst.gamma, part.gap)
         print(
             f"  seed {seed}: eta = {part.gap:.4f}, "
             f"max leakage {peak:.5f} "
-            f"<= bound {epsilon:.5f}, "
-            f"violated: {'yes' if peak > epsilon + SLACK else 'no'}"
+            f"<= bound {rep.epsilon:.5f}, "
+            f"violated: {'yes' if peak > rep.epsilon + SLACK else 'no'}"
         )
-    rep = bound_report(0.01, 1.0, part.gap)
-    print(f"bound detail: x = {rep.x:.5f}, delta = {rep.delta:.5f}, "
+    print(f"bound detail, seed {seed}: x = {rep.x:.5f}, delta = {rep.delta:.5f}, "
           f"epsilon = {rep.epsilon:.5f}, linear envelope {rep.leakage_linear:.5f}")
 
 

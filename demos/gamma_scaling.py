@@ -27,7 +27,7 @@ def main():
     res = gamma_scaling_sweep(template, gammas, times)
     print("gamma      max leakage    bound epsilon")
     for g, m in zip(res.gammas, res.max_leakages):
-        bound = epsilon_of(0.01 / (g * part.gap))
+        bound = epsilon_of(template.v_norm / (g * part.gap))
         print(f"{g:7.0f}    {m:.3e}      {bound:.3e}")
     print(f"fitted log-log slope: {res.slope:.4f} (1/gamma decay is -1)")
 

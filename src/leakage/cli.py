@@ -32,7 +32,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import bounds as bounds_mod
-from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
+from .bloch_solver import ProblemInstance, solve_bloch_series
 from .dynamics import gamma_scaling_sweep, run_leakage_experiment
 from .errors import LeakageError
 from .models import (
@@ -71,13 +71,11 @@ _MODELS = {"chain": ChainSpec, "harmonic": HarmonicChainSpec, "transmon": Transm
            "custom": _CUSTOM}
 _PARTITION = {"threshold": (float, None), "intervals": ("[lo, hi]", None)}
 _T_GRID = {"t_max": (float, 200.0), "n_points": (int, 2001)}
-_TOLERANCES = {"series_tol": (float, SERIES_TOL_DEFAULT)}
 _OUTPUT = {"path": (str, MISSING), "format": (("json", "csv"), "json"),
            "kind": (("leakage",), "leakage")}
 _TOP = {"model": (tuple(_MODELS), MISSING), "params": (dict, {}), "seed": (int, 0),
         "gamma": (float, 1.0), "partition": (_PARTITION, {"threshold": 0.5}),
-        "t_grid": (_T_GRID, {}), "tolerances": (_TOLERANCES, {}),
-        "outputs": ([_OUTPUT], []), "verify_instances": (int, 100)}
+        "t_grid": (_T_GRID, {}), "outputs": ([_OUTPUT], []), "verify_instances": (int, 100)}
 
 
 def _value(val, key: str, kind, where: str):
@@ -247,16 +245,15 @@ def cmd_run(args, inst, config) -> int:
         summary["transmon_leakage_bound"] = transmon_leakage_bound(**config["params"])
         summary["bounds"] = None
     else:
-        series_tol = config["tolerances"]["series_tol"]
-        report = run_leakage_experiment(inst, _time_grid(config["t_grid"]), series_tol=series_tol)
+        report = run_leakage_experiment(inst, _time_grid(config["t_grid"]))
         invariants = None
         if report.bounds.d_sw_bound is not None:
-            invariants = [r.to_json() for r in check_instance(inst, series_tol=series_tol)]
+            invariants = [r.to_json() for r in check_instance(inst)]
             if any(not r["passed"] for r in invariants):
                 exit_code = EXIT_VIOLATION
         sol = None
         if report.bounds.epsilon is not None:
-            sol = solve_bloch_series(inst, tol=series_tol)
+            sol = solve_bloch_series(inst)
         summary.update(
             {
                 "bounds": report.bounds.to_json(),
@@ -284,8 +281,7 @@ def cmd_verify(args, inst, config) -> int:
     n_instances = config["verify_instances"]
     if n_instances < 0:
         raise ValueError(f"'verify_instances' must be nonnegative, got {n_instances}")
-    results = run_suite(n_instances, config["seed"], [inst],
-                        series_tol=config["tolerances"]["series_tol"])
+    results = run_suite(n_instances, config["seed"], [inst])
     worst = {}   # per name, the first record of largest measured - allowed
     for r in results:
         cur = worst.get(r.name)
@@ -300,10 +296,11 @@ def cmd_verify(args, inst, config) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.x is not None:
+    triple = (args.v_norm, args.gamma, args.eta)
+    if args.x is not None and triple == (None, None, None):
         report = bounds_mod.bound_report(args.x, 1.0, 1.0)
-    elif None not in (args.v_norm, args.gamma, args.eta):
-        report = bounds_mod.bound_report(args.v_norm, args.gamma, args.eta)
+    elif args.x is None and None not in triple:
+        report = bounds_mod.bound_report(*triple)
     else:
         raise ValueError("give either --x or all of --v-norm/--gamma/--eta")
     print(json.dumps(report.to_json(), indent=2))

@@ -45,6 +45,12 @@ def test_bounds_argument_errors(capsys):
     assert main(["bounds"]) == 2
     assert main(["bounds", "--v-norm", "0.01", "--gamma", "1"]) == 2
     assert main(["bounds", "--v-norm", "0.01", "--gamma", "-1", "--eta", "1"]) == 2
+    # --x with any of --v-norm/--gamma/--eta is refused, not read in their place
+    assert main(["bounds", "--x", "0.01", "--v-norm", "5", "--gamma", "1", "--eta", "1"]) == 2
+    assert main(["bounds", "--x", "0.01", "--gamma", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("give either --x or all of --v-norm/--gamma/--eta") == 4
 
 
 def test_run_chain(tmp_path, capsys):
@@ -135,7 +141,7 @@ def test_chain_partition_without_a_rule_exits_2(tmp_path, capsys):
 
 def test_failed_invariant_exits_4_and_is_recorded(tmp_path, monkeypatch):
     failed = InvariantResult("fabricated", False, 1.0, 0.5)
-    monkeypatch.setattr(cli, "check_instance", lambda inst, series_tol: [failed])
+    monkeypatch.setattr(cli, "check_instance", lambda inst: [failed])
     assert main(["run", "--config", write_cfg(tmp_path, CHAIN_CFG), "--out", str(tmp_path)]) == 4
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["invariants"] == [failed.to_json()]
@@ -300,24 +306,18 @@ def test_verify_prints_the_worst_record_per_name(tmp_path, capsys, monkeypatch):
                InvariantResult("a", True, 0.0, -1.0), InvariantResult("b", True, 0.0, 2.0))
     seen = []
 
-    def suite(n_instances, seed, extra_instances, series_tol):
-        seen.append((n_instances, seed, [i.dim for i in extra_instances], series_tol))
+    def suite(n_instances, seed, extra_instances):
+        seen.append((n_instances, seed, [i.dim for i in extra_instances]))
         return records
 
     monkeypatch.setattr(cli, "run_suite", suite)
     cfg = {**CHAIN_CFG, "verify_instances": 2, "seed": 7}
     assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 4
-    assert seen == [(2, 7, [12], 1e-12)]
+    assert seen == [(2, 7, [12])]
     assert capsys.readouterr().out == (
         "FAIL a: measured 3.000e+00 allowed 2.000e+00\n"
         "PASS b: measured 1.000e+00 allowed 2.000e+00\n"
         "FAIL invariant suite (3 instances)\n")
-
-
-def test_verify_reads_series_tol(tmp_path):
-    # no Bloch series reaches a Catalan tail below 1e-300 within the order cap
-    cfg = {**CHAIN_CFG, "verify_instances": 1, "tolerances": {"series_tol": 1e-300}}
-    assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 3
 
 
 def test_sweep(tmp_path, capsys):
@@ -440,9 +440,9 @@ HARMONIC_CFG = {
     ("run", {**CHAIN_CFG, "params": {"n_cells": 4, "g3": [2.0]}}, "g3"),
     ("run", {**CHAIN_CFG, "params": {"n_cells": 4, "disorder_strength": "0"}},
      "disorder_strength"),
-    ("run", {**CHAIN_CFG, "tolerances": {"series_tol": "1e-12"}}, "series_tol"),
-    ("verify", {**CHAIN_CFG, "verify_instances": 1, "tolerances": {"series_tol": True}},
-     "series_tol"),
+    ("verify", {**CHAIN_CFG, "verify_instances": 1, "t_grid": {"t_max": "20", "n_points": 41}},
+     "t_max"),
+    ("verify", {**CHAIN_CFG, "verify_instances": 1, "gamma": True}, "gamma"),
     ("run", {**HARMONIC_CFG, "params": {"n_sites": 2, "omega": "10"}}, "omega"),
     ("run", {**HARMONIC_CFG, "params": {"n_sites": 2, "g": None}}, "g"),
     ("run", {**HARMONIC_CFG, "params": {"n_sites": 2, "v0": False}}, "v0"),
@@ -473,7 +473,6 @@ NON_FINITE_FIELDS = [
     ({**CHAIN_CFG, "params": {"n_cells": 4, "g2": NAN}}, "g2"),
     ({**CHAIN_CFG, "params": {"n_cells": 4, "g3": -INF}}, "g3"),
     ({**CHAIN_CFG, "params": {"n_cells": 4, "disorder_strength": NAN}}, "disorder_strength"),
-    ({**CHAIN_CFG, "tolerances": {"series_tol": INF}}, "series_tol"),
     ({**HARMONIC_CFG, "params": {"n_sites": 2, "omega": INF}}, "omega"),
     ({**HARMONIC_CFG, "params": {"n_sites": 2, "g": NAN}}, "g"),
     ({**HARMONIC_CFG, "params": {"n_sites": 2, "v0": INF}}, "v0"),
@@ -688,8 +687,8 @@ UNKNOWN_KEYS = [
     (_custom_with(h0_extra={"shape": [2, 2]}), "shape", "params.h0"),
     ({**CHAIN_CFG, "partition": {"treshold": 0.5}}, "treshold", "partition"),
     ({**CHAIN_CFG, "t_grid": {"t_max": 20.0, "npoints": 41}}, "npoints", "t_grid"),
-    ({**CHAIN_CFG, "tolerances": {"series_tolerance": 1e-10}}, "series_tolerance",
-     "tolerances"),
+    # a looser Bloch truncation is no setting: the suite's allowances assume the default
+    ({**CHAIN_CFG, "tolerances": {"series_tol": 1e-3}}, "tolerances", "config"),
     ({**CHAIN_CFG, "outputs": [{"path": "a.json", "fromat": "csv"}]}, "fromat", "outputs[0]"),
 ]
 
@@ -704,12 +703,13 @@ def test_unknown_config_key_is_config_invalid(tmp_path, monkeypatch, capsys, cfg
         raise AssertionError("the experiment ran")
 
     monkeypatch.setattr(cli, "run_leakage_experiment", never)
-    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"unknown key '{key}' in {section}" in capsys.readouterr().err
-    assert not (tmp_path / "summary.json").exists()
+    assert not out.exists()
 
 
-EVERY_KEY_CFG = {**CHAIN_CFG, "tolerances": {"series_tol": 1e-12}, "verify_instances": 1,
+EVERY_KEY_CFG = {**CHAIN_CFG, "verify_instances": 1,
                  "outputs": [{"kind": "leakage", "path": "series.json", "format": "json"}]}
 
 
@@ -721,7 +721,7 @@ EVERY_KEY_CFG = {**CHAIN_CFG, "tolerances": {"series_tol": 1e-12}, "verify_insta
 ], ids=["run", "verify", "model", "sweep"])
 def test_config_with_every_top_level_key_serves_every_command(tmp_path, argv):
     assert sorted(EVERY_KEY_CFG) == sorted([
-        "model", "params", "seed", "gamma", "partition", "t_grid", "tolerances", "outputs",
+        "model", "params", "seed", "gamma", "partition", "t_grid", "outputs",
         "verify_instances"])
     cfg = write_cfg(tmp_path, EVERY_KEY_CFG)
     assert main([argv[0], "--config", cfg, *(a.format(out=tmp_path) for a in argv[1:])]) == 0
@@ -739,14 +739,13 @@ def test_omitted_params_take_the_spec_defaults(cfg, matrices):
 
 
 def test_build_instance_returns_the_config_as_read():
-    # a chain config that omits tolerances, outputs and the g* params gets their defaults
+    # a chain config that omits outputs, verify_instances and the g* params gets their defaults
     _, config = cli.build_instance(CHAIN_CFG)
     assert config == {
         "model": "chain", "params": {"n_cells": 4, "g1": 1.0, "g2": 1.5, "g3": 2.0,
                                      "disorder_strength": 0.01},
         "seed": 0, "gamma": 1.0, "partition": {"threshold": 0.5, "intervals": None},
-        "t_grid": {"t_max": 20.0, "n_points": 41}, "tolerances": {"series_tol": 1e-12},
-        "outputs": [], "verify_instances": 100}
+        "t_grid": {"t_max": 20.0, "n_points": 41}, "outputs": [], "verify_instances": 100}
     inst, config = cli.build_instance(TRANSMON_CFG)
     assert inst is None and config["params"] == TRANSMON_CFG["params"]
 
