@@ -20,40 +20,38 @@ caches ``||V||``, so a repeat solve only redoes the gamma-dependent sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds
 from .errors import LeakageError
 from .operator_core import OperatorMatrix, operator_norm
+from .record import Record
 from .spectral_partition import SpectralPartition
 
 J_MAX = 64
 SERIES_TOL_DEFAULT = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class ProblemInstance:
+class ProblemInstance(Record):
     """A perturbed Hamiltonian H = gamma * H0 + V with its partition.
 
     ``||V||`` and the Bloch terms are computed on first use and cached
     on the instance, which is immutable, so each is computed once.
     """
 
-    h0: OperatorMatrix
-    v: OperatorMatrix
-    gamma: float
-    partition: SpectralPartition
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("h0", "v", "gamma", "partition", "_cache")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.h0.dim != self.v.dim:
+    def __init__(self, h0: OperatorMatrix, v: OperatorMatrix, gamma: float,
+                 partition: SpectralPartition):
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
+        if h0.dim != v.dim:
             raise ValueError("H0 and V dimensions differ")
-        if self.partition.dim != self.h0.dim:
+        if partition.dim != h0.dim:
             raise ValueError("partition dimension does not match H0")
+        _cache = {}
+        self._init(locals())
 
     @property
     def dim(self) -> int:
@@ -87,25 +85,24 @@ class ProblemInstance:
         return 0.5 * (h_eig + h_eig.conj().T)
 
 
-@dataclass(frozen=True, eq=False)
-class BlochSolution:
+class BlochSolution(Record):
     """Summed wave operator and per-order data of the Bloch series.
 
     Every operator is an array in the H0 eigenbasis: ``u^dag M u`` with
     ``u`` the partition's eigenvectors.  ``omega_terms`` stacks the
     gamma-independent ``Omega^(j)``, j = 0..J, shape (J+1, dim, dim); it is
-    read-only, being shared by every solution of the instance at order J.
+    read-only, being shared by every solution of the instance at ``order`` J.
     ``omega`` and ``h_bloch`` are fresh arrays owned by the caller; both
     are generally non-Hermitian.  The block wave operator
     ``Omega_k = Omega P_k`` is the column slice ``omega[:, g]`` of group k,
     and ``h_bloch`` is exactly zero off the diagonal blocks.
     """
 
-    omega_terms: np.ndarray     # Omega^(j), j = 0..J
-    omega: np.ndarray
-    h_bloch: np.ndarray
-    order: int                  # truncation order J
-    tail_bound: float
+    __slots__ = ("omega_terms", "omega", "h_bloch", "order", "tail_bound")
+
+    def __init__(self, omega_terms: np.ndarray, omega: np.ndarray, h_bloch: np.ndarray,
+                 order: int, tail_bound: float):
+        self._init(locals())
 
 
 def _fill_block_series(terms_eig, lam, v_eig, g, out):

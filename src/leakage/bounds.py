@@ -19,10 +19,10 @@ domain: ``1 - sqrt(1 - u)`` is written ``u / (1 + sqrt(1 - u))``, and
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .errors import LeakageError
+from .record import ValueRecord
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 
@@ -134,8 +134,7 @@ def sw_distance_bound(x: float) -> float:
     return 2.0 * math.expm1(-0.5 * math.log1p(-u / (1.0 + math.sqrt(1.0 - u)) - 0.5 * u))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(ValueRecord):
     """All scalar bounds evaluated for one (||V||, gamma, eta) triple.
 
     Fields that are only defined above a gamma threshold are ``None``
@@ -143,19 +142,15 @@ class BoundReport:
     present.
     """
 
-    v_norm: float
-    gamma: float
-    eta: float
-    x: float
-    delta: float | None
-    epsilon: float | None
-    d_sw_bound: float | None
-    leakage_linear: float
-    gamma_threshold_bloch: float
-    gamma_threshold_sw: float
+    __slots__ = ("v_norm", "gamma", "eta", "x", "delta", "epsilon", "d_sw_bound",
+                 "leakage_linear", "gamma_threshold_bloch", "gamma_threshold_sw")
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    def __init__(self, v_norm: float, gamma: float, eta: float, x: float, delta: float | None,
+                 epsilon: float | None, d_sw_bound: float | None, leakage_linear: float,
+                 gamma_threshold_bloch: float, gamma_threshold_sw: float):
+        self._init(locals())
+
+    to_json = ValueRecord._asdict
 
 
 def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:
@@ -183,7 +178,7 @@ def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:
         gamma_threshold_bloch=gamma_threshold_bloch(v_norm, eta),
         gamma_threshold_sw=gamma_threshold_sw(v_norm, eta),
     )
-    for key, val in asdict(report).items():
+    for key, val in report.to_json().items():
         if val is not None and not math.isfinite(val):
             raise ValueError(f"bound report field '{key}' is not finite: {val}")
     return report

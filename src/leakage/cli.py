@@ -10,8 +10,8 @@ deterministic functions of (config, seed).
 subcommand reads the config as read that it returns.  One reader,
 ``_section``, reads each section: it declares the section's keys with a kind
 and a default and rejects any other key, so a misspelled key exits 2.  A
-model's ``params`` are the fields, types and defaults of its spec
-(``ChainSpec``, ``HarmonicChainSpec``, ``TransmonSpec``).
+model's ``params`` are the parameters, types and defaults of its spec's
+constructor (``ChainSpec``, ``HarmonicChainSpec``, ``TransmonSpec``).
 
 Exit codes follow one rule: 0 success; 2 for a ``ValueError``, which is
 bad input (config, time grid, matrices, partition or bound arguments); 3
@@ -25,9 +25,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, fields
+from inspect import Parameter, signature
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -64,7 +63,8 @@ def _load_config(path: str):
 
 # kinds: a type, a tuple of the allowed values, a shape such as "[lo, hi]" for a
 # list of number pairs, each number read as the float field the shape names, a
-# section, or a one-section list for a list of sections
+# section, or a one-section list for a list of sections; a MISSING default: required
+MISSING = Parameter.empty
 _MATRIX = {"dim": (int, MISSING), "entries": ("[re, im]", MISSING)}
 _CUSTOM = {"h0": (_MATRIX, MISSING), "v": (_MATRIX, MISSING)}
 _MODELS = {"chain": ChainSpec, "harmonic": HarmonicChainSpec, "transmon": TransmonSpec,
@@ -136,11 +136,11 @@ def _section(obj, where: str, schema: dict) -> dict:
 
 
 def _params(params, spec) -> dict:
-    """Model ``params`` read by a section schema, or by the fields, annotated
-    types and defaults of a model spec; the chain's ``seed`` is the config's own."""
+    """Model ``params`` read by a section schema, or by the constructor parameters,
+    annotated types and defaults of a model spec; the chain's ``seed`` is the config's."""
     if not isinstance(spec, dict):
-        types = get_type_hints(spec)
-        spec = {f.name: (types[f.name], f.default) for f in fields(spec) if f.name != "seed"}
+        spec = {p.name: (p.annotation, p.default)
+                for p in signature(spec, eval_str=True).parameters.values() if p.name != "seed"}
     return _section(params, "params", spec)
 
 

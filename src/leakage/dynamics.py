@@ -29,10 +29,8 @@ and ``Y = S^dag Omega S``.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +38,7 @@ from . import bounds
 from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
 from .errors import LeakageError
 from .operator_core import _gram, _top, operator_norm
+from .record import Record
 from .schrieffer_wolff import sw_transform
 
 # relative margin of the screens that skip an exact read: on max_leakage's threshold tau, and
@@ -48,16 +47,18 @@ from .schrieffer_wolff import sw_transform
 _SCREEN_MARGIN = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class LeakageReport:
-    """Leakage and distance series over a time grid, with their bounds."""
+class LeakageReport(Record):
+    """Leakage and distance series over a time grid, with their bounds:
+    ``per_block_leakage[k, j]`` at ``times[j]``, ``d_bloch_series[j]`` =
+    ``||e^-itH - e^-itH_Bloch||``, violations ``(kind, block or None, t)``."""
 
-    times: np.ndarray
-    per_block_leakage: np.ndarray      # shape (n_groups, n_times)
-    d_bloch_series: np.ndarray | None  # per-time ||e^-itH - e^-itH_Bloch||
-    d_sw_series: np.ndarray | None
-    bounds: bounds.BoundReport
-    violations: tuple                  # (kind, block or None, t); kind: leakage, d_bloch, d_sw
+    __slots__ = ("times", "per_block_leakage", "d_bloch_series", "d_sw_series", "bounds",
+                 "violations")
+
+    def __init__(self, times: np.ndarray, per_block_leakage: np.ndarray,
+                 d_bloch_series: np.ndarray | None, d_sw_series: np.ndarray | None,
+                 bounds: bounds.BoundReport, violations: tuple):
+        self._init(locals())
 
     @property
     def max_leakage(self) -> float:
@@ -76,6 +77,7 @@ class LeakageReport:
 
     def to_csv(self) -> str:
         """Plot-ready series, columns t, k, leakage, d_bloch, d_sw."""
+        import csv   # here, not at the top: only this method writes CSV
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["t", "k", "leakage", "d_bloch", "d_sw"])
@@ -269,13 +271,13 @@ def _cholesky_succeeds(m: np.ndarray, shift: float) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
+class SweepResult(Record):
     """Per-gamma leakage maxima and the fitted log-log slope."""
 
-    gammas: np.ndarray
-    max_leakages: np.ndarray
-    slope: float
+    __slots__ = ("gammas", "max_leakages", "slope")
+
+    def __init__(self, gammas: np.ndarray, max_leakages: np.ndarray, slope: float):
+        self._init(locals())
 
     def to_json(self) -> dict:
         return {

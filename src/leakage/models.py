@@ -11,72 +11,64 @@ bound, epsilon(x) at the model's own ``x``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import epsilon_of
 from .operator_core import OperatorMatrix
+from .record import ValueRecord
 from .rng import substream
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(ValueRecord):
     """Tight-binding ring of ``n_cells`` three-site unit cells.
 
     ``disorder_strength`` is the exact target operator norm of the
     diagonal disorder; the raw uniform draw is rescaled to hit it.
     """
 
-    n_cells: int
-    g1: float = 1.0
-    g2: float = 1.5
-    g3: float = 2.0
-    disorder_strength: float = 0.01
-    seed: int = 0
+    __slots__ = ("n_cells", "g1", "g2", "g3", "disorder_strength", "seed")
 
-    def __post_init__(self):
-        if self.n_cells < 2:
+    def __init__(self, n_cells: int, g1: float = 1.0, g2: float = 1.5, g3: float = 2.0,
+                 disorder_strength: float = 0.01, seed: int = 0):
+        if n_cells < 2:
             raise ValueError("need at least two unit cells")
-        if self.disorder_strength < 0:
+        if disorder_strength < 0:
             raise ValueError("disorder_strength must be nonnegative")
+        self._init(locals())
 
 
-@dataclass(frozen=True)
-class HarmonicChainSpec:
+class HarmonicChainSpec(ValueRecord):
     """Open chain of oscillators, one global Fock ladder per site sector.
 
     Basis states carry a Fock level k = 0..fock_cutoff and a site index;
     the dimension is ``(fock_cutoff + 1) * n_sites``.
     """
 
-    n_sites: int
-    omega: float = 10.0
-    g: float = 1.0
-    fock_cutoff: int = 3
-    v0: float = 0.0
+    __slots__ = ("n_sites", "omega", "g", "fock_cutoff", "v0")
 
-    def __post_init__(self):
-        if self.n_sites < 2:
+    def __init__(self, n_sites: int, omega: float = 10.0, g: float = 1.0, fock_cutoff: int = 3,
+                 v0: float = 0.0):
+        if n_sites < 2:
             raise ValueError("need at least two sites")
-        if self.fock_cutoff < 2:
+        if fock_cutoff < 2:
             raise ValueError("fock_cutoff must be at least 2")
-        if self.omega <= 0 or self.g < 0 or self.v0 < 0:
+        if omega <= 0 or g < 0 or v0 < 0:
             raise ValueError("omega must be positive, g and v0 nonnegative")
+        self._init(locals())
 
 
-@dataclass(frozen=True)
-class TransmonSpec:
+class TransmonSpec(ValueRecord):
     """Josephson-junction parameters in units of the charge energy."""
 
-    ej_over_ec: float
-    transparency_d: float
+    __slots__ = ("ej_over_ec", "transparency_d")
 
-    def __post_init__(self):
-        if self.ej_over_ec <= 0:
+    def __init__(self, ej_over_ec: float, transparency_d: float):
+        if ej_over_ec <= 0:
             raise ValueError("ej_over_ec must be positive")
-        if not 0.0 < self.transparency_d < 1.0:
+        if not 0.0 < transparency_d < 1.0:
             raise ValueError("transparency_d must lie in (0, 1)")
+        self._init(locals())
 
 
 def build_chain(spec: ChainSpec):
@@ -168,8 +160,10 @@ def transmon_bandgap(k: int, ej_over_ec: float) -> float:
 def transmon_perturbation_norm(ej_over_ec: float, transparency_d: float) -> float:
     """Norm bound on the beyond-cosine barrier terms, in charge-energy units.
 
-    ``E_J/E_C * D / (8 (1 - D/2))`` for transmission coefficient D.
+    ``E_J/E_C * D / (8 (1 - D/2))`` for transmission coefficient D; arguments
+    ``TransmonSpec`` refuses raise its ``ValueError``.
     """
+    TransmonSpec(ej_over_ec, transparency_d)
     d = transparency_d
     return ej_over_ec * d / (8.0 * (1.0 - d / 2.0))
 

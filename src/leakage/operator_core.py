@@ -12,32 +12,30 @@ the Hermitian eigensolver on a Gram matrix for every top singular value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LeakageError
+from .record import Record
 
 HERMITICITY_RTOL = 1e-12
 PSD_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
+class OperatorMatrix(Record):
     """Read-only square Hermitian matrix: a checked model input.
 
     At construction every entry must be finite (else ``ValueError``), and
     ``max |M - M^dag|`` entrywise must not exceed ``1e-12 * max|M|``.
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
+    def __init__(self, entries: np.ndarray):
+        m = np.array(entries, dtype=complex if np.iscomplexobj(entries) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"entries must be a square matrix, got shape {m.shape}")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        self._init({"entries": m})
         scale = np.abs(m).max()
         if not np.isfinite(scale):
             raise ValueError("entries must be finite, got a NaN or infinite entry")

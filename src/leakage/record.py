@@ -1,0 +1,42 @@
+"""Read-only records that, unlike dataclasses, generate no code when defined: each
+lists its attributes in ``__slots__`` and checks and stores them in its own ``__init__``."""
+
+
+class Record:
+    """Attributes set once, in ``__init__``, that raise ``AttributeError`` when
+    set or deleted; ``==`` and ``hash`` by identity, as array holders need."""
+
+    __slots__ = ()
+
+    def _init(self, values: dict):
+        """Store each slot from ``values``, the ``locals()`` of ``__init__``."""
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}' of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}' of {type(self).__name__}")
+
+    def __setstate__(self, state):   # copy and pickle: state is (None, {slot: value})
+        self._init(state[1])
+
+    def __repr__(self):
+        fields = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class ValueRecord(Record):
+    """A record whose ``==`` and ``hash`` are those of its slot values, in order."""
+
+    __slots__ = ()
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        return self._asdict() == other._asdict() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))

@@ -11,24 +11,23 @@ slice ``omega[:, g]`` of group k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import bounds
 from .bloch_solver import BlochSolution, ProblemInstance
 from .errors import LeakageError
 from .operator_core import inv_sqrt_psd
+from .record import Record
 
 
-@dataclass(frozen=True, eq=False)
-class SWSolution:
+class SWSolution(Record):
     """Unitary W, Hermitian effective generator, perturbed projections,
     all arrays in the H0 eigenbasis; ``h_sw`` is block diagonal there."""
 
-    w: np.ndarray
-    h_sw: np.ndarray
-    perturbed_projections: tuple    # P~_k, one array per group
+    __slots__ = ("w", "h_sw", "perturbed_projections")
+
+    def __init__(self, w: np.ndarray, h_sw: np.ndarray, perturbed_projections: tuple):
+        self._init(locals())   # perturbed_projections: P~_k, one array per group
 
 
 def sw_transform(inst: ProblemInstance, bloch: BlochSolution) -> SWSolution:

@@ -9,13 +9,12 @@ the partition holds once; no dense projector is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .record import Record
 
-@dataclass(frozen=True, eq=False)
-class SpectralPartition:
+
+class SpectralPartition(Record):
     """Disjoint grouping of the eigenvalues of H0.
 
     ``eigenvalues`` and ``eigenvectors`` are the read-only pair ``herm_eig``
@@ -29,34 +28,26 @@ class SpectralPartition:
     indices, an empty group, or a gap that is not positive raise ``ValueError``.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    groups: tuple
-    gap: float = field(init=False)
-    component_intervals: tuple = field(init=False)
-    blocks: tuple = field(init=False, repr=False)
+    __slots__ = ("eigenvalues", "eigenvectors", "groups", "gap", "component_intervals", "blocks")
 
-    def __post_init__(self):
-        lam = self.eigenvalues
-        groups = tuple(np.asarray(g, dtype=int) for g in self.groups)
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray, groups: tuple):
+        lam, dim = eigenvalues, eigenvalues.size
+        groups = tuple(np.asarray(g, dtype=int) for g in groups)
         if len(groups) < 2:
             raise ValueError(f"a partition needs at least two groups, got {len(groups)}")
         for k, g in enumerate(groups):
             if g.size == 0:
                 raise ValueError(f"group {k} is empty")
-        if not np.array_equal(np.sort(np.concatenate(groups)), np.arange(self.dim)):
-            raise ValueError(f"groups must hold each index 0..{self.dim - 1} exactly once")
+        if not np.array_equal(np.sort(np.concatenate(groups)), np.arange(dim)):
+            raise ValueError(f"groups must hold each index 0..{dim - 1} exactly once")
         gap = float(min(np.abs(lam[a][:, None] - lam[b][None, :]).min()
                         for i, a in enumerate(groups) for b in groups[i + 1 :]))
         if not gap > 0:
             raise ValueError(f"gap {gap:.3g} between groups is not positive")
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "gap", gap)
-        object.__setattr__(self, "component_intervals",
-                           tuple((float(lam[g].min()), float(lam[g].max())) for g in groups))
+        component_intervals = tuple((float(lam[g].min()), float(lam[g].max())) for g in groups)
         # np.delete, not np.setdiff1d: the latter imports numpy.ma (~10 ms) on first use
-        object.__setattr__(self, "blocks",
-                           tuple((g, np.delete(np.arange(self.dim), g)) for g in groups))
+        blocks = tuple((g, np.delete(np.arange(dim), g)) for g in groups)
+        self._init(locals())
 
     @property
     def n_groups(self) -> int:

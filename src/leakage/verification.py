@@ -21,7 +21,6 @@ formed (``tests/test_schrieffer_wolff.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,20 +29,19 @@ from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_serie
 from .bounds import SLACK
 from .dynamics import _SCREEN_MARGIN, _Evolution
 from .operator_core import OperatorMatrix, herm_eig, operator_norm
+from .record import ValueRecord
 from .schrieffer_wolff import sw_transform
 from .spectral_partition import partition_by_threshold
 from .rng import substream
 
 
-@dataclass(frozen=True)
-class InvariantResult:
-    name: str
-    passed: bool
-    measured: float
-    allowed: float
+class InvariantResult(ValueRecord):
+    __slots__ = ("name", "passed", "measured", "allowed")
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    def __init__(self, name: str, passed: bool, measured: float, allowed: float):
+        self._init(locals())
+
+    to_json = ValueRecord._asdict
 
 
 def haar_unitary(rng, dim: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -16,6 +17,14 @@ from leakage import (
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def replace_fields(record, **changes):
+    """A new record of ``record``'s type, built from ``record``'s constructor
+    arguments with those in ``changes`` replaced; the constructor checks them."""
+    params = inspect.signature(type(record)).parameters
+    assert set(changes) <= set(params), f"no constructor argument {set(changes) - set(params)}"
+    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in params})
 
 
 def random_hermitian(rng, dim, real=False):

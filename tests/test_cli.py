@@ -1,7 +1,9 @@
-import dataclasses
 import errno
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from leakage.models import ChainSpec, HarmonicChainSpec, build_chain, build_harm
 from leakage.cli import main
 from leakage.errors import LeakageError
 from leakage.verification import InvariantResult
+
+from conftest import replace_fields
 
 CHAIN_CFG = {
     "model": "chain",
@@ -26,6 +30,35 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+# imports numpy, then the CLI, then builds the instance of the config in argv[1], and
+# prints which of the watched modules are loaded
+_STARTUP_PROBE = """
+import json, sys
+import numpy
+import leakage.cli
+leakage.cli.build_instance(json.loads(sys.argv[1]))
+watched = ("hashlib", "_hashlib", "csv", "dataclasses", "numpy.random")
+print(json.dumps([m for m in watched if m in sys.modules]))
+"""
+
+
+def _loaded_at_startup(cfg):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(cfg)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_startup_loads_only_what_the_model_draws_on():
+    # a harmonic run draws no seeded stream and writes no CSV: neither hashlib nor
+    # numpy.random nor csv is loaded, and no record type generates code through dataclasses
+    harmonic = {"model": "harmonic", "params": {"n_sites": 3}}
+    assert _loaded_at_startup(harmonic) == []
+    # the control: the chain's disorder is a seeded draw
+    assert "numpy.random" in _loaded_at_startup(CHAIN_CFG)
 
 
 def test_bounds_by_x(capsys):
@@ -74,8 +107,8 @@ def test_run_chain(tmp_path, capsys):
 def test_run_distance_violation_exit_code(tmp_path, monkeypatch):
     # a d_SW above its bound alone makes the run fail with exit 4
     real = bounds.bound_report
-    monkeypatch.setattr(bounds, "bound_report", lambda *a: dataclasses.replace(
-        real(*a), d_sw_bound=1e-6))
+    monkeypatch.setattr(bounds, "bound_report",
+                        lambda *a: replace_fields(real(*a), d_sw_bound=1e-6))
     code = main(["run", "--config", write_cfg(tmp_path, CHAIN_CFG), "--out", str(tmp_path)])
     assert code == 4
     violations = json.loads((tmp_path / "summary.json").read_text())["violations"]

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -37,6 +36,7 @@ from conftest import (
     dense_projection,
     interleaved_instance,
     make_instance,
+    replace_fields,
     to_original,
 )
 
@@ -136,8 +136,7 @@ def test_distance_bound_violations_are_labelled(rabi_instance, monkeypatch):
 
     def shrunk(*args):
         rep = real(*args)
-        return dataclasses.replace(rep, epsilon=1e-3 * rep.epsilon,
-                                   d_sw_bound=1e-3 * rep.d_sw_bound)
+        return replace_fields(rep, epsilon=1e-3 * rep.epsilon, d_sw_bound=1e-3 * rep.d_sw_bound)
 
     monkeypatch.setattr(bounds, "bound_report", shrunk)
     times = np.linspace(0.0, 20.0, 41)

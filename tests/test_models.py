@@ -14,6 +14,7 @@ from leakage import (
     partition_by_intervals,
     partition_by_threshold,
     transmon_bandgap,
+    transmon_leakage_bound,
     transmon_perturbation_norm,
 )
 from leakage.rng import substream
@@ -196,3 +197,18 @@ def test_transmon_perturbation_norm():
     assert transmon_perturbation_norm(90.0, 1e-3) == pytest.approx(
         90.0 * 1e-3 / (8.0 * (1.0 - 5e-4)), rel=1e-14, abs=0.0
     )
+
+
+@pytest.mark.parametrize("ej_over_ec, d", [
+    *((90.0, d) for d in (2.0, 1.5, 1.0, 0.0, -0.5, math.nan)),
+    (-90.0, 1e-3),
+])
+def test_transmon_perturbation_norm_refuses_what_the_spec_refuses(ej_over_ec, d):
+    # outside TransmonSpec's domain E_J D / (8 (1 - D/2)) is no norm bound: it divides by
+    # zero at D = 2 and reads 67.5 at D = 1.5, -4.5 at D = -0.5 and -0.0113 at E_J/E_C = -90
+    refusal = r"transparency_d must lie in \(0, 1\)" if ej_over_ec > 0 else "ej_over_ec must be"
+    with pytest.raises(ValueError, match=refusal):
+        transmon_perturbation_norm(ej_over_ec, d)
+    if ej_over_ec > 0:   # a negative E_J/E_C fails the bandgap's square root first
+        with pytest.raises(ValueError, match=refusal):
+            transmon_leakage_bound(ej_over_ec, d)

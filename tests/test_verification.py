@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -25,7 +24,8 @@ from leakage import (
 from leakage.rng import substream
 from leakage.verification import haar_unitary
 
-from conftest import deep_harmonic_instance, grouped_instance, interleaved_instance, make_instance
+from conftest import (deep_harmonic_instance, grouped_instance, interleaved_instance,
+                      make_instance, replace_fields)
 
 
 def test_haar_unitary_is_unitary():
@@ -205,12 +205,12 @@ def _tamper_omega_rows(inst, sol):
     # H Omega_0 = Omega_0 H Omega_0 breaks.  Omega is held once, so the
     # Schrieffer-Wolff operators built from it break too: W no longer
     # block-diagonalizes H, and P~_0 no longer commutes with it
-    return dataclasses.replace(sol, omega=_off_block(inst, sol.omega))
+    return replace_fields(sol, omega=_off_block(inst, sol.omega))
 
 
 def _tamper_sw(inst, sw):
     a = _off_block(inst, np.zeros_like(sw.h_sw))
-    return dataclasses.replace(sw, h_sw=sw.h_sw + a + a.conj().T)
+    return replace_fields(sw, h_sw=sw.h_sw + a + a.conj().T)
 
 
 @pytest.mark.parametrize("target, tamper, broken", [
@@ -246,7 +246,7 @@ def _with_term(monkeypatch, inst, j, make_term):
     sol = solve_bloch_series(inst)
     terms = np.array(sol.omega_terms)
     terms[j] = make_term(terms[j])
-    tampered = dataclasses.replace(sol, omega_terms=terms)
+    tampered = replace_fields(sol, omega_terms=terms)
     monkeypatch.setattr(verification, "solve_bloch_series", lambda inst, *a, **kw: tampered)
     return terms[j]
 
