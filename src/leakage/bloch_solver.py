@@ -90,10 +90,9 @@ class BlochSolution(Record):
 
     Every operator is an array in the H0 eigenbasis: ``u^dag M u`` with
     ``u`` the partition's eigenvectors.  ``omega_terms`` stacks the
-    gamma-independent ``Omega^(j)``, j = 0..J, shape (J+1, dim, dim); it is
-    read-only, being shared by every solution of the instance at ``order`` J.
-    ``omega`` and ``h_bloch`` are fresh arrays owned by the caller; both
-    are generally non-Hermitian.  The block wave operator
+    gamma-independent ``Omega^(j)``, j = 0..J, shape (J+1, dim, dim), shared
+    by every solution of the instance at ``order`` J.  ``omega`` and
+    ``h_bloch`` are generally non-Hermitian.  The block wave operator
     ``Omega_k = Omega P_k`` is the column slice ``omega[:, g]`` of group k,
     and ``h_bloch`` is exactly zero off the diagonal blocks.
     """
@@ -135,8 +134,9 @@ def _fill_block_series(terms_eig, lam, v_eig, g, out):
 
 
 def _series_terms(inst: ProblemInstance, order: int) -> np.ndarray:
-    """The read-only stack ``Omega^(j)``, j = 0..order, in the H0
-    eigenbasis, solved on the instance's first request for this order."""
+    """The stack ``Omega^(j)``, j = 0..order, in the H0 eigenbasis, solved on
+    the instance's first request for this order; ``BlochSolution`` makes it
+    read-only."""
 
     def solve():
         part = inst.partition
@@ -146,7 +146,6 @@ def _series_terms(inst: ProblemInstance, order: int) -> np.ndarray:
         terms[0] = np.eye(inst.dim)
         for g, out in part.blocks:
             _fill_block_series(terms, part.eigenvalues, v_eig, g, out)
-        terms.setflags(write=False)
         return terms
 
     return inst._cached(("bloch_terms", order), solve)

@@ -150,8 +150,6 @@ class BoundReport(ValueRecord):
                  gamma_threshold_bloch: float, gamma_threshold_sw: float):
         self._init(locals())
 
-    to_json = ValueRecord._asdict
-
 
 def bound_report(v_norm: float, gamma: float, eta: float) -> BoundReport:
     """Every bound for one instance, None out of its domain; ValueError if one is not finite."""

@@ -29,7 +29,6 @@ and ``Y = S^dag Omega S``.
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -76,18 +75,15 @@ class LeakageReport(Record):
         }
 
     def to_csv(self) -> str:
-        """Plot-ready series, columns t, k, leakage, d_bloch, d_sw."""
-        import csv   # here, not at the top: only this method writes CSV
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t", "k", "leakage", "d_bloch", "d_sw"])
+        """Plot-ready series, columns t, k, leakage, d_bloch, d_sw, as ``csv.writer``
+        writes them: no field, a float ``repr``, an int or empty, needs quoting."""
+        rows = ["t,k,leakage,d_bloch,d_sw"]
         for j, t in enumerate(self.times):
             db = "" if self.d_bloch_series is None else repr(float(self.d_bloch_series[j]))
             ds = "" if self.d_sw_series is None else repr(float(self.d_sw_series[j]))
             for k in range(self.per_block_leakage.shape[0]):
-                writer.writerow([repr(float(t)), k,
-                                 repr(float(self.per_block_leakage[k, j])), db, ds])
-        return buf.getvalue()
+                rows.append(f"{float(t)!r},{k},{float(self.per_block_leakage[k, j])!r},{db},{ds}")
+        return "".join(row + "\r\n" for row in rows)
 
 
 class _Evolution:
@@ -144,7 +140,7 @@ def run_leakage_experiment(
     leakage or ``d_Bloch`` exceeds ``epsilon``, or ``d_SW`` exceeds the SW
     distance bound, labelled by kind.
     """
-    times = np.asarray(t_grid, dtype=float)
+    times = np.array(t_grid, dtype=float)   # a copy: the report freezes it
     report = bounds.bound_report(inst.v_norm, inst.gamma, inst.partition.gap)
     evo = _Evolution(inst)
     leak = np.array([[evo.leakage(k, t) for t in times] for k in range(inst.partition.n_groups)])

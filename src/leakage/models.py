@@ -139,6 +139,8 @@ def transmon_bandgap(k: int, ej_over_ec: float) -> float:
     """
     if k < 0:
         raise ValueError("band index must be nonnegative")
+    if ej_over_ec <= 0:
+        raise ValueError("ej_over_ec must be positive")
     z = math.sqrt(ej_over_ec / 2.0)
     term0 = 4.0 * z - 1.0 - k
     term1 = (

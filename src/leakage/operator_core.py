@@ -34,7 +34,6 @@ class OperatorMatrix(Record):
         m = np.array(entries, dtype=complex if np.iscomplexobj(entries) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"entries must be a square matrix, got shape {m.shape}")
-        m.setflags(write=False)
         self._init({"entries": m})
         scale = np.abs(m).max()
         if not np.isfinite(scale):
@@ -85,12 +84,9 @@ def _top(gram: np.ndarray) -> float:
 
 
 def herm_eig(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh``'s ``(eigenvalues, eigenvectors)``, made read-only, of a Hermitian
-    matrix, checked as such when ``m`` was built."""
-    lam, u = np.linalg.eigh(m.entries)
-    lam.setflags(write=False)
-    u.setflags(write=False)
-    return lam, u
+    """``eigh``'s ``(eigenvalues, eigenvectors)`` of a Hermitian matrix, checked as
+    such when ``m`` was built."""
+    return np.linalg.eigh(m.entries)
 
 
 def inv_sqrt_psd(a: np.ndarray) -> np.ndarray:

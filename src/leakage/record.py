@@ -1,17 +1,22 @@
 """Read-only records that, unlike dataclasses, generate no code when defined: each
 lists its attributes in ``__slots__`` and checks and stores them in its own ``__init__``."""
 
+import numpy as np
+
 
 class Record:
-    """Attributes set once, in ``__init__``, that raise ``AttributeError`` when
-    set or deleted; ``==`` and ``hash`` by identity, as array holders need."""
+    """A record is read-only, arrays included, also after copy and pickle: set once,
+    in ``__init__``, an attribute raises ``AttributeError`` when set or deleted and
+    an array refuses a write; ``==`` and ``hash`` by identity, as array holders need."""
 
     __slots__ = ()
 
     def _init(self, values: dict):
-        """Store each slot from ``values``, the ``locals()`` of ``__init__``."""
+        """Store each slot from ``values``, the ``locals()`` of ``__init__``, arrays read-only."""
         for name in self.__slots__:
-            object.__setattr__(self, name, values[name])
+            if isinstance(value := values[name], np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field '{name}' of {type(self).__name__}")
@@ -34,6 +39,8 @@ class ValueRecord(Record):
 
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
+
+    to_json = _asdict
 
     def __eq__(self, other):
         return self._asdict() == other._asdict() if type(other) is type(self) else NotImplemented

@@ -17,15 +17,16 @@ from .record import Record
 class SpectralPartition(Record):
     """Disjoint grouping of the eigenvalues of H0.
 
-    ``eigenvalues`` and ``eigenvectors`` are the read-only pair ``herm_eig``
-    returns for H0; ``groups`` partitions the eigenvalue indices (ascending
-    order).  The rest is derived from these: ``gap``, the minimum distance
-    between eigenvalues in distinct groups, by brute force over every
-    cross-group pair; ``component_intervals``, each group's eigenvalue
-    range; ``blocks``, per group the index pair ``(g, out)`` of the group
-    and its complement: P_k and Q_k as coordinate blocks of the H0
-    eigenbasis.  Fewer than two groups, groups that do not partition the
-    indices, an empty group, or a gap that is not positive raise ``ValueError``.
+    ``eigenvalues`` and ``eigenvectors`` are the pair ``herm_eig`` returns
+    for H0, read-only here as every record's arrays are; ``groups``
+    partitions the eigenvalue indices (ascending order).  The rest is
+    derived from these: ``gap``, the minimum distance between eigenvalues
+    in distinct groups, by brute force over every cross-group pair;
+    ``component_intervals``, each group's eigenvalue range; ``blocks``, per
+    group the index pair ``(g, out)`` of the group and its complement: P_k
+    and Q_k as coordinate blocks of the H0 eigenbasis.  Fewer than two
+    groups, groups that do not partition the indices, an empty group, or a
+    gap that is not positive raise ``ValueError``.
     """
 
     __slots__ = ("eigenvalues", "eigenvectors", "groups", "gap", "component_intervals", "blocks")

@@ -41,8 +41,6 @@ class InvariantResult(ValueRecord):
     def __init__(self, name: str, passed: bool, measured: float, allowed: float):
         self._init(locals())
 
-    to_json = ValueRecord._asdict
-
 
 def haar_unitary(rng, dim: int) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

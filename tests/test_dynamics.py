@@ -127,6 +127,8 @@ def test_experiment_report(rabi_instance):
     assert rep.d_sw_series[0] < 1e-12
     assert rep.d_bloch_series.max() <= rep.bounds.epsilon + 1e-9
     assert rep.d_sw_series.max() <= rep.bounds.d_sw_bound + 1e-9
+    # the report keeps a read-only copy of the grid and leaves the caller's writable
+    assert times.flags.writeable and not rep.times.flags.writeable
 
 
 def test_distance_bound_violations_are_labelled(rabi_instance, monkeypatch):
@@ -242,6 +244,28 @@ def test_report_serialization(rabi_instance):
     assert float(t0) == times[j] and int(k0) == k
     assert float(leak0) == rep.per_block_leakage[k, j]
     assert float(db0) == rep.d_bloch_series[j]
+
+
+def csv_writer_oracle(rep) -> str:
+    """What ``csv.writer`` writes for the rows ``rep.to_csv`` holds."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t", "k", "leakage", "d_bloch", "d_sw"])
+    for j, t in enumerate(rep.times):
+        dist = ["" if s is None else repr(float(s[j]))
+                for s in (rep.d_bloch_series, rep.d_sw_series)]
+        writer.writerows([repr(float(t)), k, repr(float(leak[j])), *dist]
+                         for k, leak in enumerate(rep.per_block_leakage))
+    return buf.getvalue()
+
+
+def test_csv_is_byte_identical_to_csv_writer(rabi_instance):
+    times = np.linspace(0.0, 5.0, 6)
+    both = run_leakage_experiment(rabi_instance, times)
+    neither = run_leakage_experiment(make_instance(51, 6, 2, x=0.3), times)
+    assert both.d_sw_series is not None and neither.d_bloch_series is None
+    for rep in (both, neither):
+        assert rep.to_csv() == csv_writer_oracle(rep)
 
 
 def _solved():

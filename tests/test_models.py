@@ -202,6 +202,7 @@ def test_transmon_perturbation_norm():
 @pytest.mark.parametrize("ej_over_ec, d", [
     *((90.0, d) for d in (2.0, 1.5, 1.0, 0.0, -0.5, math.nan)),
     (-90.0, 1e-3),
+    (0.0, 1e-3),
 ])
 def test_transmon_perturbation_norm_refuses_what_the_spec_refuses(ej_over_ec, d):
     # outside TransmonSpec's domain E_J D / (8 (1 - D/2)) is no norm bound: it divides by
@@ -209,6 +210,8 @@ def test_transmon_perturbation_norm_refuses_what_the_spec_refuses(ej_over_ec, d)
     refusal = r"transparency_d must lie in \(0, 1\)" if ej_over_ec > 0 else "ej_over_ec must be"
     with pytest.raises(ValueError, match=refusal):
         transmon_perturbation_norm(ej_over_ec, d)
-    if ej_over_ec > 0:   # a negative E_J/E_C fails the bandgap's square root first
+    with pytest.raises(ValueError, match=refusal):
+        transmon_leakage_bound(ej_over_ec, d)
+    if ej_over_ec <= 0:   # the bandgap's square root and 1/z: refused, not a math error
         with pytest.raises(ValueError, match=refusal):
-            transmon_leakage_bound(ej_over_ec, d)
+            transmon_bandgap(1, ej_over_ec)

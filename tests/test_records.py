@@ -1,6 +1,8 @@
 """The contract of the package's twelve record types: constructor signatures
-and defaults, read-only attributes, the kind of ``==`` and ``hash``, and pickling."""
+and defaults, read-only attributes and arrays, the kind of ``==`` and ``hash``,
+copying and pickling."""
 
+import copy
 import pickle
 
 import numpy as np
@@ -84,6 +86,12 @@ def test_record_contract(cls):
     blob = pickle.dumps(by_keyword)
     unpickled = pickle.loads(blob)
     assert type(unpickled) is cls and pickle.dumps(unpickled) == blob
+    # a record is read-only, arrays included, also as copy and pickle rebuild it
+    for rec in (by_keyword, copy.copy(by_keyword), copy.deepcopy(by_keyword), unpickled):
+        for value in (getattr(rec, n) for n in cls.__slots__):
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[...] = 0
 
     assert by_keyword == by_keyword
     assert len({by_keyword, by_keyword}) == 1
