@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from . import bounds
-from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
+from .bloch_solver import ProblemInstance, solve_bloch_series
 from .errors import LeakageError
 from .operator_core import _gram, _top, operator_norm
 from .record import Record
@@ -126,19 +126,15 @@ def _product(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return a @ rhs
 
 
-def run_leakage_experiment(
-    inst: ProblemInstance,
-    t_grid,
-    series_tol: float = SERIES_TOL_DEFAULT,
-) -> LeakageReport:
-    """Leakage of every block over the grid and the Bloch/Schrieffer-Wolff
-    distance series, checked against the bounds.
+def run_leakage_experiment(inst: ProblemInstance, t_grid) -> LeakageReport:
+    """Leakage of every block over the grid and the Bloch/Schrieffer-Wolff distance series,
+    checked against the bounds.
 
-    A distance series exists if and only if its bound does (``epsilon``
-    for ``d_Bloch``, the SW distance bound for ``d_SW``) and is None
-    otherwise.  ``violations`` lists every point where
-    leakage or ``d_Bloch`` exceeds ``epsilon``, or ``d_SW`` exceeds the SW
-    distance bound, labelled by kind.
+    A distance series exists if and only if its bound does (``epsilon`` for ``d_Bloch``, the
+    SW bound for ``d_SW``) and is None otherwise.  Both use the Bloch series at a Catalan tail
+    of 1e-12, so near the Bloch edge (``4 pi x > 0.7131``) a run raises that tail's
+    ``LeakageError``; ``solve_bloch_series(inst, tol)`` takes another tolerance.  ``violations``
+    lists each point where leakage or ``d_Bloch`` exceeds ``epsilon``, or ``d_SW`` its bound.
     """
     times = np.array(t_grid, dtype=float)   # a copy: the report freezes it
     report = bounds.bound_report(inst.v_norm, inst.gamma, inst.partition.gap)
@@ -147,7 +143,7 @@ def run_leakage_experiment(
 
     d_bloch = d_sw = None
     if report.epsilon is not None:
-        bloch = solve_bloch_series(inst, tol=series_tol)
+        bloch = solve_bloch_series(inst)
         u = evo.s    # eigenvectors of H in the H0 eigenbasis
         y = u.conj().T @ bloch.omega @ u
         y_inv_t = _complex(np.linalg.inv(y).T)

@@ -64,7 +64,7 @@ class TransmonSpec(ValueRecord):
     __slots__ = ("ej_over_ec", "transparency_d")
 
     def __init__(self, ej_over_ec: float, transparency_d: float):
-        if ej_over_ec <= 0:
+        if not ej_over_ec > 0:
             raise ValueError("ej_over_ec must be positive")
         if not 0.0 < transparency_d < 1.0:
             raise ValueError("transparency_d must lie in (0, 1)")
@@ -139,7 +139,7 @@ def transmon_bandgap(k: int, ej_over_ec: float) -> float:
     """
     if k < 0:
         raise ValueError("band index must be nonnegative")
-    if ej_over_ec <= 0:
+    if not ej_over_ec > 0:
         raise ValueError("ej_over_ec must be positive")
     z = math.sqrt(ej_over_ec / 2.0)
     term0 = 4.0 * z - 1.0 - k

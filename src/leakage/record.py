@@ -5,17 +5,21 @@ import numpy as np
 
 
 class Record:
-    """A record is read-only, arrays included, also after copy and pickle: set once,
-    in ``__init__``, an attribute raises ``AttributeError`` when set or deleted and
+    """A record is read-only, arrays in tuples included, also after copy and pickle: set
+    once, in ``__init__``, an attribute raises ``AttributeError`` when set or deleted and
     an array refuses a write; ``==`` and ``hash`` by identity, as array holders need."""
 
     __slots__ = ()
 
     def _init(self, values: dict):
-        """Store each slot from ``values``, the ``locals()`` of ``__init__``, arrays read-only."""
+        """Store each slot from ``values``, ``__init__``'s ``locals()``, arrays read-only."""
         for name in self.__slots__:
-            if isinstance(value := values[name], np.ndarray):
-                value.setflags(write=False)
+            stack = [value := values[name]]
+            while stack:
+                if isinstance(item := stack.pop(), np.ndarray):
+                    item.setflags(write=False)
+                elif isinstance(item, tuple):
+                    stack.extend(item)
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -33,7 +33,7 @@ class SpectralPartition(Record):
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray, groups: tuple):
         lam, dim = eigenvalues, eigenvalues.size
-        groups = tuple(np.asarray(g, dtype=int) for g in groups)
+        groups = tuple(np.array(g, dtype=int) for g in groups)   # copies: the record freezes them
         if len(groups) < 2:
             raise ValueError(f"a partition needs at least two groups, got {len(groups)}")
         for k, g in enumerate(groups):

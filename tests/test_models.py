@@ -203,15 +203,18 @@ def test_transmon_perturbation_norm():
     *((90.0, d) for d in (2.0, 1.5, 1.0, 0.0, -0.5, math.nan)),
     (-90.0, 1e-3),
     (0.0, 1e-3),
+    (math.nan, 1e-3),
+    (math.nan, math.nan),
 ])
 def test_transmon_perturbation_norm_refuses_what_the_spec_refuses(ej_over_ec, d):
     # outside TransmonSpec's domain E_J D / (8 (1 - D/2)) is no norm bound: it divides by
-    # zero at D = 2 and reads 67.5 at D = 1.5, -4.5 at D = -0.5 and -0.0113 at E_J/E_C = -90
+    # zero at D = 2 and reads 67.5 at D = 1.5, -4.5 at D = -0.5 and -0.0113 at E_J/E_C = -90;
+    # a NaN E_J/E_C is refused as the spec refuses it, not as a NaN x or bandgap
     refusal = r"transparency_d must lie in \(0, 1\)" if ej_over_ec > 0 else "ej_over_ec must be"
     with pytest.raises(ValueError, match=refusal):
         transmon_perturbation_norm(ej_over_ec, d)
     with pytest.raises(ValueError, match=refusal):
         transmon_leakage_bound(ej_over_ec, d)
-    if ej_over_ec <= 0:   # the bandgap's square root and 1/z: refused, not a math error
+    if not ej_over_ec > 0:   # the bandgap's square root and 1/z: refused, not a math error
         with pytest.raises(ValueError, match=refusal):
             transmon_bandgap(1, ej_over_ec)

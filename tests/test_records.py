@@ -64,6 +64,15 @@ RECORDS = {
 }
 
 
+def _arrays(value):
+    """Every array in ``value``: ``value`` itself, or one inside its tuples at any depth."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_record_contract(cls):
     make_args, n_required, by_value = RECORDS[cls]
@@ -86,12 +95,11 @@ def test_record_contract(cls):
     blob = pickle.dumps(by_keyword)
     unpickled = pickle.loads(blob)
     assert type(unpickled) is cls and pickle.dumps(unpickled) == blob
-    # a record is read-only, arrays included, also as copy and pickle rebuild it
+    # a record is read-only, arrays in tuples included, also as copy and pickle rebuild it
     for rec in (by_keyword, copy.copy(by_keyword), copy.deepcopy(by_keyword), unpickled):
-        for value in (getattr(rec, n) for n in cls.__slots__):
-            if isinstance(value, np.ndarray):
-                with pytest.raises(ValueError, match="read-only"):
-                    value[...] = 0
+        for array in _arrays(tuple(getattr(rec, n) for n in cls.__slots__)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
     assert by_keyword == by_keyword
     assert len({by_keyword, by_keyword}) == 1

@@ -126,6 +126,15 @@ def test_eigensystem_is_read_only():
     assert part.eigenvalues[0] == 0.0 and abs(part.eigenvectors[0, 0]) == 1.0
 
 
+def test_partition_copies_the_groups_it_is_given():
+    # the partition freezes its own copies, so the caller's arrays stay writable and a
+    # write to them leaves the partition as it was
+    given = [np.array([0]), np.array([1]), np.array([2])]
+    part = SpectralPartition(*diag_eig([0.0, 1.0, 5.0]), given)
+    given[0][0] = 2
+    assert [list(g) for g in part.groups] == [[0], [1], [2]] and part.gap == 1.0
+
+
 def test_partition_json():
     part = partition_by_threshold(diag_eig([0.0, 1.0, 1.2]), 0.5)
     blob = part.to_json()
