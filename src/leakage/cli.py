@@ -198,49 +198,37 @@ def _time_grid(t_grid: dict) -> np.ndarray:
     return np.linspace(0.0, t_grid["t_max"], t_grid["n_points"])
 
 
-def _output_specs(outputs: list, out_dir: Path) -> list:
-    """``(path, format)`` of each ``outputs`` entry, checked before any
-    leakage is computed: a ``path`` that resolves to a file under ``out_dir`` other
-    than ``summary.json`` and every other entry's file, and that is neither
-    a directory nor below an existing file."""
+def _run_files(outputs: list, out_dir: Path) -> list:
+    """``(resolved path, format)`` of every file a run writes, the ``outputs``
+    entries and then ``summary.json`` with format None, checked before any leakage
+    is computed: each resolves to a file under ``out_dir`` that no other entry
+    names, that is not an existing directory, and that lies below no existing file
+    and no other file of the run."""
     root = out_dir.resolve()
-    taken = {(root / "summary.json").resolve(): "the summary"}
-    checked = []
-    for i, spec in enumerate(outputs):
-        where, path = f"outputs[{i}]", spec["path"]
+    files = [(f"outputs[{i}] 'path' {spec['path']!r}", spec["path"], spec["format"])
+             for i, spec in enumerate(outputs)]
+    files.append((f"summary.json under --out {str(out_dir)!r}", "summary.json", None))
+    taken = {}
+    for where, path, _ in files:
         target = (root / path).resolve()
         if Path(path).is_absolute() or root not in target.parents:
-            raise ValueError(f"{where} 'path' {path!r} must name a file under --out")
+            raise ValueError(f"{where} must name a file under --out")
         if target.is_dir() or any(p.exists() and not p.is_dir() for p in target.parents):
-            raise ValueError(f"{where} 'path' {path!r} is a directory or lies below a file")
-        if target in taken:
-            raise ValueError(f"{where} 'path' {path!r} is the file of {taken[target]}")
+            raise ValueError(f"{where} is a directory or lies below a file")
+        for other, name in taken.items():
+            if target == other or other in target.parents or target in other.parents:
+                raise ValueError(f"{where} and {name} are one file, or one lies below the other")
         taken[target] = where
-        checked.append((path, spec["format"]))
-    return checked
-
-
-def _write_outputs(specs: list, out_dir: Path, report):
-    for name, fmt in specs:
-        path = out_dir / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            path.write_text(report.to_csv())
-        else:
-            path.write_text(json.dumps(report.to_json(), indent=2))
+    return [(target, fmt) for target, (_, _, fmt) in zip(taken, files)]
 
 
 def cmd_run(args, inst, config) -> int:
     if inst is None and config["outputs"]:
         raise ValueError("'outputs' needs a matrix model; the transmon has no series to write")
     out_dir = Path(args.out or ".")
-    no_dir = f"--out {str(out_dir)!r} cannot be made a directory"
-    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
-        raise ValueError(f"{no_dir}: a file lies at or above it")
-    outputs = _output_specs(config["outputs"], out_dir)
+    files = _run_files(config["outputs"], out_dir)
     summary: dict = {"config": config}
     exit_code = EXIT_OK
-    report = None
     if inst is None:
         summary["transmon_leakage_bound"] = transmon_leakage_bound(**config["params"])
         summary["bounds"] = None
@@ -270,10 +258,12 @@ def cmd_run(args, inst, config) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValueError(f"{no_dir}: {exc.strerror}") from None
-    if report is not None:
-        _write_outputs(outputs, out_dir, report)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+        raise ValueError(f"--out {str(out_dir)!r} cannot be made a directory: "
+                         f"{exc.strerror}") from None
+    for path, fmt in files:  # a transmon run, with no report, writes only the summary
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(report.to_csv() if fmt == "csv" else
+                        json.dumps(summary if fmt is None else report.to_json(), indent=2))
     return exit_code
 
 

@@ -178,13 +178,11 @@ def check_instance(inst: ProblemInstance):
 
     # linear eternal bound on sampled times, valid for every gamma; a full scan rather
     # than max_leakage, as the benchmark pins its SVD count (ROADMAP item 3)
-    linear = 9.0 * math.pi * x
-    if linear <= 2.0:
-        times = np.linspace(0.0, 50.0, 21)
-        worst = max(
-            evo.leakage(k, t) for k in range(part.n_groups) for t in times
-        )
-        record("linear_leakage_bound", worst, linear + SLACK)
+    times = np.linspace(0.0, 50.0, 21)
+    worst = max(
+        evo.leakage(k, t) for k in range(part.n_groups) for t in times
+    )
+    record("linear_leakage_bound", worst, 9.0 * math.pi * x + SLACK)
 
     return results
 

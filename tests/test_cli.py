@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import os
 import pathlib
@@ -571,9 +572,13 @@ def test_integer_config_fields_run(tmp_path):
     [{"path": "a.csv", "format": "csv"}, {"path": "sub/../a.csv"}],
     [{"path": "a.json", "kind": "distance"}],
     [{"path": "cfg.json/s.json"}],
+    [{"path": "a"}, {"path": "a/b.json"}],
+    [{"path": "a/b.json"}, {"path": "a"}],
+    [{"path": "summary.json/x.json"}],
 ], ids=["no-path", "int-path", "empty-path", "yaml", "upper-csv", "null-format",
         "bare-string", "not-a-list", "summary", "dotted-summary", "duplicate",
-        "dotted-duplicate", "other-kind", "below-a-file"])
+        "dotted-duplicate", "other-kind", "below-a-file", "below-an-earlier-output",
+        "above-a-later-output", "below-the-summary"])
 def test_bad_outputs_rejected_before_computation(tmp_path, monkeypatch, capsys, outputs):
     def never(*args, **kwargs):
         raise AssertionError("the experiment ran")
@@ -583,6 +588,57 @@ def test_bad_outputs_rejected_before_computation(tmp_path, monkeypatch, capsys, 
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "outputs" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_summary_that_is_a_directory_rejected_before_computation(tmp_path, monkeypatch,
+                                                                  capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_leakage_experiment", never)
+    (tmp_path / "summary.json").mkdir()
+    cfg = write_cfg(tmp_path, CHAIN_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "summary.json" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "summary.json"]
+    assert not any((tmp_path / "summary.json").iterdir())
+
+
+_RUN_PATHS = ["a", "a/b.json", "b.csv", "sub/../a", "summary.json/x.json"]
+
+
+def test_run_writes_every_file_or_refuses_before_computing(tmp_path, monkeypatch, capsys):
+    # over every ordered pair of outputs paths, a run either exits 2 before computing
+    # and leaves --out untouched, or exits 0 with every file written and readable back
+    inst, config = cli.build_instance(CHAIN_CFG)
+    report = dynamics.run_leakage_experiment(inst, cli._time_grid(config["t_grid"]))
+    calls = []
+    monkeypatch.setattr(cli, "run_leakage_experiment", lambda *args: calls.append(args) or report)
+    series = json.loads(json.dumps(report.to_json()))
+    written = set()
+    for i, pair in enumerate(itertools.product(_RUN_PATHS, repeat=2)):
+        outputs = [{"path": p, "format": "csv" if p.endswith(".csv") else "json"} for p in pair]
+        cfg = write_cfg(tmp_path, {**CHAIN_CFG, "outputs": outputs})
+        out, n_calls = tmp_path / f"out{i}", len(calls)
+        code = main(["run", "--config", cfg, "--out", str(out)])
+        if code == 2:
+            assert len(calls) == n_calls and not out.exists(), pair
+            continue
+        assert code == 0, pair
+        written.add(pair)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_leakage"] == report.max_leakage
+        for p in pair:
+            # read as bytes: the CSV rows end in \r\n, which text mode would translate
+            text = pathlib.Path(os.path.normpath(out / p)).read_bytes().decode()
+            if p.endswith(".csv"):
+                assert text == report.to_csv(), pair
+            else:
+                assert json.loads(text) == series, pair
+    # a pair is written when its two files are distinct, neither lies below the other
+    # and neither is or lies below summary.json: b.csv with a, a/b.json or sub/../a
+    others = ["a", "a/b.json", "sub/../a"]
+    assert written == {*((p, "b.csv") for p in others), *(("b.csv", p) for p in others)}
 
 
 def test_outputs_default_to_json(tmp_path):
