@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from inspect import Parameter, signature
 from pathlib import Path
@@ -199,11 +200,12 @@ def _time_grid(t_grid: dict) -> np.ndarray:
 
 
 def _run_files(outputs: list, out_dir: Path) -> list:
-    """``(resolved path, format)`` of every file a run writes, the ``outputs``
-    entries and then ``summary.json`` with format None, checked before any leakage
-    is computed: each resolves to a file under ``out_dir`` that no other entry
-    names, that is not an existing directory, and that lies below no existing file
-    and no other file of the run."""
+    """``(resolved path, format)`` of every file a run writes, the ``outputs`` entries and
+    then ``summary.json`` with format None, checked before any leakage is computed: each
+    resolves to a file under ``out_dir`` that no other entry names, that is not an existing
+    directory, that lies below no existing file and no other file of the run, and that the
+    process can write (``W_OK`` on it if it exists, else ``W_OK | X_OK`` on the nearest
+    existing directory above it; ``X_OK`` on a plain file fails even for root)."""
     root = out_dir.resolve()
     files = [(f"outputs[{i}] 'path' {spec['path']!r}", spec["path"], spec["format"])
              for i, spec in enumerate(outputs)]
@@ -215,6 +217,9 @@ def _run_files(outputs: list, out_dir: Path) -> list:
             raise ValueError(f"{where} must name a file under --out")
         if target.is_dir() or any(p.exists() and not p.is_dir() for p in target.parents):
             raise ValueError(f"{where} is a directory or lies below a file")
+        if not (os.access(target, os.W_OK) if target.exists() else os.access(
+                next(p for p in target.parents if p.exists()), os.W_OK | os.X_OK)):
+            raise ValueError(f"{where} cannot be written")
         for other, name in taken.items():
             if target == other or other in target.parents or target in other.parents:
                 raise ValueError(f"{where} and {name} are one file, or one lies below the other")
@@ -253,15 +258,12 @@ def cmd_run(args, inst, config) -> int:
         )
         if report.violations:
             exit_code = EXIT_VIOLATION
-    # made once the run is computed and its bounds are found finite, so a run that
-    # exits 2 or 3 leaves no directory
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"--out {str(out_dir)!r} cannot be made a directory: "
-                         f"{exc.strerror}") from None
+    # made after the run, so that one that exits 2 or 3 leaves no directory behind
     for path, fmt in files:  # a transmon run, with no report, writes only the summary
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"{str(path)!r} cannot be written: {exc.strerror}") from None
         path.write_text(report.to_csv() if fmt == "csv" else
                         json.dumps(summary if fmt is None else report.to_json(), indent=2))
     return exit_code

@@ -87,20 +87,21 @@ class LeakageReport(Record):
 
 
 class _Evolution:
-    """Eigendecomposition of H expressed in the H0 eigenbasis."""
+    """Eigendecomposition of H expressed in the H0 eigenbasis, for reads at ``times``."""
 
-    def __init__(self, inst: ProblemInstance):
+    def __init__(self, inst: ProblemInstance, times: np.ndarray):
         self.lam, self.s = np.linalg.eigh(inst.h_eig)
-        self.lam_max = float(np.abs(self.lam).max())
+        t = float(times[np.abs(times).argmax()]) if times.size else 0.0
+        lam_max = float(np.abs(self.lam).max())
+        if not math.isfinite(abs(t) * lam_max):   # Python floats: no warning
+            raise ValueError(f"time t = {t!r} times max|lam| = {lam_max:.3g} overflows")
         # per block (S_g, S_out, S_g^dag); D multiplies S_g^dag, held C-contiguous and
         # complex, so that the phase product casts nothing per (block, t)
         self.factors = [(self.s[g], self.s[out], _complex(self.s[g].conj().T))
                         for g, out in inst.partition.blocks]
 
     def phases(self, t: float) -> np.ndarray:
-        """``e^{-i lam t}`` as a column, refused where ``|t| max|lam|`` overflows."""
-        if not math.isfinite(abs(float(t)) * self.lam_max):   # Python floats: no warning
-            raise ValueError(f"time t = {float(t)!r} times max|lam| = {self.lam_max:.3g} overflows")
+        """``e^{-i lam t}`` as a column."""
         return np.exp(-1j * t * self.lam)[:, None]
 
     def leakage(self, k: int, t: float) -> float:
@@ -131,15 +132,15 @@ def run_leakage_experiment(inst: ProblemInstance, t_grid) -> LeakageReport:
     checked against the bounds.
 
     A distance series exists if and only if its bound does (``epsilon`` for ``d_Bloch``, the
-    SW bound for ``d_SW``) and is None otherwise.  Both use the Bloch series at a Catalan tail
-    of 1e-12, so near the Bloch edge (``4 pi x > 0.7131``) a run raises that tail's
-    ``LeakageError``; ``solve_bloch_series(inst, tol)`` takes another tolerance.  ``violations``
-    lists each point where leakage or ``d_Bloch`` exceeds ``epsilon``, or ``d_SW`` its bound.
+    SW bound for ``d_SW``) and is None otherwise.  Refusals precede any leakage read: the
+    report's and the grid's ``ValueError``, then, near the Bloch edge (``4 pi x > 0.7131``),
+    the Catalan-tail ``LeakageError`` of the 1e-12 Bloch series of both distances (for another
+    tolerance, ``solve_bloch_series(inst, tol)``).  ``violations`` lists each point where
+    leakage or ``d_Bloch`` exceeds ``epsilon``, or ``d_SW`` its bound.
     """
     times = np.array(t_grid, dtype=float)   # a copy: the report freezes it
     report = bounds.bound_report(inst.v_norm, inst.gamma, inst.partition.gap)
-    evo = _Evolution(inst)
-    leak = np.array([[evo.leakage(k, t) for t in times] for k in range(inst.partition.n_groups)])
+    evo = _Evolution(inst, times)
 
     d_bloch = d_sw = None
     if report.epsilon is not None:
@@ -160,6 +161,7 @@ def run_leakage_experiment(inst: ProblemInstance, t_grid) -> LeakageReport:
             if d_sw is not None:
                 d_sw[j] = 2.0 * operator_norm(x * sines)
 
+    leak = np.array([[evo.leakage(k, t) for t in times] for k in range(inst.partition.n_groups)])
     violations = []
     if report.epsilon is not None:
         bad = np.argwhere(leak > report.epsilon + bounds.SLACK)
@@ -228,7 +230,8 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
       n = 4000), which the ``1e-8`` in tau covers: every point skipped has a
       computed leakage of at most ``best``.
     """
-    evo = _Evolution(inst)
+    times = np.asarray(t_grid, dtype=float)
+    evo = _Evolution(inst, times)
     n = evo.lam.size
     eps = np.finfo(float).eps
     eta_hat = np.linalg.norm(evo.s.conj().T @ evo.s - np.eye(n))
@@ -237,7 +240,7 @@ def max_leakage(inst: ProblemInstance, t_grid) -> float:
         terms = 3 * g.size + 2 * math.sqrt(g.size * out.size) + 2 * n + 4
         deltas.append((n + 2) * terms * eps + 3.0 * eta_hat if g.size <= out.size else math.inf)
     best = 0.0
-    for t in np.asarray(t_grid, dtype=float):
+    for t in times:
         phase = evo.phases(t)
         for (s_g, s_out, s_g_dag), delta in zip(evo.factors, deltas):
             tau = best * best * (1.0 - _SCREEN_MARGIN)
@@ -280,19 +283,16 @@ class SweepResult(Record):
 
 
 def gamma_scaling_sweep(template: ProblemInstance, gammas, t_grid) -> SweepResult:
-    """``max_leakage`` versus gamma and the least-squares slope of the
-    log-log relation (expected close to -1); each gamma may appear once."""
+    """``max_leakage`` versus gamma and the least-squares slope of the log-log relation
+    (expected close to -1); each gamma may appear once, and all are checked before any maximum."""
     gam = np.sort(np.asarray(gammas, dtype=float))
     repeated = gam[1:][gam[1:] == gam[:-1]]
     if repeated.size:
         raise ValueError(f"gamma {float(repeated[0])!r} appears more than once in the sweep")
     if gam.size < 4:
         raise ValueError(f"only {gam.size} usable sweep points")
-    maxima = np.array([
-        max_leakage(ProblemInstance(template.h0, template.v, float(g), template.partition),
-                    t_grid)
-        for g in gam
-    ])
+    insts = [ProblemInstance(template.h0, template.v, float(g), template.partition) for g in gam]
+    maxima = np.array([max_leakage(inst, t_grid) for inst in insts])
     usable = maxima > 0
     if usable.sum() < 4:
         raise ValueError(f"only {int(usable.sum())} usable sweep points")
@@ -327,5 +327,5 @@ def truncation_convergence_study(builder, cutoffs, t_probe: float, k: int):
             drift = max(abs(interval[0] - ref_interval[0]), abs(interval[1] - ref_interval[1]))
             if drift > part.gap / 2.0:
                 raise LeakageError(f"group {k} interval moved by {drift:.3g} at cutoff {c}")
-        values.append(_Evolution(inst).leakage(k, t_probe))
+        values.append(_Evolution(inst, np.array([t_probe])).leakage(k, t_probe))
     return values

@@ -427,8 +427,72 @@ def test_out_that_cannot_be_made_is_input_error(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, CHAIN_CFG)
     monkeypatch.setattr(pathlib.Path, "mkdir", refuse)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "new")]) == 2
-    assert "cannot be made a directory: Permission denied" in capsys.readouterr().err
+    assert "summary.json' cannot be written: Permission denied" in capsys.readouterr().err
     assert not (tmp_path / "new" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("out, outputs, denied, mode, where", [
+    ("ro/new/deeper", [], "ro", os.W_OK, "summary.json under --out"),
+    ("ro/new", [], "ro", os.X_OK, "summary.json under --out"),
+    ("ro/new", [{"path": "a.csv", "format": "csv"}], "ro", os.W_OK, "outputs[0] 'path' 'a.csv'"),
+    ("out", [{"path": "series.json"}], "out/series.json", os.W_OK,
+     "outputs[0] 'path' 'series.json'"),
+], ids=["directory-not-writable", "directory-not-searchable", "first-output",
+        "file-not-writable"])
+def test_out_that_cannot_be_written_is_refused_before_computing(tmp_path, capsys, monkeypatch,
+                                                                 out, outputs, denied, mode,
+                                                                 where):
+    # as root every directory is writable, so os.access stands in for the file system:
+    # it denies ``mode`` on ``denied``, an existing file or the nearest existing directory
+    # above --out, and the run exits 2 without computing or creating anything
+    (tmp_path / "ro").mkdir()
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "series.json").write_text("old")
+    denied = (tmp_path / denied).resolve()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, m: not (
+        pathlib.Path(path) == denied and m & mode) and access(path, m))
+    calls = []
+    monkeypatch.setattr(cli, "run_leakage_experiment", lambda *args: calls.append(args))
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "outputs": outputs})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and err.endswith(" cannot be written\n")
+    assert calls == []
+    assert list((tmp_path / "ro").iterdir()) == []
+    assert list((tmp_path / "out").iterdir()) == [tmp_path / "out" / "series.json"]
+    assert (tmp_path / "out" / "series.json").read_text() == "old"
+
+
+def test_catalan_tail_is_refused_before_any_leakage_read(tmp_path, capsys, monkeypatch):
+    # at 4 pi x = 0.8 the 1e-12 tail is not reached by order J_MAX: the run solves the
+    # series, and exits 3, before the leakage scan reads a single point
+    reads = []
+    read = dynamics._Evolution.leakage
+    monkeypatch.setattr(dynamics._Evolution, "leakage",
+                        lambda evo, k, t: reads.append((k, t)) or read(evo, k, t))
+    inst, _ = cli.build_instance(CHAIN_CFG)
+    gamma = 4 * np.pi * inst.v_norm / (0.8 * inst.partition.gap)
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "gamma": gamma})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "new")]) == 3
+    assert "Catalan tail" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("last", ["nan", "inf"])
+def test_sweep_refuses_a_non_finite_gamma_before_any_maximum(tmp_path, capsys, monkeypatch,
+                                                             last):
+    # the sweep sorts NaN and inf last; every gamma is checked before the first maximum
+    calls = []
+    compute = dynamics.max_leakage
+    monkeypatch.setattr(dynamics, "max_leakage",
+                        lambda inst, t_grid: calls.append(inst.gamma) or compute(inst, t_grid))
+    cfg = write_cfg(tmp_path, CHAIN_CFG)
+    assert main(["sweep", "--config", cfg, "--gamma-list", f"10,30,100,300,{last}"]) == 2
+    captured = capsys.readouterr()
+    assert "positive and finite" in captured.err and captured.out == ""
+    assert calls == []
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")], ids=["nan", "inf"])
