@@ -36,16 +36,21 @@ SERIES_TOL_DEFAULT = 1e-12
 class ProblemInstance(Record):
     """A perturbed Hamiltonian H = gamma * H0 + V with its partition.
 
-    ``||V||`` and the Bloch terms are computed on first use and cached
-    on the instance, which is immutable, so each is computed once.
+    ``||V||`` and the Bloch terms are computed on first use and cached on the instance, which
+    is immutable, so each is computed once.  ``h_bound = gamma max|lam0| + ||V||_inf`` bounds
+    ``max|lam|`` of H (Weyl, as ``||V|| <= ||V||_inf`` for a Hermitian V).  A gamma must be
+    positive with ``dim h_bound`` finite, above every partial sum that forms ``h_eig``.
     """
 
-    __slots__ = ("h0", "v", "gamma", "partition", "_cache")
+    __slots__ = ("h0", "v", "gamma", "partition", "h_bound", "_cache")
 
     def __init__(self, h0: OperatorMatrix, v: OperatorMatrix, gamma: float,
                  partition: SpectralPartition):
-        if not (math.isfinite(gamma) and gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {gamma}")
+        with np.errstate(all="ignore"):   # a bound that is not finite is refused, not warned of
+            h_bound = float(gamma * abs(partition.eigenvalues).max() + abs(v.entries).sum(1).max())
+        if not (math.isfinite(h0.dim * h_bound) and gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, as must dim (gamma max|lam0| + "
+                             f"||V||_inf), got {gamma} and {h0.dim * h_bound:.3g}")
         if h0.dim != v.dim:
             raise ValueError("H0 and V dimensions differ")
         if partition.dim != h0.dim:

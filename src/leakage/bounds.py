@@ -19,7 +19,6 @@ domain: ``1 - sqrt(1 - u)`` is written ``u / (1 + sqrt(1 - u))``, and
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import LeakageError
 from .record import ValueRecord
@@ -79,7 +78,6 @@ def epsilon_of(x: float) -> float:
     return math.expm1(-0.5 * math.log1p(-u))
 
 
-@lru_cache(maxsize=None)
 def catalan(j: int) -> int:
     """j-th Catalan number, exact integer."""
     if j < 0:

@@ -273,7 +273,7 @@ def cmd_verify(args, inst, config) -> int:
     n_instances = config["verify_instances"]
     if n_instances < 0:
         raise ValueError(f"'verify_instances' must be nonnegative, got {n_instances}")
-    results = run_suite(n_instances, config["seed"], [inst])
+    results = run_suite(n_instances, config["seed"]) + tuple(check_instance(inst))
     worst = {}   # per name, the first record of largest measured - allowed
     for r in results:
         cur = worst.get(r.name)

@@ -86,15 +86,21 @@ class LeakageReport(Record):
         return "".join(row + "\r\n" for row in rows)
 
 
+def _check_grid(inst: ProblemInstance, times: np.ndarray) -> None:
+    """Refuse a grid whose largest ``|t|`` times ``inst.h_bound`` >= ``max|lam|`` overflows, as
+    a phase ``e^{-i lam t}`` could be NaN; with ``h_bound <= max|lam| + (1 + sqrt(dim)) ||V||``
+    it refuses more only where phases are noise (``eps |lam t| > 2 pi``, past 5.7e16)."""
+    t = float(times[np.abs(times).argmax()]) if times.size else 0.0
+    if not math.isfinite(abs(t) * inst.h_bound):   # Python floats: no warning
+        raise ValueError(f"time t = {t!r} times max|lam| <= {inst.h_bound:.3g} overflows")
+
+
 class _Evolution:
     """Eigendecomposition of H expressed in the H0 eigenbasis, for reads at ``times``."""
 
     def __init__(self, inst: ProblemInstance, times: np.ndarray):
+        _check_grid(inst, times)
         self.lam, self.s = np.linalg.eigh(inst.h_eig)
-        t = float(times[np.abs(times).argmax()]) if times.size else 0.0
-        lam_max = float(np.abs(self.lam).max())
-        if not math.isfinite(abs(t) * lam_max):   # Python floats: no warning
-            raise ValueError(f"time t = {t!r} times max|lam| = {lam_max:.3g} overflows")
         # per block (S_g, S_out, S_g^dag); D multiplies S_g^dag, held C-contiguous and
         # complex, so that the phase product casts nothing per (block, t)
         self.factors = [(self.s[g], self.s[out], _complex(self.s[g].conj().T))
@@ -284,7 +290,7 @@ class SweepResult(Record):
 
 def gamma_scaling_sweep(template: ProblemInstance, gammas, t_grid) -> SweepResult:
     """``max_leakage`` versus gamma and the least-squares slope of the log-log relation
-    (expected close to -1); each gamma may appear once, and all are checked before any maximum."""
+    (expected close to -1); each gamma may appear once; gammas and grid are checked first."""
     gam = np.sort(np.asarray(gammas, dtype=float))
     repeated = gam[1:][gam[1:] == gam[:-1]]
     if repeated.size:
@@ -292,6 +298,7 @@ def gamma_scaling_sweep(template: ProblemInstance, gammas, t_grid) -> SweepResul
     if gam.size < 4:
         raise ValueError(f"only {gam.size} usable sweep points")
     insts = [ProblemInstance(template.h0, template.v, float(g), template.partition) for g in gam]
+    _check_grid(insts[-1], np.asarray(t_grid, dtype=float))   # h_bound grows with gamma
     maxima = np.array([max_leakage(inst, t_grid) for inst in insts])
     usable = maxima > 0
     if usable.sum() < 4:

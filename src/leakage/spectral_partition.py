@@ -17,16 +17,15 @@ from .record import Record
 class SpectralPartition(Record):
     """Disjoint grouping of the eigenvalues of H0.
 
-    ``eigenvalues`` and ``eigenvectors`` are the pair ``herm_eig`` returns
-    for H0, read-only here as every record's arrays are; ``groups``
-    partitions the eigenvalue indices (ascending order).  The rest is
-    derived from these: ``gap``, the minimum distance between eigenvalues
-    in distinct groups, by brute force over every cross-group pair;
-    ``component_intervals``, each group's eigenvalue range; ``blocks``, per
-    group the index pair ``(g, out)`` of the group and its complement: P_k
-    and Q_k as coordinate blocks of the H0 eigenbasis.  Fewer than two
-    groups, groups that do not partition the indices, an empty group, or a
-    gap that is not positive raise ``ValueError``.
+    ``eigenvalues`` and ``eigenvectors`` are the pair ``herm_eig`` returns for H0, read-only
+    here as every record's arrays are; ``groups`` partitions the eigenvalue indices (ascending
+    order).  The rest is derived from these: ``gap``, the minimum distance between eigenvalues
+    in distinct groups, by brute force over every cross-group pair; ``component_intervals``,
+    each group's eigenvalue range; ``blocks``, per group the index pair ``(g, out)`` of the
+    group and its complement: P_k and Q_k as coordinate blocks of the H0 eigenbasis.  Fewer
+    than two groups, groups that do not partition the indices, an empty group, or a gap at or
+    below the resolution ``dim eps max|lam|`` raise ``ValueError``: eigh's backward error is
+    about that, so by Weyl's inequality roundoff alone may split one level by as much.
     """
 
     __slots__ = ("eigenvalues", "eigenvectors", "groups", "gap", "component_intervals", "blocks")
@@ -43,8 +42,8 @@ class SpectralPartition(Record):
             raise ValueError(f"groups must hold each index 0..{dim - 1} exactly once")
         gap = float(min(np.abs(lam[a][:, None] - lam[b][None, :]).min()
                         for i, a in enumerate(groups) for b in groups[i + 1 :]))
-        if not gap > 0:
-            raise ValueError(f"gap {gap:.3g} between groups is not positive")
+        if not gap > (resolution := dim * np.finfo(float).eps * float(np.abs(lam).max())):
+            raise ValueError(f"gap {gap:.3g} is not above the resolution {resolution:.3g}")
         component_intervals = tuple((float(lam[g].min()), float(lam[g].max())) for g in groups)
         # np.delete, not np.setdiff1d: the latter imports numpy.ma (~10 ms) on first use
         blocks = tuple((g, np.delete(np.arange(dim), g)) for g in groups)

@@ -185,14 +185,9 @@ def check_instance(inst: ProblemInstance):
     return results
 
 
-def run_suite(n_instances: int, seed: int, extra_instances=()) -> tuple:
-    """Each instance's invariant records, in order: the seeded random draws, then the extras."""
+def run_suite(n_instances: int, seed: int) -> tuple:
+    """Each seeded random instance's invariant records, in order of the draws."""
     if n_instances < 0:
         raise ValueError(f"n_instances must be nonnegative, got {n_instances}")
     rng = substream(seed, "invariant-suite")
-    results = []
-    for _ in range(n_instances):
-        results.extend(check_instance(random_instance(rng)))
-    for inst in extra_instances:
-        results.extend(check_instance(inst))
-    return tuple(results)
+    return tuple(r for _ in range(n_instances) for r in check_instance(random_instance(rng)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,31 @@ def test_instance_validation():
     for gamma in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite"):
             ProblemInstance(inst.h0, inst.v, gamma, inst.partition)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 10),
+       gamma=st.floats(1e-3, 1e3), x=st.floats(1e-3, 10.0), real=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_h_bound_bounds_the_spectrum_of_h(seed, dim, gamma, x, real):
+    # Weyl: max|lam(H)| <= gamma ||H0|| + ||V||, and ||V|| <= ||V||_inf for a Hermitian V
+    inst = make_instance(seed, dim, 2, x=x, gamma=gamma, real=real)
+    v_inf = np.abs(inst.v.entries).sum(axis=1).max()
+    assert inst.h_bound == gamma * np.abs(inst.partition.eigenvalues).max() + v_inf
+    assert np.abs(np.linalg.eigvalsh(inst.h)).max() <= inst.h_bound * (1.0 + 1e-13)
+
+
+def test_instance_refuses_an_h_beyond_the_float_range():
+    # the bound is formed without an overflow warning, for a Python or a numpy gamma
+    inst = make_instance(30, 5, 2)
+    h0 = OperatorMatrix(np.diag([0.0, 1.0, 2.0]))
+    part = partition_by_intervals(herm_eig(h0), [(-0.5, 0.5), (0.6, 2.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in (1e308, np.float64(1e308)):
+            with pytest.raises(ValueError, match=r"positive and finite, .* got 1e\+308 and inf"):
+                ProblemInstance(inst.h0, inst.v, gamma, inst.partition)
+        with pytest.raises(ValueError, match="positive and finite, .* got 1.0 and inf"):
+            ProblemInstance(h0, OperatorMatrix(np.full((3, 3), 1e308)), 1.0, part)
 
 
 def test_instance_rejects_a_partition_of_another_dimension():

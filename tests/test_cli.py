@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -340,14 +341,19 @@ def test_verify_prints_the_worst_record_per_name(tmp_path, capsys, monkeypatch):
                InvariantResult("a", True, 0.0, -1.0), InvariantResult("b", True, 0.0, 2.0))
     seen = []
 
-    def suite(n_instances, seed, extra_instances):
-        seen.append((n_instances, seed, [i.dim for i in extra_instances]))
-        return records
+    def suite(n_instances, seed):
+        seen.append((n_instances, seed))
+        return records[:4]
+
+    def check(inst):   # the model's records follow the random instances'
+        seen.append(inst.dim)
+        return list(records[4:])
 
     monkeypatch.setattr(cli, "run_suite", suite)
+    monkeypatch.setattr(cli, "check_instance", check)
     cfg = {**CHAIN_CFG, "verify_instances": 2, "seed": 7}
     assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 4
-    assert seen == [(2, 7, [12])]
+    assert seen == [(2, 7), 12]
     assert capsys.readouterr().out == (
         "FAIL a: measured 3.000e+00 allowed 2.000e+00\n"
         "PASS b: measured 1.000e+00 allowed 2.000e+00\n"
@@ -418,6 +424,65 @@ def test_overflowing_time_phases_are_input_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert "max|lam|" in captured.err and "overflows" in captured.err and captured.out == ""
     assert not (tmp_path / "new").exists()
+
+
+def _ring(g):
+    """The 4-cell ring with every hopping ``g``."""
+    return {**CHAIN_CFG, "params": {"n_cells": 4, "g1": g, "g2": g, "g3": g,
+                                    "disorder_strength": 0.01}}
+
+
+# inputs the floats cannot resolve, each refused by the code that owns it: at g = 1e16
+# eigh's roundoff splits degenerate levels of H0 into a gap of 2.0 against a resolution
+# dim eps max|lam0| of 53; gamma 1e308 puts H beyond the float range, and gamma 3.9e307 the
+# sums that form H in the H0 eigenbasis, even on a short grid; t_max 1e300 puts the phases
+# at the largest gamma beyond it
+UNRESOLVABLE = {
+    "ring-1e16": (_ring(1e16), ["run", "--out", "{out}/new"], "is not above the resolution"),
+    "run-gamma-1e308": ({**CHAIN_CFG, "gamma": 1e308}, ["run", "--out", "{out}/new"],
+                        "positive and finite"),
+    "run-gamma-3.9e307": ({**CHAIN_CFG, "gamma": 3.9e307,
+                           "t_grid": {"t_max": 0.5, "n_points": 3}},
+                          ["run", "--out", "{out}/new"], "positive and finite"),
+    "verify-gamma-1e308": ({**CHAIN_CFG, "gamma": 1e308, "verify_instances": 2}, ["verify"],
+                           "positive and finite"),
+    "sweep-gamma-1e308": (CHAIN_CFG, ["sweep", "--gamma-list", "10,30,100,300,1e308"],
+                          "positive and finite"),
+    "sweep-t-1e300": ({**CHAIN_CFG, "t_grid": {"t_max": 1e300, "n_points": 41}},
+                      ["sweep", "--gamma-list", "1,1e10,1e100,1e200,1e300"], "overflows"),
+}
+
+
+@pytest.mark.parametrize("case", UNRESOLVABLE)
+def test_unresolvable_input_is_refused_before_any_eigensolve_of_h(tmp_path, capsys,
+                                                                  monkeypatch, case):
+    # exit 2 with no eigensystem of H, no leakage read, no maximum, no --out and no warning
+    cfg, argv, message = UNRESOLVABLE[case]
+    calls = []
+    evolution, compute = dynamics._Evolution.__init__, dynamics.max_leakage
+    monkeypatch.setattr(dynamics._Evolution, "__init__",
+                        lambda evo, *args: calls.append("_Evolution") or evolution(evo, *args))
+    monkeypatch.setattr(dynamics, "max_leakage",
+                        lambda *args: calls.append("max_leakage") or compute(*args))
+    argv = [argv[0], "--config", write_cfg(tmp_path, cfg), *argv[1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([arg.format(out=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert calls == []
+    assert not (tmp_path / "new").exists()
+
+
+def test_ring_with_resolved_gap_still_runs(tmp_path):
+    # at g = 1e14 the ring's 7 groups lie some 5e13 resolutions apart, and the run completes
+    inst, _ = cli.build_instance(_ring(1e14))
+    part = inst.partition
+    resolution = part.dim * np.finfo(float).eps * np.abs(part.eigenvalues).max()
+    assert part.n_groups == 7 and part.gap > 1e13 * resolution
+    cfg = write_cfg(tmp_path, _ring(1e14))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "ring")]) == 0
+    assert (tmp_path / "ring" / "summary.json").exists()
 
 
 def test_out_that_cannot_be_made_is_input_error(tmp_path, capsys, monkeypatch):

@@ -221,9 +221,9 @@ def test_experiment_refuses_a_bound_report_beyond_the_float_range(monkeypatch):
 
 
 def test_overflowing_time_phases_are_refused(monkeypatch):
-    # max|lam| is about 1.01e10: e^{-i lam t} is NaN once |t| max|lam| overflows, and
-    # max_leakage's max(best, nan) would drop that read; the grid is refused before any
-    # point is read, t = 0 included
+    # max|lam| is about 1.01e10, and h_bound = gamma max|lam0| + ||V||_inf = 1.1e10: e^{-i lam t}
+    # is NaN once |t| max|lam| overflows, and max_leakage's max(best, nan) would drop that read;
+    # the grid is refused by |t| h_bound before any point is read, t = 0 included
     h0 = OperatorMatrix(np.diag([0.0, 1e10]))
     v = OperatorMatrix(1e9 * np.array([[0.0, 1.0], [1.0, 0.0]]))
     inst = ProblemInstance(h0, v, 1.0, partition_by_threshold(herm_eig(h0), 0.5))
@@ -232,7 +232,7 @@ def test_overflowing_time_phases_are_refused(monkeypatch):
     product = dynamics._product
     monkeypatch.setattr(dynamics, "_product", lambda a, rhs: reads.append(a) or product(a, rhs))
     for call in (max_leakage, run_leakage_experiment):
-        with pytest.raises(ValueError, match=r"time t = 1e\+300 times max\|lam\| = 1.01e\+10"):
+        with pytest.raises(ValueError, match=r"t = 1e\+300 times max\|lam\| <= 1.1e\+10 overflows"):
             call(inst, [0.0, 1e300])
     assert reads == []
 

@@ -87,7 +87,7 @@ def test_gap_is_brute_force_minimum():
 
 
 @pytest.mark.parametrize("groups, message", [
-    ([[0], [1, 2, 3]], "gap 0 between groups is not positive"),
+    ([[0], [1, 2, 3]], "gap 0 is not above the resolution 1.78e-15"),
     ([[0, 1, 2, 3]], "at least two groups, got 1"),
     ([[0, 1, 2], [2, 3]], "each index 0..3 exactly once"),
     ([[0, 1], [3]], "each index 0..3 exactly once"),
@@ -99,6 +99,19 @@ def test_hand_built_partition_rejected(groups, message):
     # eigenvalue 0 is threefold: splitting it leaves no gap between the groups
     with pytest.raises(ValueError, match=message):
         SpectralPartition(*diag_eig([0.0, 0.0, 0.0, 2.0]), groups)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_gap_must_exceed_the_eigenvalue_resolution(factor):
+    # eigh moves an eigenvalue by up to about dim eps max|lam| (Weyl's inequality on its
+    # backward error), so a gap no wider may be roundoff splitting one level
+    resolution = 4 * np.finfo(float).eps * 2.0
+    eig = diag_eig([0.0, 0.0, factor * resolution, 2.0])
+    if factor < 1:
+        with pytest.raises(ValueError, match=f"is not above the resolution {resolution:.3g}"):
+            SpectralPartition(*eig, [[0, 1], [2, 3]])
+    else:
+        assert SpectralPartition(*eig, [[0, 1], [2, 3]]).gap == factor * resolution
 
 
 def test_projections_resolve_identity_and_commute():

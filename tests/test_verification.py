@@ -132,20 +132,6 @@ def test_suite_deterministic_and_serializable():
     assert json.loads(json.dumps([r.to_json() for r in a])) == [r.to_json() for r in a]
 
 
-def test_suite_counts_extras():
-    # the extras' records follow the random instances', each extra's in check_instance's order
-    extra = make_instance(63, 6, 2, x=0.01)
-    own = tuple(check_instance(extra))
-    assert run_suite(2, 0, extra_instances=[extra]) == run_suite(2, 0) + own
-
-
-def test_suite_counts_a_one_shot_iterator_of_extras():
-    # the suite reads its extras once: an iterator gives the records of every instance it yields
-    extras = [make_instance(63 + i, 6, 2, x=0.01) for i in range(2)]
-    results = run_suite(0, 0, extra_instances=iter(extras))
-    assert results == tuple(r for inst in extras for r in check_instance(inst))
-
-
 def test_suite_rejects_negative_count():
     with pytest.raises(ValueError, match="n_instances must be nonnegative, got -1"):
         run_suite(-1, 0)
