@@ -31,6 +31,7 @@ from .spectral_partition import SpectralPartition
 
 J_MAX = 64
 SERIES_TOL_DEFAULT = 1e-12
+SCAN_T_MAX = 50.0   # the horizon of the invariant scan, verification.check_instance's
 
 
 class ProblemInstance(Record):
@@ -39,7 +40,8 @@ class ProblemInstance(Record):
     ``||V||`` and the Bloch terms are computed on first use and cached on the instance, which
     is immutable, so each is computed once.  ``h_bound = gamma max|lam0| + ||V||_inf`` bounds
     ``max|lam|`` of H (Weyl, as ``||V|| <= ||V||_inf`` for a Hermitian V).  A gamma must be
-    positive with ``dim h_bound`` finite, above every partial sum that forms ``h_eig``.
+    positive with ``max(dim, SCAN_T_MAX) h_bound`` finite, above every partial sum forming
+    ``h_eig`` and every phase of the invariant scan, which no grid rule then refuses.
     """
 
     __slots__ = ("h0", "v", "gamma", "partition", "h_bound", "_cache")
@@ -48,9 +50,9 @@ class ProblemInstance(Record):
                  partition: SpectralPartition):
         with np.errstate(all="ignore"):   # a bound that is not finite is refused, not warned of
             h_bound = float(gamma * abs(partition.eigenvalues).max() + abs(v.entries).sum(1).max())
-        if not (math.isfinite(h0.dim * h_bound) and gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, as must dim (gamma max|lam0| + "
-                             f"||V||_inf), got {gamma} and {h0.dim * h_bound:.3g}")
+        if not (math.isfinite(scaled := max(h0.dim, SCAN_T_MAX) * h_bound) and gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, as must max(dim, {SCAN_T_MAX:g})"
+                             f" (gamma max|lam0| + ||V||_inf), got {gamma} and {scaled:.3g}")
         if h0.dim != v.dim:
             raise ValueError("H0 and V dimensions differ")
         if partition.dim != h0.dim:

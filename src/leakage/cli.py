@@ -244,9 +244,7 @@ def cmd_run(args, inst, config) -> int:
             invariants = [r.to_json() for r in check_instance(inst)]
             if any(not r["passed"] for r in invariants):
                 exit_code = EXIT_VIOLATION
-        sol = None
-        if report.bounds.epsilon is not None:
-            sol = solve_bloch_series(inst)
+        sol = None if report.bounds.epsilon is None else solve_bloch_series(inst)
         summary.update(
             {
                 "bounds": report.bounds.to_json(),
@@ -270,10 +268,12 @@ def cmd_run(args, inst, config) -> int:
 
 
 def cmd_verify(args, inst, config) -> int:
+    """Checks the model first, so a refused one costs no random draw; its records print last."""
     n_instances = config["verify_instances"]
     if n_instances < 0:
         raise ValueError(f"'verify_instances' must be nonnegative, got {n_instances}")
-    results = run_suite(n_instances, config["seed"]) + tuple(check_instance(inst))
+    model = tuple(check_instance(inst))
+    results = run_suite(n_instances, config["seed"]) + model
     worst = {}   # per name, the first record of largest measured - allowed
     for r in results:
         cur = worst.get(r.name)

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import bounds
-from .bloch_solver import SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
+from .bloch_solver import SCAN_T_MAX, SERIES_TOL_DEFAULT, ProblemInstance, solve_bloch_series
 from .bounds import SLACK
 from .dynamics import _SCREEN_MARGIN, _Evolution
 from .operator_core import OperatorMatrix, herm_eig, operator_norm
@@ -108,7 +108,7 @@ def check_instance(inst: ProblemInstance):
     v_norm = inst.v_norm
     x = inst.x
     eye = np.eye(inst.dim)
-    times = np.linspace(0.0, 50.0, 21)   # the linear-bound scan's
+    times = np.linspace(0.0, SCAN_T_MAX, 21)   # the linear-bound scan's
     evo = _Evolution(inst, times)
 
     sol = solve_bloch_series(inst)

@@ -14,13 +14,14 @@ from leakage import (
     herm_eig,
     operator_norm,
     partition_by_intervals,
+    partition_by_threshold,
     solve_bloch_series,
 )
 from leakage import bloch_solver
-from leakage.bloch_solver import J_MAX
+from leakage.bloch_solver import J_MAX, SCAN_T_MAX
 from leakage.bounds import catalan_tails
 from leakage.errors import LeakageError
-from leakage.models import HarmonicChainSpec, build_harmonic_chain
+from leakage.models import ChainSpec, HarmonicChainSpec, build_chain, build_harmonic_chain
 
 from conftest import dense_projection, grouped_instance, make_instance, to_original
 
@@ -318,6 +319,21 @@ def test_instance_refuses_an_h_beyond_the_float_range():
                 ProblemInstance(inst.h0, inst.v, gamma, inst.partition)
         with pytest.raises(ValueError, match="positive and finite, .* got 1.0 and inf"):
             ProblemInstance(h0, OperatorMatrix(np.full((3, 3), 1e308)), 1.0, part)
+
+
+def test_instance_admits_only_gammas_whose_scan_phases_are_finite():
+    # on the dim-12 chain the invariant scan's horizon, not dim, sets the largest gamma:
+    # refused where 50 h_bound overflows though 12 h_bound does not, admitted just below
+    h0, v = build_chain(ChainSpec(4))
+    part = partition_by_threshold(herm_eig(h0), 0.5)
+    edge = np.finfo(float).max / SCAN_T_MAX / np.abs(part.eigenvalues).max()
+    assert h0.dim == 12 and SCAN_T_MAX == 50.0
+    inst = ProblemInstance(h0, v, edge * (1 - 1e-9), part)
+    assert math.isfinite(SCAN_T_MAX * inst.h_bound)
+    with pytest.raises(ValueError, match=r"positive and finite, as must max\(dim, 50\) .* inf"):
+        ProblemInstance(h0, v, edge * (1 + 1e-9), part)
+    v_inf = np.abs(v.entries).sum(axis=1).max()
+    assert math.isfinite(12 * (edge * (1 + 1e-9) * np.abs(part.eigenvalues).max() + v_inf))
 
 
 def test_instance_rejects_a_partition_of_another_dimension():

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from leakage import OperatorMatrix, bounds, cli, dynamics
+from leakage import OperatorMatrix, bounds, cli, dynamics, verification
 from leakage.models import ChainSpec, HarmonicChainSpec, build_chain, build_harmonic_chain
 from leakage.cli import main
 from leakage.errors import LeakageError
@@ -104,6 +104,44 @@ def test_run_chain(tmp_path, capsys):
     assert (tmp_path / "series.csv").read_text().startswith("t,k,leakage")
     series = json.loads((tmp_path / "series.json").read_text())
     assert len(series["times"]) == 41
+
+
+# the 4-cell chain run's (CHAIN_CFG, seed 0) series at t = 0, 3.5, 10, 16.5 and 20, grid
+# indices 0, 7, 20, 33 and 40: per_block_leakage (one row per group), then d_bloch and d_sw
+FROZEN_INDICES = [0, 7, 20, 33, 40]
+FROZEN_LEAKAGE = [
+    [5.605868551428335e-16, 0.010368434861521544, 0.00300346439389312,
+     0.011857863929897678, 0.004666149557750311],
+    [8.849720037285209e-16, 0.010636904000682089, 0.0028731167724576037,
+     0.011652103616036507, 0.0045661858357117285],
+    [8.287664136467138e-16, 0.007459843374556928, 0.007391197083480505,
+     0.0075308059426183885, 0.00385246077271953],
+    [5.061004879844544e-16, 0.009911226361716397, 0.009827700450074228,
+     0.009703366411980949, 0.002892802654145466],
+    [7.416224704594984e-16, 0.0074549514317872115, 0.007376620117356051,
+     0.007508523671473517, 0.0038785981220652013],
+    [5.717087801187948e-16, 0.01061373791576007, 0.0028609190722412364,
+     0.01160320156310944, 0.004529270268342065],
+    [1.0241794957133597e-15, 0.010332806613897157, 0.0029856133817547223,
+     0.011800637649381208, 0.004620796907447867],
+]
+FROZEN_D_BLOCH = [0.0, 0.01188723895060972, 0.01053555274308327, 0.013029037376171398,
+                  0.006615276006475423]
+FROZEN_D_SW = [0.0, 0.011887238934440322, 0.01053555273358103, 0.013029037370894008,
+               0.006615275998652771]
+
+
+def test_run_chain_series_keep_their_frozen_values(tmp_path):
+    # a change that is meant to leave the numbers alone, such as a faster kernel, must keep
+    # the leakage and both distance series to 1e-12; the expm oracles check them independently
+    cfg = {**CHAIN_CFG, "outputs": [{"path": "series.json"}]}
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    series = json.loads((tmp_path / "series.json").read_text())
+    assert [series["times"][j] for j in FROZEN_INDICES] == [0.0, 3.5, 10.0, 16.5, 20.0]
+    for key, frozen in [("per_block_leakage", FROZEN_LEAKAGE), ("d_bloch", FROZEN_D_BLOCH),
+                        ("d_sw", FROZEN_D_SW)]:
+        got = np.asarray(series[key])[..., FROZEN_INDICES]
+        np.testing.assert_allclose(got, frozen, rtol=0, atol=1e-12, err_msg=key)
 
 
 def test_run_distance_violation_exit_code(tmp_path, monkeypatch):
@@ -345,7 +383,7 @@ def test_verify_prints_the_worst_record_per_name(tmp_path, capsys, monkeypatch):
         seen.append((n_instances, seed))
         return records[:4]
 
-    def check(inst):   # the model's records follow the random instances'
+    def check(inst):   # checked before the random instances, the model's records follow theirs
         seen.append(inst.dim)
         return list(records[4:])
 
@@ -353,11 +391,27 @@ def test_verify_prints_the_worst_record_per_name(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_instance", check)
     cfg = {**CHAIN_CFG, "verify_instances": 2, "seed": 7}
     assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 4
-    assert seen == [(2, 7), 12]
+    assert seen == [12, (2, 7)]
     assert capsys.readouterr().out == (
         "FAIL a: measured 3.000e+00 allowed 2.000e+00\n"
         "PASS b: measured 1.000e+00 allowed 2.000e+00\n"
         "FAIL invariant suite (3 instances)\n")
+
+
+@pytest.mark.parametrize("gamma, message", [(0.05, "4 pi ||V|| / eta"), (0.23, "Catalan tail")],
+                         ids=["outside-bloch-regime", "catalan-tail"])
+def test_verify_refuses_its_model_before_any_random_draw(tmp_path, capsys, monkeypatch, gamma,
+                                                         message):
+    # the chain's own check_instance fails first, so the suite draws no random instance
+    draws = []
+    draw = verification.random_instance
+    monkeypatch.setattr(verification, "random_instance",
+                        lambda rng: draws.append(rng) or draw(rng))
+    cfg = write_cfg(tmp_path, {**CHAIN_CFG, "gamma": gamma})
+    assert main(["verify", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert draws == []
 
 
 def test_sweep(tmp_path, capsys):
@@ -437,6 +491,7 @@ def _ring(g):
 # dim eps max|lam0| of 53; gamma 1e308 puts H beyond the float range, and gamma 3.9e307 the
 # sums that form H in the H0 eigenbasis, even on a short grid; t_max 1e300 puts the phases
 # at the largest gamma beyond it
+GAMMA_3E306 = {**CHAIN_CFG, "gamma": 3e306, "t_grid": {"t_max": 0.5, "n_points": 11}}
 UNRESOLVABLE = {
     "ring-1e16": (_ring(1e16), ["run", "--out", "{out}/new"], "is not above the resolution"),
     "run-gamma-1e308": ({**CHAIN_CFG, "gamma": 1e308}, ["run", "--out", "{out}/new"],
@@ -446,6 +501,9 @@ UNRESOLVABLE = {
                           ["run", "--out", "{out}/new"], "positive and finite"),
     "verify-gamma-1e308": ({**CHAIN_CFG, "gamma": 1e308, "verify_instances": 2}, ["verify"],
                            "positive and finite"),
+    # H, and the H0-basis sums, are finite, but the invariant scan's phases at t = 50 are not
+    "run-gamma-3e306": (GAMMA_3E306, ["run", "--out", "{out}/new"], "positive and finite"),
+    "verify-gamma-3e306": (GAMMA_3E306, ["verify"], "positive and finite"),
     "sweep-gamma-1e308": (CHAIN_CFG, ["sweep", "--gamma-list", "10,30,100,300,1e308"],
                           "positive and finite"),
     "sweep-t-1e300": ({**CHAIN_CFG, "t_grid": {"t_max": 1e300, "n_points": 41}},
