@@ -87,12 +87,12 @@ class LeakageReport(Record):
 
 
 def _check_grid(inst: ProblemInstance, times: np.ndarray) -> None:
-    """Refuse a grid whose largest ``|t|`` times ``inst.h_bound`` >= ``max|lam|`` overflows, as
-    a phase ``e^{-i lam t}`` could be NaN; with ``h_bound <= max|lam| + (1 + sqrt(dim)) ||V||``
-    it refuses more only where phases are noise (``eps |lam t| > 2 pi``, past 5.7e16)."""
+    """Refuse a time that is not finite, or whose ``|t| h_bound`` overflows, as ``e^{-i lam t}``
+    could be NaN; ``h_bound >= max|lam|`` refuses more only where phases are noise, past 5.7e16."""
     t = float(times[np.abs(times).argmax()]) if times.size else 0.0
     if not math.isfinite(abs(t) * inst.h_bound):   # Python floats: no warning
-        raise ValueError(f"time t = {t!r} times max|lam| <= {inst.h_bound:.3g} overflows")
+        raise ValueError(f"time t = {t!r} is not finite" if not math.isfinite(t) else
+                         f"time t = {t!r} times max|lam| <= {inst.h_bound:.3g} overflows")
 
 
 class _Evolution:

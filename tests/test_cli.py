@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from leakage import OperatorMatrix, bounds, cli, dynamics, verification
+from leakage import OperatorMatrix, ProblemInstance, bounds, cli, dynamics, verification
 from leakage.models import ChainSpec, HarmonicChainSpec, build_chain, build_harmonic_chain
 from leakage.cli import main
 from leakage.errors import LeakageError
@@ -68,6 +68,12 @@ def test_bounds_by_x(capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["epsilon"] == pytest.approx(0.059565087217458258, rel=1e-12, abs=0.0)
     assert blob["delta"] == pytest.approx(0.028921196803706114, rel=1e-12, abs=0.0)
+    # at x = 1e-12 delta is pi x and the SW bound 4 pi x, up to terms near 1e-11; a closed
+    # form that cancels there misses them by far more than 1e-10
+    assert main(["bounds", "--x", "1e-12"]) == 0
+    blob, px = json.loads(capsys.readouterr().out), np.pi * 1e-12
+    assert blob["delta"] == pytest.approx(px, rel=1e-10, abs=0.0)
+    assert blob["d_sw_bound"] == pytest.approx(4 * px, rel=1e-10, abs=0.0)
 
 
 def test_bounds_by_triple(capsys):
@@ -331,7 +337,7 @@ def test_model_emit(tmp_path, capsys):
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["h0"]["dim"] == 12
-    assert blob["partition"]["gap"] > 0.5
+    assert blob["partition"]["gap"] > 0.5 and len(blob["partition"]["groups"]) >= 2
     assert main(["model", "--config", write_cfg(tmp_path, CHAIN_CFG),
                  "--emit", "garbage"]) == 2
     transmon = {"model": "transmon", "params": {"ej_over_ec": 90, "transparency_d": 1e-3}}
@@ -344,7 +350,7 @@ def test_verify(tmp_path, capsys):
     code = main(["verify", "--config", write_cfg(tmp_path, cfg)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "PASS invariant suite (4 instances)" in out
+    assert out.endswith("\nPASS invariant suite (4 instances)\n")
     assert "FAIL" not in out
 
 
@@ -415,12 +421,25 @@ def test_verify_refuses_its_model_before_any_random_draw(tmp_path, capsys, monke
 
 
 def test_sweep(tmp_path, capsys):
-    code = main(["sweep", "--config", write_cfg(tmp_path, CHAIN_CFG),
-                 "--gamma-list", "10,30,100,300"])
+    cfg = write_cfg(tmp_path, CHAIN_CFG)
+    code = main(["sweep", "--config", cfg, "--gamma-list", "10,30,100,300"])
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["gammas"] == [10.0, 30.0, 100.0, 300.0]
     assert blob["slope"] == pytest.approx(-1.0, abs=0.3)
+    # each maximum is the very float a run reports at its gamma: at gamma 1 the run's own
+    # summary, and at 1e4 and 1e6 too, where the squared leakage nears max_leakage's floor
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    run_max = json.loads((tmp_path / "run" / "summary.json").read_text())["max_leakage"]
+    inst, config = cli.build_instance(CHAIN_CFG)
+    times = cli._time_grid(config["t_grid"])
+    for gammas in ["1,2,4,8", "1,100,10000,1000000"]:
+        assert main(["sweep", "--config", cfg, "--gamma-list", gammas]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert len(blob["max_leakages"]) == 4 and blob["max_leakages"][0] == run_max
+        for g, swept in zip(blob["gammas"], blob["max_leakages"]):
+            inst_g = ProblemInstance(inst.h0, inst.v, g, inst.partition)
+            assert swept == dynamics.run_leakage_experiment(inst_g, times).max_leakage, g
     transmon = {"model": "transmon", "params": {"ej_over_ec": 90, "transparency_d": 1e-3}}
     assert main(["sweep", "--config", write_cfg(tmp_path, transmon),
                  "--gamma-list", "10,30,100,300"]) == 2
@@ -585,6 +604,24 @@ def test_out_that_cannot_be_written_is_refused_before_computing(tmp_path, capsys
     assert list((tmp_path / "ro").iterdir()) == []
     assert list((tmp_path / "out").iterdir()) == [tmp_path / "out" / "series.json"]
     assert (tmp_path / "out" / "series.json").read_text() == "old"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes into any directory, whatever its mode")
+def test_out_in_a_read_only_directory_is_refused_before_computing(tmp_path, capsys, monkeypatch):
+    # the test above stands os.access in for the file system; this one asks the real one,
+    # where a chmod 555 directory refuses writes to anyone but root
+    calls = []
+    monkeypatch.setattr(cli, "run_leakage_experiment", lambda *args: calls.append(args))
+    cfg = write_cfg(tmp_path, CHAIN_CFG)
+    ro = tmp_path / "ro"
+    ro.mkdir()
+    ro.chmod(0o555)
+    try:
+        assert main(["run", "--config", cfg, "--out", str(ro / "new")]) == 2
+    finally:
+        ro.chmod(0o755)   # so that pytest can remove tmp_path
+    assert "cannot be written" in capsys.readouterr().err
+    assert calls == [] and list(ro.iterdir()) == []
 
 
 def test_catalan_tail_is_refused_before_any_leakage_read(tmp_path, capsys, monkeypatch):
@@ -1031,6 +1068,9 @@ def test_summary_records_the_config_as_read(tmp_path):
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
     _, config = cli.build_instance(cfg)
     summary = json.loads((tmp_path / "summary.json").read_text())
+    # it holds the defaults the input omits
+    assert summary["config"]["verify_instances"] == 100
+    assert summary["config"]["params"]["g1"] == 1.0
     assert summary["config"] == json.loads(json.dumps(config))
     assert summary["config"]["outputs"] == [
         {"path": "series.csv", "format": "csv", "kind": "leakage"}]

@@ -237,6 +237,17 @@ def test_overflowing_time_phases_are_refused(monkeypatch):
     assert reads == []
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_time_is_refused_as_such(t):
+    # the time itself is at fault, not an overflow of t max|lam| with the chain's max|lam| <= 3.05
+    h0, v, partition = chain_pair()
+    inst = ProblemInstance(h0, v, 1.0, partition(herm_eig(h0)))
+    for call in (max_leakage, run_leakage_experiment,
+                 lambda inst, times: gamma_scaling_sweep(inst, [1.0, 2.0, 4.0, 8.0], times)):
+        with pytest.raises(ValueError, match=rf"^time t = {t!r} is not finite$"):
+            call(inst, [0.0, t])
+
+
 def test_report_serialization(rabi_instance):
     times = np.linspace(0.0, 5.0, 6)
     rep = run_leakage_experiment(rabi_instance, times)

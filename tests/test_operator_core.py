@@ -37,8 +37,7 @@ def test_rejects_non_finite_entries(bad):
         read_custom_v({"dim": 1, "entries": [[bad, 0.0]]})
 
 
-def test_hermitian_hint_is_checked():
-    # the Hermiticity check once enabled by a hint now always runs at construction
+def test_construction_checks_hermiticity():
     with pytest.raises(ValueError, match=r"max\|M - M\^dag\| = .* exceeds"):
         OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match=r"max\|M - M\^dag\| = .* exceeds"):
@@ -48,7 +47,7 @@ def test_hermitian_hint_is_checked():
     OperatorMatrix(m)
 
 
-def test_herm_eig_rejects_non_hermitian_without_hint():
+def test_herm_eig_and_inv_sqrt_psd_reject_non_hermitian():
     # a non-Hermitian matrix is stopped before herm_eig or inv_sqrt_psd factor it
     with pytest.raises(ValueError, match=r"max\|M - M\^dag\| = .* exceeds"):
         herm_eig(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
