@@ -103,7 +103,8 @@ class _Evolution:
         self.lam, self.s = np.linalg.eigh(inst.h_eig)
         # per block (S_g, S_out, S_g^dag); D multiplies S_g^dag, held C-contiguous and
         # complex, so that the phase product casts nothing per (block, t)
-        self.factors = [(self.s[g], self.s[out], _complex(self.s[g].conj().T))
+        self.factors = [(self.s[g], self.s[out],
+                         np.ascontiguousarray(self.s[g].conj().T, dtype=np.complex128))
                         for g, out in inst.partition.blocks]
 
     def phases(self, t: float) -> np.ndarray:
@@ -118,12 +119,6 @@ class _Evolution:
         """
         _, s_out, s_g_dag = self.factors[k]
         return math.sqrt(_top(_gram(_product(s_out, self.phases(t) * s_g_dag))))
-
-
-def _complex(a: np.ndarray) -> np.ndarray:
-    """``a`` as a C-contiguous complex128 array; for a real ``a``, ``z * _complex(a)``
-    is bit-identical to ``z * a``, without the cast on every product."""
-    return np.ascontiguousarray(a, dtype=np.complex128)
 
 
 def _product(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -153,7 +148,7 @@ def run_leakage_experiment(inst: ProblemInstance, t_grid) -> LeakageReport:
         bloch = solve_bloch_series(inst)
         u = evo.s    # eigenvectors of H in the H0 eigenbasis
         y = u.conj().T @ bloch.omega @ u
-        y_inv_t = _complex(np.linalg.inv(y).T)
+        y_inv_t = np.ascontiguousarray(np.linalg.inv(y).T, dtype=np.complex128)
         if report.d_sw_bound is not None:
             x = u.conj().T @ sw_transform(inst, bloch).w @ u
             d_sw = np.zeros(times.size)
@@ -328,11 +323,9 @@ def truncation_convergence_study(builder, cutoffs, t_probe: float, k: int):
         if k >= part.n_groups:
             raise LeakageError(f"cutoff {c} leaves only {part.n_groups} groups, probe was {k}")
         interval = part.component_intervals[k]
-        if ref_interval is None:
-            ref_interval = interval
-        else:
-            drift = max(abs(interval[0] - ref_interval[0]), abs(interval[1] - ref_interval[1]))
-            if drift > part.gap / 2.0:
-                raise LeakageError(f"group {k} interval moved by {drift:.3g} at cutoff {c}")
+        ref_interval = ref_interval or interval   # the first cutoff's drift is 0
+        drift = max(abs(interval[0] - ref_interval[0]), abs(interval[1] - ref_interval[1]))
+        if drift > part.gap / 2.0:
+            raise LeakageError(f"group {k} interval moved by {drift:.3g} at cutoff {c}")
         values.append(_Evolution(inst, np.array([t_probe])).leakage(k, t_probe))
     return values

@@ -11,6 +11,7 @@ bound, epsilon(x) at the model's own ``x``.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -31,9 +32,11 @@ class ChainSpec(ValueRecord):
 
     def __init__(self, n_cells: int, g1: float = 1.0, g2: float = 1.5, g3: float = 2.0,
                  disorder_strength: float = 0.01, seed: int = 0):
+        if not isinstance(n_cells, numbers.Integral):
+            raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
         if n_cells < 2:
             raise ValueError("need at least two unit cells")
-        if disorder_strength < 0:
+        if not disorder_strength >= 0:   # NaN fails this too
             raise ValueError("disorder_strength must be nonnegative")
         self._init(locals())
 
@@ -49,11 +52,14 @@ class HarmonicChainSpec(ValueRecord):
 
     def __init__(self, n_sites: int, omega: float = 10.0, g: float = 1.0, fock_cutoff: int = 3,
                  v0: float = 0.0):
+        for key, size in (("n_sites", n_sites), ("fock_cutoff", fock_cutoff)):
+            if not isinstance(size, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {size!r}")
         if n_sites < 2:
             raise ValueError("need at least two sites")
         if fock_cutoff < 2:
             raise ValueError("fock_cutoff must be at least 2")
-        if omega <= 0 or g < 0 or v0 < 0:
+        if not (omega > 0 and g >= 0 and v0 >= 0):   # NaN fails this too
             raise ValueError("omega must be positive, g and v0 nonnegative")
         self._init(locals())
 

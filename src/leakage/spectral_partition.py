@@ -80,9 +80,7 @@ def partition_by_threshold(eig: tuple, split_threshold: float) -> SpectralPartit
     cuts = np.where(np.diff(lam) > split_threshold)[0]
     if cuts.size == 0:
         raise ValueError(f"no adjacent eigenvalue difference exceeds {split_threshold}")
-    edges = np.concatenate([[0], cuts + 1, [lam.size]])
-    groups = [np.arange(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    return SpectralPartition(*eig, groups)
+    return SpectralPartition(*eig, np.split(np.arange(lam.size), cuts + 1))
 
 
 def partition_by_intervals(eig: tuple, intervals) -> SpectralPartition:

@@ -104,6 +104,17 @@ def test_leakage_reads_both_gram_sides(case, real, sizes, times):
     assert max_leakage(inst, times) == leak.max()
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_phased_factor_is_c_contiguous_complex(real):
+    # _product's one real GEMM views S_g^dag's phased product as float64 pairs: a factor
+    # held real would add a cast to every leakage read, one held F-ordered breaks the view
+    inst = make_instance(0, 9, 3, x=0.03, real=real)
+    factors = dynamics._Evolution(inst, np.array([1.0])).factors
+    assert np.isrealobj(factors[0][0]) == real
+    for _, _, s_g_dag in factors:
+        assert s_g_dag.dtype == np.complex128 and s_g_dag.flags.c_contiguous
+
+
 @pytest.mark.parametrize("seed, dim, n_groups", [(0, 9, 3), (3, 9, 3), (5, 6, 2), (11, 9, 3)])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 def test_leakage_vanishes_at_time_zero(seed, dim, n_groups, real):

@@ -35,16 +35,36 @@ def test_spec_validation():
         ChainSpec(n_cells=1)
     with pytest.raises(ValueError):
         ChainSpec(n_cells=4, disorder_strength=-0.1)
+    with pytest.raises(ValueError, match="disorder_strength must be nonnegative"):
+        # NaN passes `< 0`, and build_chain would then draw no disorder at all
+        ChainSpec(n_cells=4, disorder_strength=math.nan)
     with pytest.raises(ValueError):
         HarmonicChainSpec(n_sites=1)
     with pytest.raises(ValueError):
         HarmonicChainSpec(n_sites=3, fock_cutoff=1)
     with pytest.raises(ValueError):
         HarmonicChainSpec(n_sites=3, omega=-1.0)
+    for field in ("omega", "g", "v0"):
+        with pytest.raises(ValueError, match="omega must be positive, g and v0 nonnegative"):
+            HarmonicChainSpec(n_sites=3, **{field: math.nan})
+    with pytest.raises(ValueError, match="n_cells must be an integer, got 4.0"):
+        ChainSpec(n_cells=4.0)
+    with pytest.raises(ValueError, match="n_sites must be an integer, got 3.0"):
+        HarmonicChainSpec(n_sites=3.0)
+    with pytest.raises(ValueError, match="fock_cutoff must be an integer, got 2.5"):
+        # would build cutoff 3's four bands while the spec records 2.5
+        HarmonicChainSpec(n_sites=3, fock_cutoff=2.5)
     with pytest.raises(ValueError):
         TransmonSpec(ej_over_ec=-5.0, transparency_d=0.5)
     with pytest.raises(ValueError):
         TransmonSpec(ej_over_ec=90.0, transparency_d=1.0)
+
+
+def test_specs_take_numpy_integer_sizes():
+    h0 = build_chain(ChainSpec(n_cells=np.int64(4)))[0]
+    assert np.array_equal(h0.entries, build_chain(ChainSpec(n_cells=4))[0].entries)
+    spec = HarmonicChainSpec(n_sites=np.int32(3), fock_cutoff=np.int64(3))
+    assert build_harmonic_chain(spec)[0].dim == 12
 
 
 def test_chain_structure():
