@@ -168,6 +168,8 @@ def build_instance(cfg: dict):
     """
     config = _section(cfg, "config", _TOP)
     model, rule = config["model"], config["partition"]
+    if model == "harmonic" and "partition" not in cfg:   # its own bands, as an explicit {}
+        rule["threshold"] = None
     if rule["threshold"] is not None and rule["intervals"] is not None:
         raise ValueError("partition takes 'threshold' or 'intervals', not both")
     config["params"] = params = _params(config["params"], _MODELS[model])
@@ -233,17 +235,13 @@ def cmd_run(args, inst, config) -> int:
     out_dir = Path(args.out or ".")
     files = _run_files(config["outputs"], out_dir)
     summary: dict = {"config": config}
-    exit_code = EXIT_OK
     if inst is None:
         summary["transmon_leakage_bound"] = transmon_leakage_bound(**config["params"])
         summary["bounds"] = None
+        failed = False
     else:
         report = run_leakage_experiment(inst, _time_grid(config["t_grid"]))
-        invariants = None
-        if report.bounds.d_sw_bound is not None:
-            invariants = [r.to_json() for r in check_instance(inst)]
-            if any(not r["passed"] for r in invariants):
-                exit_code = EXIT_VIOLATION
+        records = None if report.bounds.d_sw_bound is None else check_instance(inst)
         sol = None if report.bounds.epsilon is None else solve_bloch_series(inst)
         summary.update(
             {
@@ -251,11 +249,10 @@ def cmd_run(args, inst, config) -> int:
                 "max_leakage": report.max_leakage,
                 "series_order": None if sol is None else sol.order,
                 "violations": [list(v) for v in report.violations],
-                "invariants": invariants,
+                "invariants": None if records is None else [r.to_json() for r in records],
             }
         )
-        if report.violations:
-            exit_code = EXIT_VIOLATION
+        failed = bool(report.violations) or not all(r.passed for r in records or ())
     # made after the run, so that one that exits 2 or 3 leaves no directory behind
     for path, fmt in files:  # a transmon run, with no report, writes only the summary
         try:
@@ -264,7 +261,7 @@ def cmd_run(args, inst, config) -> int:
             raise ValueError(f"{str(path)!r} cannot be written: {exc.strerror}") from None
         path.write_text(report.to_csv() if fmt == "csv" else
                         json.dumps(summary if fmt is None else report.to_json(), indent=2))
-    return exit_code
+    return EXIT_VIOLATION if failed else EXIT_OK
 
 
 def cmd_verify(args, inst, config) -> int:

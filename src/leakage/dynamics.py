@@ -49,19 +49,32 @@ _SCREEN_MARGIN = 1e-8
 class LeakageReport(Record):
     """Leakage and distance series over a time grid, with their bounds:
     ``per_block_leakage[k, j]`` at ``times[j]``, ``d_bloch_series[j]`` =
-    ``||e^-itH - e^-itH_Bloch||``, violations ``(kind, block or None, t)``."""
+    ``||e^-itH - e^-itH_Bloch||``."""
 
-    __slots__ = ("times", "per_block_leakage", "d_bloch_series", "d_sw_series", "bounds",
-                 "violations")
+    __slots__ = ("times", "per_block_leakage", "d_bloch_series", "d_sw_series", "bounds")
 
     def __init__(self, times: np.ndarray, per_block_leakage: np.ndarray,
                  d_bloch_series: np.ndarray | None, d_sw_series: np.ndarray | None,
-                 bounds: bounds.BoundReport, violations: tuple):
+                 bounds: bounds.BoundReport):
         self._init(locals())
 
     @property
     def max_leakage(self) -> float:
         return float(self.per_block_leakage.max(initial=0.0))
+
+    @property
+    def violations(self) -> tuple:
+        """``(kind, block or None, t)`` of each point where leakage or ``d_Bloch`` is NaN or
+        above ``epsilon + SLACK``, or ``d_SW`` NaN or above its bound plus ``SLACK``: leakage
+        by block, then ``d_Bloch``, then ``d_SW``, each in time order."""
+        found = []
+        for kind, series, bound in (("leakage", self.per_block_leakage, self.bounds.epsilon),
+                                    ("d_bloch", self.d_bloch_series, self.bounds.epsilon),
+                                    ("d_sw", self.d_sw_series, self.bounds.d_sw_bound)):
+            if series is not None and bound is not None:
+                found += [(kind, int(k[0]) if k else None, float(self.times[j]))
+                          for *k, j in np.argwhere(~(series <= bound + bounds.SLACK))]
+        return tuple(found)
 
     def to_json(self) -> dict:
         return {
@@ -136,8 +149,7 @@ def run_leakage_experiment(inst: ProblemInstance, t_grid) -> LeakageReport:
     SW bound for ``d_SW``) and is None otherwise.  Refusals precede any leakage read: the
     report's and the grid's ``ValueError``, then, near the Bloch edge (``4 pi x > 0.7131``),
     the Catalan-tail ``LeakageError`` of the 1e-12 Bloch series of both distances (for another
-    tolerance, ``solve_bloch_series(inst, tol)``).  ``violations`` lists each point where
-    leakage or ``d_Bloch`` exceeds ``epsilon``, or ``d_SW`` its bound.
+    tolerance, ``solve_bloch_series(inst, tol)``).
     """
     times = np.array(t_grid, dtype=float)   # a copy: the report freezes it
     report = bounds.bound_report(inst.v_norm, inst.gamma, inst.partition.gap)
@@ -163,23 +175,12 @@ def run_leakage_experiment(inst: ProblemInstance, t_grid) -> LeakageReport:
                 d_sw[j] = 2.0 * operator_norm(x * sines)
 
     leak = np.array([[evo.leakage(k, t) for t in times] for k in range(inst.partition.n_groups)])
-    violations = []
-    if report.epsilon is not None:
-        bad = np.argwhere(leak > report.epsilon + bounds.SLACK)
-        violations = [("leakage", int(k), float(times[j])) for k, j in bad]
-    for kind, series, allowed in (("d_bloch", d_bloch, report.epsilon),
-                                  ("d_sw", d_sw, report.d_sw_bound)):
-        if series is not None:
-            bad = np.flatnonzero(series > allowed + bounds.SLACK)
-            violations += [(kind, None, float(times[j])) for j in bad]
-
     return LeakageReport(
         times=times,
         per_block_leakage=leak,
         d_bloch_series=d_bloch,
         d_sw_series=d_sw,
         bounds=report,
-        violations=tuple(violations),
     )
 
 

@@ -59,8 +59,8 @@ class HarmonicChainSpec(ValueRecord):
             raise ValueError("need at least two sites")
         if fock_cutoff < 2:
             raise ValueError("fock_cutoff must be at least 2")
-        if not (omega > 0 and g >= 0 and v0 >= 0):   # NaN fails this too
-            raise ValueError("omega must be positive, g and v0 nonnegative")
+        if not (0 < omega < math.inf and 0 <= g < math.inf and 0 <= v0 < math.inf):   # NaN too
+            raise ValueError("omega must be positive, g and v0 nonnegative, and all three finite")
         self._init(locals())
 
 
@@ -70,8 +70,8 @@ class TransmonSpec(ValueRecord):
     __slots__ = ("ej_over_ec", "transparency_d")
 
     def __init__(self, ej_over_ec: float, transparency_d: float):
-        if not ej_over_ec > 0:
-            raise ValueError("ej_over_ec must be positive")
+        if not 0 < ej_over_ec < math.inf:
+            raise ValueError("ej_over_ec must be positive and finite")
         if not 0.0 < transparency_d < 1.0:
             raise ValueError("transparency_d must lie in (0, 1)")
         self._init(locals())

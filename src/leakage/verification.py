@@ -36,9 +36,12 @@ from .rng import substream
 
 
 class InvariantResult(ValueRecord):
+    """An inequality's worst value and its allowance: ``passed`` is ``measured <= allowed``."""
+
     __slots__ = ("name", "passed", "measured", "allowed")
 
-    def __init__(self, name: str, passed: bool, measured: float, allowed: float):
+    def __init__(self, name: str, measured: float, allowed: float):
+        passed = bool(measured <= allowed)
         self._init(locals())
 
 
@@ -97,9 +100,7 @@ def check_instance(inst: ProblemInstance):
     results = []
 
     def record(name, measured, allowed):
-        results.append(
-            InvariantResult(name, bool(measured <= allowed), float(measured), float(allowed))
-        )
+        results.append(InvariantResult(name, float(measured), float(allowed)))
 
     part = inst.partition
     h_eig = inst.h_eig

@@ -211,6 +211,21 @@ def test_top_level_schema_refuses_a_list_and_an_unknown_model(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_harmonic_config_without_partition_takes_its_own_bands():
+    # a threshold of 0.5 would cut inside the 16 bands: 96 groups with gap 0.532
+    cfg = {"model": "harmonic",
+           "params": {"n_sites": 8, "omega": 10.0, "g": 1.0, "fock_cutoff": 15, "v0": 0.3}}
+    inst, config = cli.build_instance(cfg)
+    bands, config_bands = cli.build_instance({**cfg, "partition": {}})
+    assert inst.partition.n_groups == 16 and inst.partition.gap == pytest.approx(6.241, abs=1e-3)
+    assert all(map(np.array_equal, inst.partition.groups, bands.partition.groups))
+    assert config["partition"] == config_bands["partition"] == {"threshold": None,
+                                                                "intervals": None}
+    # a model with no bands of its own keeps the threshold 0.5
+    _, chain = cli.build_instance({"model": "chain", "params": {"n_cells": 4}})
+    assert chain["partition"] == {"threshold": 0.5, "intervals": None}
+
+
 def test_chain_partition_without_a_rule_exits_2(tmp_path, capsys):
     # the chain has no bands of its own to fall back on
     cfg = {**CHAIN_CFG, "partition": {}}
@@ -219,7 +234,7 @@ def test_chain_partition_without_a_rule_exits_2(tmp_path, capsys):
 
 
 def test_failed_invariant_exits_4_and_is_recorded(tmp_path, monkeypatch):
-    failed = InvariantResult("fabricated", False, 1.0, 0.5)
+    failed = InvariantResult("fabricated", 1.0, 0.5)
     monkeypatch.setattr(cli, "check_instance", lambda inst: [failed])
     assert main(["run", "--config", write_cfg(tmp_path, CHAIN_CFG), "--out", str(tmp_path)]) == 4
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -380,9 +395,9 @@ def test_verify_rejects_meaningless_instance_count(tmp_path, capsys, monkeypatch
 def test_verify_prints_the_worst_record_per_name(tmp_path, capsys, monkeypatch):
     # the worst record has the largest measured - allowed, the first one on a tie;
     # names print sorted, and one failed record fails the suite
-    records = (InvariantResult("b", True, 1.0, 2.0), InvariantResult("a", True, 0.5, 1.0),
-               InvariantResult("b", True, 3.0, 4.0), InvariantResult("a", False, 3.0, 2.0),
-               InvariantResult("a", True, 0.0, -1.0), InvariantResult("b", True, 0.0, 2.0))
+    records = (InvariantResult("b", 1.0, 2.0), InvariantResult("a", 0.5, 1.0),
+               InvariantResult("b", 3.0, 4.0), InvariantResult("a", 3.0, 2.0),
+               InvariantResult("a", 0.0, -1.0), InvariantResult("b", 0.0, 2.0))
     seen = []
 
     def suite(n_instances, seed):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from leakage import (
     ChainSpec,
     HarmonicChainSpec,
+    LeakageReport,
     OperatorMatrix,
     ProblemInstance,
     SpectralPartition,
@@ -164,6 +165,27 @@ def test_distance_bound_violations_are_labelled(rabi_instance, monkeypatch):
                                   ("d_sw", rep.d_sw_series, d_sw_bound)):
         expected = [(None, float(t)) for t in times[series > allowed + 1e-9]]
         assert by_kind[kind] == expected and expected
+
+
+def test_violations_are_derived_from_the_series_and_their_bounds():
+    # one point over its bound in each series and one NaN point, listed in the run's order:
+    # leakage by block, then d_Bloch, then d_SW, each in time order; a point within SLACK of
+    # its bound is no violation
+    report = bounds.bound_report(0.01, 1.0, 1.0)
+    eps, d_sw_bound = report.epsilon, report.d_sw_bound
+    times = np.array([0.0, 1.0, 2.0])
+    leak = np.array([[0.0, math.nan, eps], [0.0, eps + 0.5 * bounds.SLACK, eps + 1e-6]])
+    d_bloch = np.array([eps + 1e-6, 0.0, eps])
+    d_sw = np.array([0.0, d_sw_bound + 1e-6, d_sw_bound])
+    rep = LeakageReport(times, leak, d_bloch, d_sw, report)
+    assert rep.violations == (("leakage", 0, 1.0), ("leakage", 1, 2.0),
+                              ("d_bloch", None, 0.0), ("d_sw", None, 1.0))
+    assert all(type(k) is int for _, k, _ in rep.violations[:2])
+    assert rep.to_json()["violations"] == [list(v) for v in rep.violations]
+    # without epsilon, and so without the SW bound, no point is judged
+    beyond = bounds.bound_report(0.1, 1.0, 1.0)
+    assert beyond.epsilon is None and beyond.d_sw_bound is None
+    assert LeakageReport(times, leak, d_bloch, d_sw, beyond).violations == ()
 
 
 def test_distances_skipped_below_threshold():

@@ -45,8 +45,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         HarmonicChainSpec(n_sites=3, omega=-1.0)
     for field in ("omega", "g", "v0"):
-        with pytest.raises(ValueError, match="omega must be positive, g and v0 nonnegative"):
-            HarmonicChainSpec(n_sites=3, **{field: math.nan})
+        for value in (math.nan, math.inf):
+            # an infinite value would reach numpy's kron, which warns on inf * 0
+            with pytest.raises(ValueError, match="omega must be positive, g and v0 nonnegative"):
+                HarmonicChainSpec(n_sites=3, **{field: value})
     with pytest.raises(ValueError, match="n_cells must be an integer, got 4.0"):
         ChainSpec(n_cells=4.0)
     with pytest.raises(ValueError, match="n_sites must be an integer, got 3.0"):
@@ -58,6 +60,11 @@ def test_spec_validation():
         TransmonSpec(ej_over_ec=-5.0, transparency_d=0.5)
     with pytest.raises(ValueError):
         TransmonSpec(ej_over_ec=90.0, transparency_d=1.0)
+    with pytest.raises(ValueError, match="ej_over_ec must be positive and finite"):
+        TransmonSpec(ej_over_ec=math.inf, transparency_d=0.5)
+    with pytest.raises(ValueError, match="ej_over_ec must be positive and finite"):
+        # the bound itself would divide an infinite norm by an infinite gap, x = nan
+        transmon_leakage_bound(ej_over_ec=math.inf, transparency_d=0.5)
 
 
 def test_specs_take_numpy_integer_sizes():

@@ -49,13 +49,12 @@ RECORDS = {
                           "perturbed_projections": (np.eye(2), np.eye(2))}, 3, False),
     LeakageReport: (lambda: {"times": np.zeros(1), "per_block_leakage": np.zeros((2, 1)),
                              "d_bloch_series": None, "d_sw_series": np.zeros(1),
-                             "bounds": bound_report(0.01, 1.0, 1.0), "violations": ()},
-                    6, False),
+                             "bounds": bound_report(0.01, 1.0, 1.0)}, 5, False),
     SweepResult: (lambda: {"gammas": np.ones(4), "max_leakages": np.ones(4), "slope": -1.0},
                   3, False),
     BoundReport: (lambda: bound_report(0.01, 1.0, 1.0).to_json(), 10, True),
-    InvariantResult: (lambda: {"name": "w_unitarity", "passed": True, "measured": 1e-15,
-                               "allowed": 1e-10}, 4, True),
+    InvariantResult: (lambda: {"name": "w_unitarity", "measured": 1e-15, "allowed": 1e-10},
+                      3, True),
     ChainSpec: (lambda: {"n_cells": 2, "g1": 1.0, "g2": 1.5, "g3": 2.0,
                          "disorder_strength": 0.01, "seed": 0}, 1, True),
     HarmonicChainSpec: (lambda: {"n_sites": 2, "omega": 10.0, "g": 1.0, "fock_cutoff": 3,

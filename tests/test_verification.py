@@ -28,6 +28,17 @@ from conftest import (deep_harmonic_instance, grouped_instance, interleaved_inst
                       make_instance, replace_fields)
 
 
+@pytest.mark.parametrize("measured, allowed, passed", [
+    (0.5, 1.0, True), (1.0, 1.0, True), (0.0, -1.0, False), (math.nan, 1.0, False)])
+def test_invariant_result_derives_its_verdict(measured, allowed, passed):
+    rec = verification.InvariantResult("w_unitarity", measured, allowed)
+    assert rec.passed is passed
+    # the summary's invariants keep their keys and order
+    assert list(rec.to_json()) == ["name", "passed", "measured", "allowed"]
+    with pytest.raises(TypeError):
+        verification.InvariantResult("w_unitarity", measured, allowed, passed=not passed)
+
+
 def test_haar_unitary_is_unitary():
     u = haar_unitary(np.random.default_rng(0), 7)
     assert operator_norm(u @ u.conj().T - np.eye(7)) < 1e-12
