@@ -61,6 +61,10 @@ class HarmonicChainSpec(ValueRecord):
             raise ValueError("fock_cutoff must be at least 2")
         if not (0 < omega < math.inf and 0 <= g < math.inf and 0 <= v0 < math.inf):   # NaN too
             raise ValueError("omega must be positive, g and v0 nonnegative, and all three finite")
+        # in Python floats, which do not warn; a cutoff past the float range has no finite top
+        top = float(omega) * (float(fock_cutoff) + 0.5) if fock_cutoff < 2**1023 else math.inf
+        if not math.isfinite(top):
+            raise ValueError(f"the top level omega (fock_cutoff + 1/2) must be finite, got {top}")
         self._init(locals())
 
 
@@ -145,8 +149,8 @@ def transmon_bandgap(k: int, ej_over_ec: float) -> float:
     """
     if k < 0:
         raise ValueError("band index must be nonnegative")
-    if not ej_over_ec > 0:
-        raise ValueError("ej_over_ec must be positive")
+    if not 0 < ej_over_ec < math.inf:
+        raise ValueError("ej_over_ec must be positive and finite")
     z = math.sqrt(ej_over_ec / 2.0)
     term0 = 4.0 * z - 1.0 - k
     term1 = (

@@ -24,6 +24,7 @@ from leakage import (
     max_leakage,
     partition_by_intervals,
     partition_by_threshold,
+    random_instance,
     run_leakage_experiment,
     solve_bloch_series,
     sw_transform,
@@ -103,6 +104,44 @@ def test_leakage_reads_both_gram_sides(case, real, sizes, times):
         assert np.abs(leak[:, j] - dense_leakage(inst, t)).max() < 1e-12
     assert leak.min() > 1e-4
     assert max_leakage(inst, times) == leak.max()
+
+
+def eternal_leakage_bound(inst):
+    """``sin 2 theta_max`` per block, from this test's own eigensolve of H.
+
+    For unit ``x`` in the range of ``P_k`` and ``U = e^{-itH}``, which commutes with H's
+    spectral projection ``P~_k``, ``||P_k U x|| >= cos^2 theta_max - sin^2 theta_max``, and
+    ``||Q_k U x||^2 = 1 - ||P_k U x||^2``, so ``||Q_k U P_k|| <= sin 2 theta_max`` at every t
+    while ``theta_max <= pi/4``.  With
+    contiguous groups and ``||V|| < gamma eta / 2``, Weyl keeps H's band k at the indices
+    of group k, so ``sin theta_max = ||S[out, g]||`` for H's eigenvectors ``S``.
+    """
+    assert all(np.array_equal(g, np.arange(g[0], g[-1] + 1)) for g in inst.partition.groups)
+    assert inst.v_norm < 0.5 * inst.gamma * inst.partition.gap
+    s = np.linalg.eigh(inst.h_eig)[1]
+    sines = np.array([np.linalg.norm(s[np.ix_(out, g)], 2) for g, out in inst.partition.blocks])
+    assert sines.max() <= math.sqrt(0.5)
+    return 2.0 * sines * np.sqrt(1.0 - sines**2)
+
+
+@pytest.mark.parametrize("draw", ["chain", *range(8)])
+def test_leakage_stays_below_the_eternal_angle_bound(draw):
+    # the chain's three bands, or a random_instance of dim 4-32 in 2-4 groups; the grid
+    # maxima reach 0.97-0.996 of the bound, so a read 1 % too large fails on most draws
+    if draw == "chain":
+        h0, v, partition = chain_pair()
+        inst = ProblemInstance(h0, v, 1.0, partition(herm_eig(h0)))
+    else:
+        inst = random_instance(np.random.default_rng(draw))
+    bound = eternal_leakage_bound(inst)
+    leak = run_leakage_experiment(inst, np.linspace(0.0, 200.0, 401)).per_block_leakage
+    assert np.all(leak <= bound[:, None] * (1.0 + 1e-9))
+
+
+def test_two_level_leakage_reaches_the_eternal_angle_bound(rabi_instance):
+    lam = np.linalg.eigvalsh(rabi_instance.h)
+    leak = run_leakage_experiment(rabi_instance, [math.pi / (lam[1] - lam[0])]).per_block_leakage
+    assert np.abs(leak[:, 0] - eternal_leakage_bound(rabi_instance)).max() < 1e-13
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])

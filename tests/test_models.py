@@ -49,6 +49,12 @@ def test_spec_validation():
             # an infinite value would reach numpy's kron, which warns on inf * 0
             with pytest.raises(ValueError, match="omega must be positive, g and v0 nonnegative"):
                 HarmonicChainSpec(n_sites=3, **{field: value})
+    for kw in ({"omega": 1e308}, {"omega": 1e308, "fock_cutoff": np.int64(3)},
+               {"fock_cutoff": 10**400}):
+        # a finite omega whose top level omega (3 + 1/2) overflows, which numpy warns of,
+        # also in numpy scalars; a cutoff that float() cannot convert
+        with pytest.raises(ValueError, match=r"top level omega \(fock_cutoff \+ 1/2\) must be"):
+            HarmonicChainSpec(n_sites=3, **kw)
     with pytest.raises(ValueError, match="n_cells must be an integer, got 4.0"):
         ChainSpec(n_cells=4.0)
     with pytest.raises(ValueError, match="n_sites must be an integer, got 3.0"):
@@ -65,6 +71,9 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="ej_over_ec must be positive and finite"):
         # the bound itself would divide an infinite norm by an infinite gap, x = nan
         transmon_leakage_bound(ej_over_ec=math.inf, transparency_d=0.5)
+    with pytest.raises(ValueError, match="ej_over_ec must be positive and finite"):
+        # the asymptotic gap itself would be infinite
+        transmon_bandgap(1, math.inf)
 
 
 def test_specs_take_numpy_integer_sizes():
